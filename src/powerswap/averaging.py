@@ -4,9 +4,15 @@ With U a random delivery time distributed by the normalized weight over
 (tau1, tau2], the swap volatility factor is S(t) = E[s(t, U)] and the market
 price of delivery risk factor is xi(t) = 0.5 * Var[s(t, U)] / E[s(t, U)].
 The swap volatility is then S(t) sqrt(nu(t)) and the risk premium
-xi(t) sqrt(nu(t)).  Closed forms cover the Samuelson and delivery-seasonal
-factors under the uniform weight; everything else goes through adaptive
-Gauss-Legendre quadrature.
+xi(t) sqrt(nu(t)).
+
+Every built-in shape factors as s(t, u) = e^{-lam (tau1 - t)} h(u), with
+lam = 0 except for the Samuelson variant, so S(t) = S(tau1) e^{-lam (tau1 - t)}
+and xi(t) = xi(tau1) e^{-lam (tau1 - t)}.  The pair (S(tau1), xi(tau1)) is
+computed once: in closed form for the trading-seasonal variant and for the
+Samuelson and delivery-seasonal variants under the uniform weight, otherwise
+by one adaptive Gauss-Legendre quadrature of the weighted moments.  Only
+``GeneralSeparable`` has no such factoring and is integrated at each time.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import numpy as np
 from .models import (
     DeliveryPeriod,
     DeliverySeasonal,
+    GeneralSeparable,
     Samuelson,
     TradingSeasonal,
     TWO_PI,
@@ -138,51 +145,65 @@ def _weighted_moments(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
 
 def _mean_var(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
               t: float) -> tuple[float, float]:
+    if isinstance(vol, DeliverySeasonal) and isinstance(w, UniformWeight):
+        c1, c2 = _cos_means(vol, dp)
+        return vol.a + vol.b * c1, vol.b * vol.b * (c2 - c1 * c1)
+    return _weighted_moments(vol, w, dp, t)
+
+
+def _moment_factors(mean: float, var: float) -> tuple[float, float]:
+    """(S, xi) from the mean and variance of s(t, U)."""
+    return float(mean), float(0.5 * _clamp_variance(var) / mean)
+
+
+def _delivery_factors(vol: VolStructure, w: WeightFunction,
+                      dp: DeliveryPeriod) -> tuple[float, float]:
+    """(S(tau1), xi(tau1)) for every variant except ``GeneralSeparable``."""
     if isinstance(vol, TradingSeasonal):
         return 1.0, 0.0
-    if isinstance(w, UniformWeight):
-        if isinstance(vol, Samuelson):
-            decay = np.exp(-vol.lam * (dp.tau1 - t))
-            d1, _ = d1_d2(vol.lam, dp.delta)
-            return d1 * decay, samuelson_variance(vol.lam, dp) * decay * decay
-        if isinstance(vol, DeliverySeasonal):
-            c1, c2 = _cos_means(vol, dp)
-            mean = vol.a + vol.b * c1
-            var = vol.b * vol.b * (c2 - c1 * c1)
-            return mean, var
-    return _weighted_moments(vol, w, dp, t)
+    if isinstance(vol, Samuelson) and isinstance(w, UniformWeight):
+        return d1_d2(vol.lam, dp.delta)
+    return _moment_factors(*_mean_var(vol, w, dp, dp.tau1))
+
+
+def _decayed(value: float, vol: VolStructure, dp: DeliveryPeriod, t):
+    """value * e^{-lam (tau1 - t)}, lam = 0 unless ``vol`` is Samuelson."""
+    lam = vol.lam if isinstance(vol, Samuelson) else 0.0
+    t_arr = np.asarray(t, dtype=float)
+    out = value * np.exp(-lam * (dp.tau1 - t_arr))
+    return float(out) if t_arr.ndim == 0 else out
+
+
+def _factors(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
+             t: float) -> tuple[float, float]:
+    """(S(t), xi(t)) at one time t <= tau1."""
+    t = _check_t(t, dp)
+    if isinstance(vol, GeneralSeparable):
+        return _moment_factors(*_mean_var(vol, w, dp, t))
+    s1, xi1 = _delivery_factors(vol, w, dp)
+    return _decayed(s1, vol, dp, t), _decayed(xi1, vol, dp, t)
 
 
 def swap_vol_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
                     t: float) -> float:
     """Averaged volatility factor S(t) = E[s(t, U)] for t <= tau1."""
-    t = _check_t(t, dp)
-    mean, _ = _mean_var(vol, w, dp, t)
-    return float(mean)
+    return _factors(vol, w, dp, t)[0]
 
 
 def market_price_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
                         t: float) -> float:
     """Delivery-risk factor xi(t) = 0.5 * Var[s(t, U)] / E[s(t, U)] >= 0."""
-    t = _check_t(t, dp)
-    if isinstance(vol, TradingSeasonal):
-        return 0.0
-    if isinstance(vol, Samuelson) and isinstance(w, UniformWeight):
-        _, d2 = d1_d2(vol.lam, dp.delta)
-        return float(d2 * np.exp(-vol.lam * (dp.tau1 - t)))
-    mean, var = _mean_var(vol, w, dp, t)
-    return float(0.5 * _clamp_variance(var) / mean)
+    return _factors(vol, w, dp, t)[1]
 
 
 def variance_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
                     t: float) -> float:
-    """Var[s(t, U)], the deterministic part of the swap-spread integrand.
+    """Var[s(t, U)] = 2 S(t) xi(t), the deterministic part of the swap-spread integrand.
 
     Var[sigma(t, U)] along a variance path nu is variance_factor(t) * nu(t).
     """
-    t = _check_t(t, dp)
-    _, var = _mean_var(vol, w, dp, t)
-    return float(_clamp_variance(var))
+    big_s, xi = _factors(vol, w, dp, t)
+    return 2.0 * big_s * xi
 
 
 def swap_spread(f_arith: float, variance_integral: float) -> float:
@@ -212,10 +233,6 @@ class SwapVolDecomposition:
     weight: WeightFunction
 
 
-def _shaped(out, t_arr):
-    return float(out) if t_arr.ndim == 0 else out
-
-
 def _vectorize_scalar(f):
     def fn(t):
         t_arr = np.asarray(t, dtype=float)
@@ -226,38 +243,20 @@ def _vectorize_scalar(f):
 
 
 def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapVolDecomposition:
-    """Bundle S(t) and xi(t) as vectorized functions of time."""
-    if isinstance(vol, TradingSeasonal):
-        def big_s(t):
-            t_arr = np.asarray(t, dtype=float)
-            return _shaped(np.ones(t_arr.shape), t_arr)
+    """Bundle S(t) and xi(t) as vectorized functions of time.
 
-        def xi(t):
-            t_arr = np.asarray(t, dtype=float)
-            return _shaped(np.zeros(t_arr.shape), t_arr)
-    elif isinstance(vol, Samuelson) and isinstance(w, UniformWeight):
-        d1, d2 = d1_d2(vol.lam, dp.delta)
-        lam, tau1 = vol.lam, dp.tau1
-
-        def big_s(t):
-            t_arr = np.asarray(t, dtype=float)
-            return _shaped(d1 * np.exp(-lam * (tau1 - t_arr)), t_arr)
-
-        def xi(t):
-            t_arr = np.asarray(t, dtype=float)
-            return _shaped(d2 * np.exp(-lam * (tau1 - t_arr)), t_arr)
-    elif isinstance(vol, DeliverySeasonal) and isinstance(w, UniformWeight):
-        mean, var = _mean_var(vol, w, dp, dp.tau1)
-        xi_val = 0.5 * _clamp_variance(var) / mean
-
-        def big_s(t):
-            t_arr = np.asarray(t, dtype=float)
-            return _shaped(np.full(t_arr.shape, mean), t_arr)
-
-        def xi(t):
-            t_arr = np.asarray(t, dtype=float)
-            return _shaped(np.full(t_arr.shape, xi_val), t_arr)
-    else:
+    The pair (S(tau1), xi(tau1)) is computed once and scaled by the
+    Samuelson decay; only ``GeneralSeparable`` is evaluated point by point.
+    """
+    if isinstance(vol, GeneralSeparable):
         big_s = _vectorize_scalar(lambda tv: swap_vol_factor(vol, w, dp, tv))
         xi = _vectorize_scalar(lambda tv: market_price_factor(vol, w, dp, tv))
+    else:
+        s1, xi1 = _delivery_factors(vol, w, dp)
+
+        def big_s(t):
+            return _decayed(s1, vol, dp, t)
+
+        def xi(t):
+            return _decayed(xi1, vol, dp, t)
     return SwapVolDecomposition(big_s=big_s, xi=xi, dp=dp, weight=w)

@@ -10,6 +10,7 @@ weight density.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -74,8 +75,9 @@ def as_time_function(value: float | Callable) -> Callable:
 class HestonParams:
     """CIR variance and market parameters.
 
-    theta may be a positive constant or a callable of trading time; positivity
-    of a callable theta is grid-checked by the modules that consume it.
+    theta may be a finite positive constant or a callable of trading time;
+    positivity of a callable theta is grid-checked by the modules that consume
+    it.  Every other field must be finite.
     """
     kappa: float
     theta: float | Callable[[float], float]
@@ -86,20 +88,20 @@ class HestonParams:
     r: float = 0.0
 
     def __post_init__(self):
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if not callable(self.theta) and not float(self.theta) > 0:
-            raise ValueError(f"theta must be > 0, got {self.theta}")
-        if not self.sigma_vv >= 0:
-            raise ValueError(f"sigma_vv must be >= 0, got {self.sigma_vv}")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and > 0, got {self.kappa}")
+        if not callable(self.theta) and not 0 < float(self.theta) < math.inf:
+            raise ValueError(f"theta must be finite and > 0, got {self.theta}")
+        if not 0 <= self.sigma_vv < math.inf:
+            raise ValueError(f"sigma_vv must be finite and >= 0, got {self.sigma_vv}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
-        if not self.nu0 > 0:
-            raise ValueError(f"nu0 must be > 0, got {self.nu0}")
-        if not self.f0 > 0:
-            raise ValueError(f"f0 must be > 0, got {self.f0}")
-        if not self.r >= 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
+        if not 0 < self.nu0 < math.inf:
+            raise ValueError(f"nu0 must be finite and > 0, got {self.nu0}")
+        if not 0 < self.f0 < math.inf:
+            raise ValueError(f"f0 must be finite and > 0, got {self.f0}")
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"r must be finite and >= 0, got {self.r}")
 
     def theta_fn(self) -> Callable:
         return as_time_function(self.theta)
@@ -128,10 +130,10 @@ class OptionSpec:
     exercise: float
 
     def __post_init__(self):
-        if not self.strike > 0:
-            raise ValueError(f"strike must be > 0, got {self.strike}")
-        if not self.exercise > 0:
-            raise ValueError(f"exercise time must be > 0, got {self.exercise}")
+        if not 0 < self.strike < math.inf:
+            raise ValueError(f"strike must be finite and > 0, got {self.strike}")
+        if not 0 < self.exercise < math.inf:
+            raise ValueError(f"exercise time must be finite and > 0, got {self.exercise}")
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ put-call parity.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -192,9 +193,13 @@ def _consult_novikov(p, vol, dp, diagnostics):
     nov = check_novikov(p, vol, dp)
     diagnostics["novikov_ok"] = nov.ok
     if not nov.ok:
+        # point the warning at the first frame outside this module
+        frame, level = sys._getframe(), 1
+        while frame.f_back is not None and frame.f_globals["__name__"] == __name__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"Novikov condition fails ({nov.lhs:.6g} <= {nov.rhs:.6g}); "
-            "the measure change is not guaranteed", ConditionWarning, stacklevel=3)
+            "the measure change is not guaranteed", ConditionWarning, stacklevel=level)
 
 
 def price_fourier(p: HestonParams, vol: VolStructure, w: WeightFunction,
@@ -206,11 +211,8 @@ def price_fourier(p: HestonParams, vol: VolStructure, w: WeightFunction,
 
     The put is filled from put-call parity, so parity holds by construction.
     """
-    diagnostics: dict = {}
-    _consult_novikov(p, vol, dp, diagnostics)
-    x, nu = _resolve_state(p, x, nu)
-    ctx = _FourierContext(p, vol, w, dp, opt.exercise, t, x, nu, phi_max, ode_tol)
-    return _assemble(p, ctx, opt.strike, diagnostics)
+    return price_fourier_many(p, vol, w, dp, [opt.strike], opt.exercise, t=t, x=x,
+                              nu=nu, phi_max=phi_max, ode_tol=ode_tol)[0]
 
 
 def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powerswap import averaging
 from powerswap.averaging import (
     d1_d2,
     decompose,
@@ -21,6 +22,7 @@ from powerswap.averaging import (
     variance_factor,
 )
 from powerswap.models import (
+    CustomWeight,
     DeliveryPeriod,
     DeliverySeasonal,
     ExponentialWeight,
@@ -28,12 +30,28 @@ from powerswap.models import (
     Samuelson,
     TradingSeasonal,
     UniformWeight,
+    integrate_over_delivery,
 )
 
 from _reference import brute_force_moments
 
 DP = DeliveryPeriod(0.75, 5.0 / 6.0)
 UNI = UniformWeight()
+T_GRID = np.linspace(0.0, 0.75, 7)
+
+_KNOTS, _LEVELS = [0.75, 0.78, 0.8, 5.0 / 6.0], [1.0, 2.0, 1.5, 0.5]
+# (weight, unnormalized weight for the brute-force oracle)
+WEIGHTS = [
+    (UNI, lambda u: 1.0),
+    (ExponentialWeight(rate=0.5), lambda u: np.exp(-0.5 * u)),
+    (CustomWeight.from_table(_KNOTS, _LEVELS), lambda u: np.interp(u, _KNOTS, _LEVELS)),
+]
+# (variant, s(t, u) written out for the oracle)
+VOLS = [
+    (Samuelson(3.5), lambda t, u: np.exp(-3.5 * (u - t))),
+    (DeliverySeasonal(1.0, 0.4, 0.0), lambda t, u: 1.0 + 0.4 * np.cos(2 * np.pi * u)),
+    (TradingSeasonal(0.6, 0.7, 0.2), lambda t, u: 1.0),
+]
 
 # one-month window: (lam, d1, variance, d2) rounded to four decimals
 ONE_MONTH_TABLE = [
@@ -117,16 +135,12 @@ def test_delivery_seasonal_factors_time_independent():
 
 def test_exponential_weight_moments_match_quadrature():
     sam = Samuelson(2.0)
-    w = ExponentialWeight(rate=0.5)
-    mean, var = brute_force_moments(
-        lambda tt, u: np.exp(-2.0 * (u - tt)),
-        lambda u: np.exp(-0.5 * u),
-        DP.tau1,
-        DP.tau2,
-        0.25,
-    )
-    assert swap_vol_factor(sam, w, DP, 0.25) == pytest.approx(mean, rel=1e-8)
-    assert market_price_factor(sam, w, DP, 0.25) == pytest.approx(0.5 * var / mean, rel=1e-6)
+    s_fn = lambda tt, u: np.exp(-2.0 * (u - tt))
+    for w, w_fn in WEIGHTS[1:]:
+        for t in T_GRID:
+            mean, var = brute_force_moments(s_fn, w_fn, DP.tau1, DP.tau2, t)
+            assert swap_vol_factor(sam, w, DP, t) == pytest.approx(mean, rel=1e-8)
+            assert market_price_factor(sam, w, DP, t) == pytest.approx(0.5 * var / mean, rel=1e-6)
 
 
 def test_trading_seasonal_factors_are_degenerate():
@@ -203,11 +217,36 @@ def test_swap_spread():
 
 
 def test_decompose_matches_pointwise_factors():
-    for vol in (Samuelson(3.5), DeliverySeasonal(1.0, 0.4, 0.0), TradingSeasonal(0.6, 0.7, 0.2)):
-        dec = decompose(vol, UNI, DP)
-        t = np.linspace(0.0, 0.75, 11)
-        s_vec = np.asarray(dec.big_s(t), dtype=float)
-        xi_vec = np.asarray(dec.xi(t), dtype=float)
-        for i, ti in enumerate(t):
-            assert s_vec[i] == pytest.approx(swap_vol_factor(vol, UNI, DP, ti), rel=1e-12)
-            assert xi_vec[i] == pytest.approx(market_price_factor(vol, UNI, DP, ti), abs=1e-15)
+    for vol, s_fn in VOLS:
+        for w, w_fn in WEIGHTS:
+            dec = decompose(vol, w, DP)
+            s_vec = np.asarray(dec.big_s(T_GRID), dtype=float)
+            xi_vec = np.asarray(dec.xi(T_GRID), dtype=float)
+            for i, ti in enumerate(T_GRID):
+                assert s_vec[i] == pytest.approx(swap_vol_factor(vol, w, DP, ti), rel=1e-12)
+                assert xi_vec[i] == pytest.approx(market_price_factor(vol, w, DP, ti), abs=1e-15)
+                mean, var = brute_force_moments(s_fn, w_fn, DP.tau1, DP.tau2, ti)
+                assert s_vec[i] == pytest.approx(mean, rel=1e-8)
+                assert xi_vec[i] == pytest.approx(0.5 * var / mean, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("vol", [vol for vol, _ in VOLS])
+@pytest.mark.parametrize("w", [w for w, _ in WEIGHTS])
+def test_decompose_quadrature_work_independent_of_time_grid(monkeypatch, vol, w):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate_over_delivery(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "integrate_over_delivery", counting)
+    counts = []
+    for n in (10, 1000):
+        calls.clear()
+        dec = decompose(vol, w, DP)
+        t = np.linspace(0.0, DP.tau1, n)
+        dec.big_s(t)
+        dec.xi(t)
+        counts.append(len(calls))
+    # at most one mean and one variance integral, whatever the grid size
+    assert counts[0] == counts[1] <= 2

@@ -2,8 +2,10 @@
 to confirm the console-script wiring."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +58,14 @@ def test_unknown_section_and_field_rejected():
         load_config({"grid": {"seed": -3}})
     with pytest.raises(ConfigError, match="option.exercise"):
         load_config({"option": {"exercise": 0.8}})
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    cfg = load_config(json.loads(blocks[0]))
+    assert cfg.normalized["weight"] == {"variant": "uniform"}
 
 
 def test_trading_seasonal_owns_theta():

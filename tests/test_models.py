@@ -48,6 +48,13 @@ def test_heston_params_validation():
         dict(nu0=0.0),
         dict(f0=0.0),
         dict(r=-0.01),
+        dict(kappa=np.inf),
+        dict(theta=np.inf),
+        dict(sigma_vv=np.inf),
+        dict(nu0=np.inf),
+        dict(f0=np.inf),
+        dict(r=np.inf),
+        dict(f0=np.nan),
     ):
         kwargs = dict(kappa=3.0, theta=0.6, sigma_vv=0.4, rho=-0.3, nu0=0.6, f0=30.0, r=0.01)
         kwargs.update(bad)
@@ -179,6 +186,11 @@ def test_option_spec():
         OptionSpec(strike=-1.0, exercise=0.5)
     with pytest.raises(ValueError):
         OptionSpec(strike=30.0, exercise=0.0)
+    for bad in (dict(strike=np.inf), dict(exercise=np.inf), dict(strike=np.nan)):
+        kwargs = dict(strike=30.0, exercise=0.5)
+        kwargs.update(bad)
+        with pytest.raises(ValueError):
+            OptionSpec(**kwargs)
 
 
 def test_as_time_function_wraps_scalars_and_callables():

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from powerswap.conditions import ConditionWarning
 from powerswap.models import (
     DeliveryPeriod,
     HestonParams,
@@ -154,6 +155,20 @@ def test_fourier_diagnostics_and_truncation():
         price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), phi_max=4.0)
     assert exc_info.value.envelope > 1e-12
     assert np.isfinite(exc_info.value.partial)
+
+
+def test_novikov_warning_points_at_the_caller():
+    # kappa = 0.1 fails 8 kappa^2 > sigma_vv^2 / (lam delta)^2; the tiny
+    # phi_max stops the pricing right after the check
+    p = _params(kappa=0.1)
+    opt = OptionSpec(strike=30.0, exercise=T)
+    for price in (
+        lambda: price_fourier(p, SAM, UNI, DP, opt, phi_max=4.0),
+        lambda: price_fourier_many(p, SAM, UNI, DP, [30.0], T, phi_max=4.0),
+    ):
+        with pytest.warns(ConditionWarning) as record, pytest.raises(TruncationError):
+            price()
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_finalize_prob_clamp():
