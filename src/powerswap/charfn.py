@@ -156,6 +156,16 @@ def _as_phi_array(phi) -> tuple[np.ndarray, bool]:
     return (phi_arr.reshape(1) if scalar else phi_arr), scalar
 
 
+def _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps) -> CharFnSolution:
+    """Package Psi0, Psi1 (node axis last); a scalar phi drops that axis."""
+    fields = (phi_arr, psi0, psi1)
+    if scalar:
+        fields = tuple(a[..., 0] for a in fields)
+    phi, psi0, psi1 = (a.item() if a.ndim == 0 else a for a in fields)
+    return CharFnSolution(k=rc.k, t=t, T=T, phi=phi, psi0=psi0, psi1=psi1,
+                          n_steps=int(n_steps))
+
+
 def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
                   abs_tol: float = 1e-10, n_start: int = 64,
                   max_n: int = 1 << 16,
@@ -172,9 +182,7 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
         raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
     if t == T:
         z = np.zeros(phi_arr.shape, dtype=complex)
-        return CharFnSolution(k=rc.k, t=t, T=T, phi=phi if scalar else phi_arr,
-                              psi0=complex(0) if scalar else z,
-                              psi1=complex(0) if scalar else z.copy(), n_steps=0)
+        return _solution(rc, t, T, phi_arr, scalar, z, z.copy(), 0)
     n = n_start
     prev0, prev1 = _integrate(rc, t, T, phi_arr, n)
     while True:
@@ -183,12 +191,7 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
         err = max(float(np.max(np.abs(cur0 - prev0))),
                   float(np.max(np.abs(cur1 - prev1))))
         if err < abs_tol:
-            if scalar:
-                return CharFnSolution(k=rc.k, t=t, T=T, phi=float(phi_arr[0]),
-                                      psi0=complex(cur0[0]), psi1=complex(cur1[0]),
-                                      n_steps=n2)
-            return CharFnSolution(k=rc.k, t=t, T=T, phi=phi_arr, psi0=cur0,
-                                  psi1=cur1, n_steps=n2)
+            return _solution(rc, t, T, phi_arr, scalar, cur0, cur1, n2)
         if n2 >= max_n:
             raise RiccatiError(
                 f"step-doubling did not reach tolerance {abs_tol:.1e} by "
@@ -205,12 +208,7 @@ def solve_riccati_fixed(rc: RiccatiCoefficients, t: float, T: float, phi,
     if not 0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
     psi0, psi1 = _integrate(rc, t, T, phi_arr, int(n_steps))
-    if scalar:
-        return CharFnSolution(k=rc.k, t=t, T=T, phi=float(phi_arr[0]),
-                              psi0=complex(psi0[0]), psi1=complex(psi1[0]),
-                              n_steps=int(n_steps))
-    return CharFnSolution(k=rc.k, t=t, T=T, phi=phi_arr, psi0=psi0, psi1=psi1,
-                          n_steps=int(n_steps))
+    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps)
 
 
 def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi,
@@ -226,11 +224,8 @@ def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi,
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
     _, _, path0, path1 = _integrate(rc, t, T, phi_arr, int(n_steps), keep_path=True)
     times = np.linspace(t, T, int(n_steps) + 1)
-    path0 = path0[::-1]
-    path1 = path1[::-1]
-    if scalar:
-        return times, path0[:, 0], path1[:, 0]
-    return times, path0, path1
+    path = _solution(rc, t, T, phi_arr, scalar, path0[::-1], path1[::-1], n_steps)
+    return times, path.psi0, path.psi1
 
 
 def char_fn(sol: CharFnSolution, x: float, nu: float):

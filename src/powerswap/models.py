@@ -114,9 +114,9 @@ class DeliveryPeriod:
     tau2: float
 
     def __post_init__(self):
-        if not 0 < self.tau1 < self.tau2:
-            raise ValueError(
-                f"delivery period requires 0 < tau1 < tau2, got ({self.tau1}, {self.tau2})")
+        if not 0 < self.tau1 < self.tau2 < math.inf:
+            raise ValueError("delivery period requires finite 0 < tau1 < tau2, "
+                             f"got ({self.tau1}, {self.tau2})")
 
     @property
     def delta(self) -> float:
@@ -149,6 +149,10 @@ class UniformWeight:
 class ExponentialWeight:
     """Unnormalized weight w_hat(u) = exp(-rate * u); rate 0 reduces to uniform."""
     rate: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError(f"rate must be finite, got {self.rate}")
 
 
 @dataclass(frozen=True)
@@ -233,8 +237,10 @@ def weight_normalizer(w: WeightFunction, dp: DeliveryPeriod) -> float:
     if isinstance(w, UniformWeight):
         return dp.delta
     if isinstance(w, ExponentialWeight):
-        if w.rate == 0.0:
-            return dp.delta
+        y = w.rate * dp.delta
+        if abs(y) < 1e-8:
+            # series of (1 - e^{-y}) / y: exact at rate 0, no underflow at subnormal rates
+            return float(dp.delta * np.exp(-w.rate * dp.tau1) * (1.0 - 0.5 * y))
         # expm1 keeps the difference of the two exponentials from
         # cancelling when rate * delta is tiny
         return float(np.exp(-w.rate * dp.tau1) * (-np.expm1(-w.rate * dp.delta)) / w.rate)
@@ -273,10 +279,10 @@ class TradingSeasonal:
     gamma: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
 
@@ -296,8 +302,8 @@ class Samuelson:
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be > 0, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -308,9 +314,9 @@ class DeliverySeasonal:
     c: float
 
     def __post_init__(self):
-        if not self.a > self.b > 0:
-            raise ValueError(
-                f"delivery seasonality requires a > b > 0, got a={self.a}, b={self.b}")
+        if not math.inf > self.a > self.b > 0:
+            raise ValueError("delivery seasonality requires finite a > b > 0, "
+                             f"got a={self.a}, b={self.b}")
         if not 0.0 <= self.c < 1.0:
             raise ValueError(f"c must lie in [0, 1), got {self.c}")
 
@@ -324,8 +330,8 @@ class GeneralSeparable:
     def __post_init__(self):
         if not callable(self.s):
             raise ValueError("s must be callable as s(t, u)")
-        if not self.bound_r > 0:
-            raise ValueError(f"bound_r must be > 0, got {self.bound_r}")
+        if not 0 < self.bound_r < math.inf:
+            raise ValueError(f"bound_r must be finite and > 0, got {self.bound_r}")
 
     @classmethod
     def from_table(cls, t_grid, u_grid, values, bound_r: float) -> "GeneralSeparable":

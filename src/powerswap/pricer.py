@@ -6,9 +6,10 @@ exercise probabilities recovered from the characteristic functions by
     1 - Q_k = 1/2 + (1/pi) Integral_0^inf Re(e^{-i phi ln K} Q_hat_k / (i phi)) dphi.
 
 The integral is evaluated on fixed-width panels with 32-point Gauss-Legendre
-nodes; the characteristic-function values per panel do not depend on the
-strike, so one pricing context reuses them across strikes.  Puts follow from
-put-call parity.
+nodes, solved 16 panels per Riccati call until max |Q_hat_k| / phi stays below
+1e-12 on two panels in a row.  Neither that truncation nor the node values
+depend on the strike, so a pricing context solves each k once and prices every
+strike as one weighted sum over the same nodes.  Puts follow from put-call parity.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = ["PriceResult", "PricingError", "TruncationError", "exercise_prob",
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _PANEL_WIDTH = 2.0
+_BLOCK_PANELS = 16
 _ENVELOPE_TOL = 1e-12
 _PROB_SLACK = 1e-6
 
@@ -66,7 +68,7 @@ class PriceResult:
 
 
 class _FourierContext:
-    """Caches per-panel characteristic-function values for one (t, T, state)."""
+    """Q_hat_k for one (t, T, state), solved in blocks up to truncation once per k."""
 
     def __init__(self, p, vol, w, dp, exercise, t, x, nu, phi_max, ode_tol):
         if not t < exercise:
@@ -76,58 +78,53 @@ class _FourierContext:
                 f"exercise {exercise} must precede the delivery start {dp.tau1}")
         if nu < 0:
             raise ValueError(f"nu must be non-negative, got {nu}")
+        if not phi_max < np.inf:
+            raise ValueError(f"phi_max must be finite, got {phi_max}")
         self.t, self.T = float(t), float(exercise)
         self.x, self.nu = float(x), float(nu)
         self.phi_max = float(phi_max)
         self.ode_tol = float(ode_tol)
         self._rc = {k: RiccatiCoefficients.for_model(p, vol, w, dp, k) for k in (1, 2)}
-        self._panels: dict[int, list] = {1: [], 2: []}
+        self._truncated: dict[int, tuple] = {}
 
-    def _panel(self, k: int, j: int):
-        panels = self._panels[k]
-        while len(panels) <= j:
-            lo = len(panels) * _PANEL_WIDTH
-            hi = lo + _PANEL_WIDTH
-            if hi > self.phi_max * (1.0 + 1e-12):
-                return None
-            nodes = 0.5 * (lo + hi) + 0.5 * _PANEL_WIDTH * _GL_NODES
-            sol = solve_riccati(self._rc[k], self.t, self.T, nodes,
+    def _solve(self, k: int) -> tuple:
+        """(nodes, qhat, panels, envelope, converged), solving block by block."""
+        n_panels = int(self.phi_max * (1.0 + 1e-12) // _PANEL_WIDTH)
+        nodes, qhat = np.empty((0, _GL_NODES.size)), np.empty((0, _GL_NODES.size), complex)
+        for start in range(0, n_panels, _BLOCK_PANELS):
+            mid = np.arange(start, min(start + _BLOCK_PANELS, n_panels)) + 0.5
+            block = _PANEL_WIDTH * (mid[:, None] + 0.5 * _GL_NODES)
+            sol = solve_riccati(self._rc[k], self.t, self.T, block.ravel(),
                                 abs_tol=self.ode_tol, phi_max=self.phi_max)
-            qhat = char_fn(sol, self.x, self.nu)
-            envelope = float(np.max(np.abs(qhat) / nodes))
-            panels.append((nodes, qhat, envelope, sol.n_steps))
-        return panels[j]
+            nodes = np.vstack([nodes, block])
+            qhat = np.vstack([qhat, char_fn(sol, self.x, self.nu).reshape(block.shape)])
+            below = np.max(np.abs(qhat) / nodes, axis=1) < _ENVELOPE_TOL
+            hits = np.flatnonzero(below[:-1] & below[1:])
+            if hits.size:
+                panels, converged = int(hits[0]) + 2, True
+                break
+        else:
+            panels, converged = len(nodes), False
+        envelope = (float(np.max(np.abs(qhat[panels - 1]) / nodes[panels - 1]))
+                    if panels else np.inf)
+        return nodes[:panels].ravel(), qhat[:panels].ravel(), panels, envelope, converged
 
     def exercise_prob(self, k: int, strike: float,
                       diagnostics: dict | None = None) -> float:
-        """1 - Q_k for the given strike, with adaptive truncation."""
-        log_k = np.log(strike)
-        half = 0.5 * _PANEL_WIDTH
-        total = 0.0
-        below = 0
-        j = 0
-        envelope = np.inf
-        while True:
-            panel = self._panel(k, j)
-            if panel is None:
-                raise TruncationError(
-                    f"integrand envelope still {envelope:.3e} at phi_max="
-                    f"{self.phi_max}", partial=0.5 + total / np.pi,
-                    envelope=envelope)
-            nodes, qhat, envelope, _ = panel
-            integrand = np.real(np.exp(-1j * nodes * log_k) * qhat / (1j * nodes))
-            total += half * float(np.dot(_GL_WEIGHTS, integrand))
-            j += 1
-            if envelope < _ENVELOPE_TOL:
-                below += 1
-                if below >= 2:
-                    break
-            else:
-                below = 0
+        """1 - Q_k for the given strike from the truncated nodes of k."""
+        if k not in self._truncated:
+            self._truncated[k] = self._solve(k)
+        nodes, qhat, panels, envelope, converged = self._truncated[k]
+        integrand = np.real(np.exp(-1j * nodes * np.log(strike)) * qhat / (1j * nodes))
+        total = 0.5 * _PANEL_WIDTH * float(np.dot(np.tile(_GL_WEIGHTS, panels), integrand))
         raw = 0.5 + total / np.pi
+        if not converged:
+            raise TruncationError(
+                f"integrand envelope still {envelope:.3e} at phi_max={self.phi_max}",
+                partial=raw, envelope=envelope)
         if diagnostics is not None:
-            diagnostics[f"panels_k{k}"] = j
-            diagnostics[f"phi_used_k{k}"] = j * _PANEL_WIDTH
+            diagnostics[f"panels_k{k}"] = panels
+            diagnostics[f"phi_used_k{k}"] = panels * _PANEL_WIDTH
         return _finalize_prob(raw, k, diagnostics)
 
 

@@ -61,8 +61,8 @@ class GridSpec:
     def __post_init__(self):
         if not self.t0 >= 0:
             raise ValueError(f"t0 must be >= 0, got {self.t0}")
-        if not self.t_end > self.t0:
-            raise ValueError(f"t_end must exceed t0, got ({self.t0}, {self.t_end})")
+        if not self.t0 < self.t_end < np.inf:
+            raise ValueError(f"t_end must be finite and exceed t0, got ({self.t0}, {self.t_end})")
         if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
             raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
         if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths >= 1):

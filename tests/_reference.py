@@ -7,6 +7,8 @@ two is meaningful.
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 from scipy.integrate import simpson
 from scipy.stats import norm
@@ -62,3 +64,18 @@ def brute_force_moments(s_func, weight_func, tau1, tau2, t, n=10_001):
     mean = simpson(w * s, x=u) / z
     second = simpson(w * s * s, x=u) / z
     return mean, second - mean * mean
+
+
+def samuelson_d1_d2(y):
+    """d1 = (1 - e^{-y}) / y and d2 = (0.5 (1 + e^{-y}) - d1) / 2 in 60-digit decimals.
+
+    Sixty digits leave more than forty after the cancellation in d2 at
+    y = 1e-8, so both are exact to double precision.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        y = Decimal(float(y))
+        e = (-y).exp()
+        d1 = (1 - e) / y
+        d2 = (Decimal("0.5") * (1 + e) - d1) / 2
+        return float(d1), float(d2)

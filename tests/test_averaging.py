@@ -33,7 +33,7 @@ from powerswap.models import (
     integrate_over_delivery,
 )
 
-from _reference import brute_force_moments
+from _reference import brute_force_moments, samuelson_d1_d2
 
 DP = DeliveryPeriod(0.75, 5.0 / 6.0)
 UNI = UniformWeight()
@@ -98,6 +98,17 @@ def test_d1_d2_tiny_argument_series():
     assert d1a == pytest.approx(1.0 - y / 2.0, rel=1e-14)
     assert d2a == pytest.approx(y * y / 24.0, rel=1e-6)
     assert samuelson_variance(1e-7, DP) == pytest.approx((1e-7 / 12.0) ** 2 / 12.0, rel=1e-4)
+
+
+@pytest.mark.parametrize("y", np.concatenate([np.logspace(-8, np.log10(20.0), 25),
+                                              [0.0999, 0.1, 0.1001, 0.29]]))
+def test_d1_d2_match_decimal_reference(y):
+    # the closed-form d2 subtracts two numbers near 1 for small y (2e-4
+    # relative error at y = 2e-6), so small y needs the series branch
+    d1, d2 = d1_d2(y, 1.0)
+    ref_d1, ref_d2 = samuelson_d1_d2(y)
+    assert d1 == pytest.approx(ref_d1, rel=1e-13, abs=0.0)
+    assert d2 == pytest.approx(ref_d2, rel=1e-13, abs=0.0)
 
 
 def test_samuelson_factors_against_quadrature():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerswap.models import (
@@ -34,6 +34,9 @@ def test_delivery_period_validation():
         DeliveryPeriod(0.75, 0.75)
     with pytest.raises(ValueError):
         DeliveryPeriod(-0.1, 0.5)
+    for tau2 in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            DeliveryPeriod(0.75, tau2)
 
 
 def test_heston_params_validation():
@@ -79,6 +82,11 @@ def test_trading_seasonal_theta_bounds():
     assert ts.theta_min == pytest.approx(0.6 * np.exp(-0.7), rel=1e-15)
     # the shape profile is identically one
     assert eval_s(ts, 0.2, 0.8) == 1.0
+    for bad in (dict(alpha=np.inf), dict(beta=np.inf), dict(alpha=np.nan)):
+        kwargs = dict(alpha=0.6, beta=0.7, gamma=0.2)
+        kwargs.update(bad)
+        with pytest.raises(ValueError):
+            TradingSeasonal(**kwargs)
 
 
 def test_variant_tags():
@@ -92,8 +100,9 @@ def test_samuelson_shape():
     sam = Samuelson(3.5)
     u = np.array([0.75, 0.8, 5.0 / 6.0])
     np.testing.assert_allclose(eval_s(sam, 0.5, u), np.exp(-3.5 * (u - 0.5)), rtol=1e-15)
-    with pytest.raises(ValueError):
-        Samuelson(0.0)
+    for lam in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            Samuelson(lam)
     with pytest.raises(ValueError):
         eval_s(sam, 0.9, 0.8)  # requires t <= u
 
@@ -107,6 +116,8 @@ def test_delivery_seasonal_shape():
         DeliverySeasonal(a=0.4, b=0.4, c=0.0)
     with pytest.raises(ValueError):
         DeliverySeasonal(a=1.0, b=0.4, c=1.0)
+    with pytest.raises(ValueError):
+        DeliverySeasonal(a=np.inf, b=0.4, c=0.0)
 
 
 def test_general_separable_bound_enforced():
@@ -115,6 +126,10 @@ def test_general_separable_bound_enforced():
         eval_s(g, 0.0, 0.8)
     g_ok = GeneralSeparable(s=lambda t, u: 1.5 * np.ones_like(np.asarray(u, float)), bound_r=2.0)
     assert eval_s(g_ok, 0.0, 0.8) == 1.5
+    for bound_r in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            GeneralSeparable(s=lambda t, u: np.ones_like(np.asarray(u, float)),
+                             bound_r=bound_r)
 
 
 def test_general_separable_from_table():
@@ -154,6 +169,9 @@ def test_exponential_weight_zero_rate_is_uniform():
     w = ExponentialWeight(rate=0.0)
     u = np.linspace(0.75, 5.0 / 6.0, 7)
     np.testing.assert_allclose(weight_density(w, DP, u), 12.0, rtol=1e-12)
+    for rate in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError):
+            ExponentialWeight(rate=rate)
 
 
 def test_custom_weight_from_table():
@@ -171,6 +189,7 @@ def test_custom_weight_from_table():
     tau1=st.floats(min_value=0.05, max_value=2.0),
     width=st.floats(min_value=0.02, max_value=1.0),
 )
+@example(rate=5e-324, tau1=1.0, width=0.5)  # expm1(-y) / rate underflows to 0 here
 def test_weight_density_integrates_to_one(rate, tau1, width):
     dp = DeliveryPeriod(tau1, tau1 + width)
     w = ExponentialWeight(rate=rate)

@@ -3,9 +3,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from powerswap import pricer
+from powerswap.charfn import RiccatiCoefficients, char_fn, solve_riccati
 from powerswap.conditions import ConditionWarning
 from powerswap.models import (
     DeliveryPeriod,
+    DeliverySeasonal,
     HestonParams,
     OptionSpec,
     Samuelson,
@@ -144,9 +147,20 @@ def test_exercise_prob_module_function():
         exercise_prob(p, SAM, UNI, DP, k=3, strike=30.0, exercise=T)
 
 
-def test_fourier_diagnostics_and_truncation():
+def test_fourier_diagnostics_and_truncation(monkeypatch):
     p = _params()
+    solves = []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(np.size(args[3]))
+        return solve_riccati(*args, **kwargs)
+
+    monkeypatch.setattr(pricer, "solve_riccati", counting_solve)
     res = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
+    # one solve per block of at most 16 panels of 32 nodes, each k truncated once
+    panels = res.diagnostics["panels_k1"], res.diagnostics["panels_k2"]
+    assert len(solves) <= sum(-(-n // 16) for n in panels)
+    assert max(solves) <= 16 * 32
     assert res.diagnostics["panels_k1"] >= 1
     assert res.diagnostics["phi_used_k1"] <= 400.0
     assert res.diagnostics["novikov_ok"] is True
@@ -155,6 +169,37 @@ def test_fourier_diagnostics_and_truncation():
         price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), phi_max=4.0)
     assert exc_info.value.envelope > 1e-12
     assert np.isfinite(exc_info.value.partial)
+
+
+def _per_panel_exercise_probs(p, vol, k, strikes):
+    """1 - Q_k panel by panel: one Riccati solve per 32-node panel of width 2,
+    stopped after two panels in a row with max |Q_hat| / phi < 1e-12."""
+    rc = RiccatiCoefficients.for_model(p, vol, UNI, DP, k)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+    totals = np.zeros(len(strikes))
+    lo, below = 0.0, 0
+    while below < 2:
+        nodes = lo + 1.0 + gl_nodes
+        qhat = char_fn(solve_riccati(rc, 0.0, T, nodes), np.log(p.f0), p.nu0)
+        for i, strike in enumerate(strikes):
+            integrand = np.real(np.exp(-1j * nodes * np.log(strike)) * qhat / (1j * nodes))
+            totals[i] += np.dot(gl_weights, integrand)
+        below = below + 1 if np.max(np.abs(qhat) / nodes) < 1e-12 else 0
+        lo += 2.0
+    return 0.5 + totals / np.pi, lo / 2.0
+
+
+@pytest.mark.parametrize("vol", [DeliverySeasonal(1.0, 0.4, 0.0),
+                                 TradingSeasonal(0.6, 0.7, 0.2)])
+def test_block_solves_match_per_panel_solves(vol):
+    p = _params(theta=vol.theta) if isinstance(vol, TradingSeasonal) else _params()
+    strikes = [26.0, 30.0, 34.0]
+    results = price_fourier_many(p, vol, UNI, DP, strikes, T)
+    for k in (1, 2):
+        probs, panels = _per_panel_exercise_probs(p, vol, k, strikes)
+        assert results[0].diagnostics[f"panels_k{k}"] == panels
+        got = [getattr(r, f"q{k}") for r in results]
+        np.testing.assert_allclose(got, probs, rtol=0.0, atol=1e-10)
 
 
 def test_novikov_warning_points_at_the_caller():

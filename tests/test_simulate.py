@@ -45,6 +45,9 @@ def test_grid_spec_validation():
         GridSpec(t0=-0.1, t_end=0.5, n_steps=10, n_paths=3, seed=1)
     with pytest.raises(ValueError):
         GridSpec(t0=0.5, t_end=0.5, n_steps=10, n_paths=3, seed=1)
+    for t_end in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            GridSpec(t0=0.0, t_end=t_end, n_steps=10, n_paths=3, seed=1)
     with pytest.raises(ValueError):
         GridSpec(t0=0.0, t_end=0.5, n_steps=0, n_paths=3, seed=1)
     with pytest.raises(ValueError):
