@@ -63,6 +63,7 @@ from .pricer import (
     price_fourier,
     price_fourier_many,
     price_mc,
+    price_mc_many,
 )
 from .quadrature import QuadratureError, adaptive_gauss_legendre
 from .simulate import (
@@ -100,7 +101,8 @@ __all__ = [
     "solve_riccati_fixed", "riccati_path", "char_fn",
     # pricer
     "PriceResult", "PricingError", "TruncationError", "exercise_prob",
-    "price_fourier", "price_fourier_many", "price_mc", "black76_oracle",
+    "price_fourier", "price_fourier_many", "price_mc", "price_mc_many",
+    "black76_oracle",
     # quadrature
     "QuadratureError", "adaptive_gauss_legendre",
 ]

@@ -51,7 +51,7 @@ from .models import (
     UniformWeight,
     variant_tag,
 )
-from .pricer import price_fourier, price_fourier_many, price_mc
+from .pricer import price_fourier, price_fourier_many, price_mc, price_mc_many
 from .simulate import GridSpec, Measure, simulate_paths, simulate_summary
 
 STEPS_PER_YEAR = 2000.0
@@ -602,13 +602,12 @@ def _cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
     )
     g = cfg.grid.resolve(t_end_default=exercise)
     workers = _resolve_workers(args)
+    mcs = price_mc_many(
+        cfg.params, cfg.vol, cfg.weight, cfg.delivery, strikes, exercise, g, workers=workers
+    )
     rows = []
     all_ok = True
-    for k, fr in zip(strikes, fouriers):
-        mc = price_mc(
-            cfg.params, cfg.vol, cfg.weight, cfg.delivery,
-            OptionSpec(strike=k, exercise=exercise), g, workers=workers,
-        )
+    for k, fr, mc in zip(strikes, fouriers, mcs):
         z = float((fr.call - mc.call) / mc.stderr)
         ok = bool(abs(z) <= 3.0)
         all_ok = all_ok and ok

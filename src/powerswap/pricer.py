@@ -19,7 +19,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .charfn import PHI_MAX_DEFAULT, RiccatiCoefficients, char_fn, solve_riccati
 from .conditions import ConditionWarning, check_novikov
@@ -33,7 +33,8 @@ from .models import (
 from .simulate import GridSpec, Measure, simulate_terminal
 
 __all__ = ["PriceResult", "PricingError", "TruncationError", "exercise_prob",
-           "price_fourier", "price_fourier_many", "price_mc", "black76_oracle"]
+           "price_fourier", "price_fourier_many", "price_mc", "price_mc_many",
+           "black76_oracle"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _PANEL_WIDTH = 2.0
@@ -233,26 +234,40 @@ def price_mc(p: HestonParams, vol: VolStructure, w: WeightFunction,
              dp: DeliveryPeriod, opt: OptionSpec, g: GridSpec,
              measure: Measure = Measure.Q_TILDE, workers: int = 1) -> PriceResult:
     """Monte-Carlo price from terminal swap values; put priced on the same paths."""
-    if g.t_end != opt.exercise:
+    return price_mc_many(p, vol, w, dp, [opt.strike], opt.exercise, g,
+                         measure=measure, workers=workers)[0]
+
+
+def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
+                  dp: DeliveryPeriod, strikes, exercise: float, g: GridSpec,
+                  measure: Measure = Measure.Q_TILDE,
+                  workers: int = 1) -> list[PriceResult]:
+    """Monte-Carlo prices for several strikes from one terminal sample."""
+    specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
+    if g.t_end != exercise:
         raise ValueError(
-            f"grid must end at the exercise time {opt.exercise}, got {g.t_end}")
+            f"grid must end at the exercise time {exercise}, got {g.t_end}")
     term = simulate_terminal(p, vol, w, dp, g, measure=measure, workers=workers)
     f = term.f
     df = np.exp(-p.r * (g.t_end - g.t0))
-    call_pay = np.maximum(f - opt.strike, 0.0)
-    put_pay = np.maximum(opt.strike - f, 0.0)
+    f_total = f.sum()
     n = g.n_paths
-    call = df * float(call_pay.mean())
-    put = df * float(put_pay.mean())
-    stderr = df * float(call_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else 0.0
-    put_stderr = df * float(put_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else 0.0
-    in_money = f >= opt.strike
-    q2 = float(in_money.mean())
-    q1 = float(f[in_money].sum() / f.sum()) if f.sum() > 0 else 0.0
-    diagnostics = {"n_paths": n, "n_steps": g.n_steps, "seed": g.seed,
-                   "measure": measure.value, "put_stderr": put_stderr}
-    return PriceResult(call=call, put=put, q1=q1, q2=q2, method="mc",
-                       stderr=stderr, diagnostics=diagnostics)
+    out = []
+    for spec in specs:
+        call_pay = np.maximum(f - spec.strike, 0.0)
+        put_pay = np.maximum(spec.strike - f, 0.0)
+        call = df * float(call_pay.mean())
+        put = df * float(put_pay.mean())
+        stderr = df * float(call_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else 0.0
+        put_stderr = df * float(put_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else 0.0
+        in_money = f >= spec.strike
+        q2 = float(in_money.mean())
+        q1 = float(f[in_money].sum() / f_total) if f_total > 0 else 0.0
+        diagnostics = {"n_paths": n, "n_steps": g.n_steps, "seed": g.seed,
+                       "measure": measure.value, "put_stderr": put_stderr}
+        out.append(PriceResult(call=call, put=put, q1=q1, q2=q2, method="mc",
+                               stderr=stderr, diagnostics=diagnostics))
+    return out
 
 
 def black76_oracle(f: float, k: float, total_var: float,
@@ -276,6 +291,6 @@ def black76_oracle(f: float, k: float, total_var: float,
     sd = np.sqrt(total_var)
     d_plus = (np.log(f / k) + 0.5 * total_var) / sd
     d_minus = d_plus - sd
-    call = df * (f * norm.cdf(d_plus) - k * norm.cdf(d_minus))
+    call = df * (f * ndtr(d_plus) - k * ndtr(d_minus))
     put = call - df * (f - k)
     return float(call), float(put)

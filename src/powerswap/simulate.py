@@ -8,10 +8,19 @@ kappa + rho sigma_vv xi(t); under the futures measure Q the extra -S xi nu
 drift sits on X and the variance keeps speed kappa.  X is stepped by
 Euler-Maruyama on the log (so F = e^X stays positive and is a discrete
 martingale under Q_tilde); nu by a drift-implicit Milstein step that preserves
-non-negativity.
+non-negativity.  The X step uses the root mean square of S(t) over the step
+(3-point Gauss-Legendre), so the integrated variance of S^2 nu carries no
+left-point bias where S varies in time; the Q-measure S xi drift stays at the
+left point.
 
-Each path draws its own counter-based substream keyed by (seed, path index),
-so results do not depend on chunking order or worker count.
+Random numbers: paths run in chunks of _CHUNK rows, and each chunk steps
+through the grid in blocks of _STEP_BLOCK time steps.  Block b of chunk c
+draws from one counter-based Philox generator with key (seed, c) and counter
+(0, b, 0, 0), so every block owns a range of 2^64 counter values.  The draw
+is path-major, (rows, 2, L), so row r of a chunk sits at the same offset of
+every block's stream whatever the number of rows.  Path i's increments
+therefore depend only on (seed, i, n_steps), not on n_paths or the worker
+count.  Changing _CHUNK or _STEP_BLOCK changes the stream.
 """
 
 from __future__ import annotations
@@ -37,7 +46,9 @@ __all__ = ["GridSpec", "Measure", "PathSet", "TerminalSample", "SummaryStats",
            "SimulationError", "simulate_paths", "simulate_terminal",
            "simulate_summary"]
 
-_CHUNK = 4096
+_CHUNK = 4096        # paths per chunk; part of the random-stream layout
+_STEP_BLOCK = 32     # time steps drawn per generator; part of the layout too
+_GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 
 class SimulationError(RuntimeError):
@@ -114,12 +125,13 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class _StepCoeffs:
-    """Precomputed per-step coefficient arrays shared by every chunk."""
+    """Per-step coefficient arrays shared by every chunk, index n = 0..n_steps-1."""
+    n_steps: int
     dt: float
     sqdt: float
-    s_left: np.ndarray        # S(t_n), n = 0..n_steps-1
-    coef_x_left: np.ndarray   # (S^2/2 + S xi_drift)(t_n)
-    kap_theta_left: np.ndarray  # kappa * theta(t_n)
+    s_step: np.ndarray        # root mean square of S over [t_n, t_{n+1}]
+    coef_x_dt: np.ndarray     # (s_step^2/2 + S xi_drift(t_n)) dt
+    kap_theta_dt: np.ndarray  # kappa theta(t_n) dt
     denom_right: np.ndarray   # 1 + kappa_eff(t_{n+1}) dt
     sigma: float
     rho: float
@@ -136,76 +148,96 @@ def _build_coeffs(p: HestonParams, vol: VolStructure, w: WeightFunction,
     if np.any(theta_all <= 0):
         raise ValueError("theta(t) must be positive on the simulation grid")
 
+    # S(t) grows like e^{lam t} under Samuelson, so S(t_n)^2 dt undershoots
+    # the step's integrated S^2 by about lam dt; average S^2 over the step.
+    dt = g.dt
+    gl_times = times[:-1, None] + 0.5 * dt * (1.0 + _GL3_NODES)
+    s_gl = np.asarray(dec.big_s(gl_times.ravel()), dtype=float).reshape(gl_times.shape)
+    s2_step = (s_gl * s_gl) @ (0.5 * _GL3_WEIGHTS)
+
     # xi enters the X drift under Q and the variance mean-reversion under
     # Q_tilde; both measures evaluate the same expressions so that a model
     # with xi = 0 produces bit-identical paths under either measure.
     zeros = np.zeros_like(xi_all)
     xi_drift = xi_all if measure is Measure.Q else zeros
     xi_kappa = xi_all if measure is Measure.Q_TILDE else zeros
-    coef_x = 0.5 * s_all * s_all + s_all * xi_drift
+    coef_x = 0.5 * s2_step + s_all[:-1] * xi_drift[:-1]
     kappa_eff = p.kappa + p.rho * p.sigma_vv * xi_kappa
 
-    dt = g.dt
     denom = 1.0 + kappa_eff * dt
     if np.any(denom[1:] <= 0):
         raise SimulationError(
             "implicit variance step requires 1 + kappa_eff dt > 0; "
             "reduce the step size")
     return _StepCoeffs(
-        dt=dt, sqdt=np.sqrt(dt),
-        s_left=s_all[:-1], coef_x_left=coef_x[:-1],
-        kap_theta_left=p.kappa * theta_all[:-1],
+        n_steps=g.n_steps, dt=dt, sqdt=np.sqrt(dt),
+        s_step=np.sqrt(s2_step), coef_x_dt=coef_x * dt,
+        kap_theta_dt=p.kappa * theta_all[:-1] * dt,
         denom_right=denom[1:],
         sigma=p.sigma_vv, rho=p.rho, rho_bar=np.sqrt(1.0 - p.rho * p.rho),
     )
 
 
-def _draw_increments(seed: int, lo: int, hi: int, n_steps: int) -> np.ndarray:
-    """Standard normal increments, one Philox substream per path.
+def _block_increments(c: _StepCoeffs, seed: int, chunk: int, block: int,
+                      rows: int) -> np.ndarray:
+    """Brownian increments of one step block of one chunk, step-major.
 
-    Row layout per path: [0] drives W_F, [1] the independent component of
-    W_sigma.  The draw depends only on (seed, path index), which gives common
-    random numbers across models and measures.
+    Returns shape (L, 2, rows) for steps block * _STEP_BLOCK onwards, L =
+    _STEP_BLOCK except in the last block: [:, 0] is dW_F and [:, 1] is
+    dW_sigma, with corr(dW_F, dW_sigma) = rho.  The normals come from
+    Philox(key=(seed, chunk), counter=(0, block, 0, 0)), drawn path-major so
+    that row r's draws do not depend on how many rows the chunk has, and
+    copied once into step-major order.  They do not depend on the model or
+    the measure either, which gives common random numbers across both.
     """
-    z = np.empty((hi - lo, 2, n_steps))
-    for i in range(lo, hi):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        z[i - lo] = gen.standard_normal((2, n_steps))
-    return z
+    length = min(_STEP_BLOCK, c.n_steps - block * _STEP_BLOCK)
+    gen = np.random.Generator(np.random.Philox(
+        key=np.array([seed, chunk], dtype=np.uint64),
+        counter=np.array([0, block, 0, 0], dtype=np.uint64)))
+    dw = np.multiply(gen.standard_normal((rows, 2, length)).transpose(2, 1, 0),
+                     c.sqdt, order="C")
+    dw[:, 1] *= c.rho_bar
+    dw[:, 1] += c.rho * dw[:, 0]
+    return dw
 
 
-def _step_chunk(c: _StepCoeffs, x0: float, nu0: float, z: np.ndarray,
-                record: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Advance one chunk of paths; returns full paths or terminal vectors."""
-    m, _, n_steps = z.shape
-    x = np.full(m, x0)
-    nu = np.full(m, nu0)
-    if record:
-        x_rec = np.empty((m, n_steps + 1))
-        nu_rec = np.empty((m, n_steps + 1))
-        x_rec[:, 0] = x
-        nu_rec[:, 0] = nu
-    dt, sqdt, sigma = c.dt, c.sqdt, c.sigma
-    for n in range(n_steps):
-        sq = np.sqrt(nu)
-        dw_f = sqdt * z[:, 0, n]
-        dw_s = c.rho * dw_f + c.rho_bar * sqdt * z[:, 1, n]
-        x = x + (-c.coef_x_left[n] * dt) * nu + c.s_left[n] * sq * dw_f
-        nu = (nu + c.kap_theta_left[n] * dt + sigma * sq * dw_s
-              + 0.25 * sigma * sigma * (dw_s * dw_s - dt)) / c.denom_right[n]
-        if np.signbit(nu).any():
-            raise SimulationError(
-                f"variance went negative at step {n + 1}; the drift-implicit "
-                "Milstein step requires 4 kappa theta >= sigma_vv^2")
-        if record:
-            x_rec[:, n + 1] = x
-            nu_rec[:, n + 1] = nu
+def _step_chunk(c: _StepCoeffs, x0: float, nu0: float, seed: int, chunk: int,
+                rows: int, observe=None) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the rows of one chunk over the whole grid; returns terminal (x, nu).
+
+    Increments are drawn and consumed one step block at a time, so a chunk
+    never holds more than one block of them.  observe(n, x, nu), when given,
+    sees the state at every grid time n = 0..n_steps; x and nu are updated in
+    place afterwards, so it must copy what it keeps.
+    """
+    x = np.full(rows, x0)
+    nu = np.full(rows, nu0)
+    if observe is not None:
+        observe(0, x, nu)
+    for block, n0 in enumerate(range(0, c.n_steps, _STEP_BLOCK)):
+        dw = _block_increments(c, seed, chunk, block, rows)
+        n1 = n0 + len(dw)
+        dw[:, 0] *= c.s_step[n0:n1, None]
+        dw[:, 1] *= c.sigma
+        # Milstein correction plus the mean-reversion inflow, ahead of the loop
+        inflow = (0.25 * (dw[:, 1] * dw[:, 1] - c.sigma * c.sigma * c.dt)
+                  + c.kap_theta_dt[n0:n1, None])
+        for k, n in enumerate(range(n0, n1)):
+            sq = np.sqrt(nu)
+            x += sq * dw[k, 0]
+            x -= c.coef_x_dt[n] * nu
+            nu += sq * dw[k, 1]
+            nu += inflow[k]
+            nu /= c.denom_right[n]
+            if np.signbit(nu).any():
+                raise SimulationError(
+                    f"variance went negative at step {n + 1}; the drift-implicit "
+                    "Milstein step requires 4 kappa theta >= sigma_vv^2")
+            if observe is not None:
+                observe(n + 1, x, nu)
     if not (np.isfinite(x).all() and np.isfinite(nu).all()):
         raise SimulationError("non-finite state encountered (overflow); "
                               "check parameters and step size")
-    if record:
-        return x_rec, nu_rec
     return x, nu
 
 
@@ -263,10 +295,11 @@ def simulate_paths(p: HestonParams, vol: VolStructure, w: WeightFunction,
     nu_paths = np.empty((g.n_paths, g.n_steps + 1))
 
     def worker(idx, lo, hi):
-        z = _draw_increments(g.seed, lo, hi, g.n_steps)
-        x_rec, nu_rec = _step_chunk(coeffs, x0, nu0, z, record=True)
-        x_paths[lo:hi] = x_rec
-        nu_paths[lo:hi] = nu_rec
+        def record(n, x, nu):
+            x_paths[lo:hi, n] = x
+            nu_paths[lo:hi, n] = nu
+
+        _step_chunk(coeffs, x0, nu0, g.seed, idx, hi - lo, record)
 
     _run_chunks(g.n_paths, workers, worker)
     return PathSet(times=g.times(), x_paths=x_paths, nu_paths=nu_paths, seed=g.seed)
@@ -285,10 +318,7 @@ def simulate_terminal(p: HestonParams, vol: VolStructure, w: WeightFunction,
     nu_t = np.empty(g.n_paths)
 
     def worker(idx, lo, hi):
-        z = _draw_increments(g.seed, lo, hi, g.n_steps)
-        x, nu = _step_chunk(coeffs, x0, nu0, z, record=False)
-        x_t[lo:hi] = x
-        nu_t[lo:hi] = nu
+        x_t[lo:hi], nu_t[lo:hi] = _step_chunk(coeffs, x0, nu0, g.seed, idx, hi - lo)
 
     _run_chunks(g.n_paths, workers, worker)
     return TerminalSample(t_end=g.t_end, x=x_t, nu=nu_t, seed=g.seed)
@@ -307,24 +337,20 @@ def simulate_summary(p: HestonParams, vol: VolStructure, w: WeightFunction,
     _warn_conditions(p, vol, dp, g)
     coeffs = _build_coeffs(p, vol, w, dp, g, measure)
     x0, nu0 = np.log(p.f0), p.nu0
-    ranges = _chunk_ranges(g.n_paths)
-    partial = [None] * len(ranges)
+    partial = [None] * len(_chunk_ranges(g.n_paths))
 
     def worker(idx, lo, hi):
-        z = _draw_increments(g.seed, lo, hi, g.n_steps)
-        x_rec, nu_rec = _step_chunk(coeffs, x0, nu0, z, record=True)
-        f_rec = np.exp(x_rec)
-        partial[idx] = (f_rec.sum(axis=0), (f_rec * f_rec).sum(axis=0),
-                        nu_rec.sum(axis=0))
+        sums = np.empty((3, g.n_steps + 1))
+
+        def accumulate(n, x, nu):
+            f = np.exp(x)
+            sums[:, n] = f.sum(), (f * f).sum(), nu.sum()
+
+        _step_chunk(coeffs, x0, nu0, g.seed, idx, hi - lo, accumulate)
+        partial[idx] = sums
 
     _run_chunks(g.n_paths, workers, worker)
-    sum_f = np.zeros(g.n_steps + 1)
-    sum_f2 = np.zeros(g.n_steps + 1)
-    sum_nu = np.zeros(g.n_steps + 1)
-    for sf, sf2, snu in partial:
-        sum_f += sf
-        sum_f2 += sf2
-        sum_nu += snu
+    sum_f, sum_f2, sum_nu = sum(partial)
     n = g.n_paths
     mean_f = sum_f / n
     if n > 1:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -24,6 +27,7 @@ from powerswap.pricer import (
     price_fourier,
     price_fourier_many,
     price_mc,
+    price_mc_many,
     _finalize_prob,
 )
 from powerswap.simulate import GridSpec, Measure
@@ -260,6 +264,28 @@ def test_mc_deterministic_and_documented():
     assert a.diagnostics["seed"] == 12
     assert a.diagnostics["measure"] == "Q_tilde"
     assert a.stderr is not None and a.stderr > 0
+
+
+def test_mc_many_matches_single_calls():
+    p = _params()
+    g = GridSpec(t0=0.0, t_end=T, n_steps=70, n_paths=5000, seed=19)
+    strikes = [24.0, 30.0, 36.0]
+    many = price_mc_many(p, SAM, UNI, DP, strikes, T, g, workers=2)
+    assert len(many) == len(strikes)
+    for k, res in zip(strikes, many):
+        assert res == price_mc(p, SAM, UNI, DP, OptionSpec(strike=k, exercise=T), g)
+    with pytest.raises(ValueError):
+        price_mc_many(p, SAM, UNI, DP, [30.0, -1.0], T, g)
+
+
+def test_import_does_not_load_scipy_stats():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, powerswap; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_mc_zero_strike_recovers_discounted_forward():

@@ -1,9 +1,12 @@
 """Monte-Carlo engine tests.
 
-Determinism is the load-bearing property here: every path is keyed by
-(seed, path index) in a counter-based generator, so results must not
-depend on worker count or on how many paths run alongside.
+Determinism is the load-bearing property here: every step block of every
+chunk of paths draws from its own counter range of a Philox generator keyed
+by (seed, chunk), so results must not depend on worker count or on how many
+paths run alongside.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +21,13 @@ from powerswap.models import (
     UniformWeight,
 )
 from powerswap.simulate import (
+    _CHUNK,
+    _STEP_BLOCK,
     GridSpec,
     Measure,
     SimulationError,
+    _block_increments,
+    _build_coeffs,
     simulate_paths,
     simulate_summary,
     simulate_terminal,
@@ -195,3 +202,76 @@ def test_implicit_denominator_guard():
     g = GridSpec(t0=0.0, t_end=0.5, n_steps=5, n_paths=2, seed=1)
     with pytest.raises((SimulationError, ValueError)), pytest.warns(ConditionWarning):
         simulate_paths(p, ramp, UNI, DP, g)
+
+
+@pytest.mark.parametrize("n_steps", [_STEP_BLOCK + 1, 2 * _STEP_BLOCK + 1])
+def test_prefix_stable_across_chunk_and_step_block_boundaries(n_steps):
+    # 4095 and 4097 paths sit either side of the first chunk boundary, 9000
+    # spans three chunks; 33 and 65 steps end one step into a new step block
+    p = _params()
+    full = simulate_paths(p, SAM, UNI, DP, GridSpec(0.0, 0.5, n_steps, 9000, seed=23))
+    for n_paths in (4095, 4097, 9000):
+        g = GridSpec(0.0, 0.5, n_steps, n_paths, seed=23)
+        term = simulate_terminal(p, SAM, UNI, DP, g)
+        np.testing.assert_array_equal(term.x, full.x_paths[:n_paths, -1])
+        np.testing.assert_array_equal(term.nu, full.nu_paths[:n_paths, -1])
+        stats = simulate_summary(p, SAM, UNI, DP, g)
+        np.testing.assert_allclose(stats.mean_f, full.f_paths[:n_paths].mean(axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(stats.mean_nu, full.nu_paths[:n_paths].mean(axis=0),
+                                   rtol=1e-12)
+
+
+def test_terminal_and_summary_do_not_depend_on_workers():
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=2 * _STEP_BLOCK + 1, n_paths=9000, seed=29)
+    one = simulate_terminal(_params(), SAM, UNI, DP, g, workers=1)
+    three = simulate_terminal(_params(), SAM, UNI, DP, g, workers=3)
+    np.testing.assert_array_equal(one.x, three.x)
+    np.testing.assert_array_equal(one.nu, three.nu)
+    s_one = simulate_summary(_params(), SAM, UNI, DP, g, workers=1)
+    s_three = simulate_summary(_params(), SAM, UNI, DP, g, workers=3)
+    for name in ("mean_f", "stderr_f", "mean_nu"):
+        np.testing.assert_array_equal(getattr(s_one, name), getattr(s_three, name))
+
+
+def _coeffs(n_steps, rho=-0.3):
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=n_steps, n_paths=1, seed=0)
+    return _build_coeffs(_params(rho=rho), SAM, UNI, DP, g, Measure.Q_TILDE)
+
+
+def test_blocks_and_chunks_draw_disjoint_numbers():
+    c = _coeffs(2 * _STEP_BLOCK)
+    draws = {(chunk, block): _block_increments(c, 31, chunk, block, _CHUNK)
+             for chunk, block in [(0, 0), (0, 1), (1, 0)]}
+    for a, b in [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 0))]:
+        assert np.intersect1d(draws[a], draws[b]).size == 0, (a, b)
+
+
+def test_increments_have_brownian_moments():
+    # three chunks of the blocks a 69-step run draws (the last block is short)
+    rho = -0.3
+    c = _coeffs(2 * _STEP_BLOCK + 5, rho=rho)
+    dw = np.concatenate(
+        [_block_increments(c, 43, chunk, block, _CHUNK)
+         for chunk in range(3) for block in range(3)])
+    dw_f, dw_s = dw[:, 0].ravel() / c.sqdt, dw[:, 1].ravel() / c.sqdt
+    n = dw_f.size
+    assert n == 3 * c.n_steps * _CHUNK
+    for z in (dw_f, dw_s):
+        assert abs(z.mean()) < 5.0 / np.sqrt(n)
+        assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+    corr = np.corrcoef(dw_f, dw_s)[0, 1]
+    assert abs(corr - rho) < 5.0 * (1.0 - rho * rho) / np.sqrt(n)
+
+
+def test_terminal_memory_holds_one_step_block():
+    # drawing every increment of a 4096 x 2000 chunk up front takes
+    # 4096 * 2 * 2000 doubles = 131 MB
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=2000, n_paths=_CHUNK, seed=41)
+    tracemalloc.start()
+    try:
+        simulate_terminal(_params(), SAM, UNI, DP, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
