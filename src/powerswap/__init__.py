@@ -59,7 +59,6 @@ from .pricer import (
     PricingError,
     TruncationError,
     black76_oracle,
-    exercise_prob,
     price_fourier,
     price_fourier_many,
     price_mc,
@@ -100,9 +99,8 @@ __all__ = [
     "RiccatiCoefficients", "CharFnSolution", "RiccatiError", "solve_riccati",
     "solve_riccati_fixed", "riccati_path", "char_fn",
     # pricer
-    "PriceResult", "PricingError", "TruncationError", "exercise_prob",
-    "price_fourier", "price_fourier_many", "price_mc", "price_mc_many",
-    "black76_oracle",
+    "PriceResult", "PricingError", "TruncationError", "price_fourier",
+    "price_fourier_many", "price_mc", "price_mc_many", "black76_oracle",
     # quadrature
     "QuadratureError", "adaptive_gauss_legendre",
 ]

@@ -12,11 +12,16 @@ and xi(t) = xi(tau1) e^{-lam (tau1 - t)}.  The pair (S(tau1), xi(tau1)) is
 computed once: in closed form for the trading-seasonal variant and for the
 Samuelson and delivery-seasonal variants under the uniform weight, otherwise
 by one adaptive Gauss-Legendre quadrature of the weighted moments.  Only
-``GeneralSeparable`` has no such factoring and is integrated at each time.
+``GeneralSeparable`` has no such factoring; its moments are integrated once
+per distinct time and kept for the life of its decomposition.
+
+``decompose`` is the one implementation of S and xi: the pointwise factors
+below are single calls into it, and both pricing engines evaluate its curves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -101,13 +106,6 @@ def _clamp_variance(var: float) -> float:
     return var
 
 
-def _check_t(t: float, dp: DeliveryPeriod) -> float:
-    t = float(t)
-    if t > dp.tau1:
-        raise ValueError(f"t must not exceed the delivery start {dp.tau1}, got {t}")
-    return t
-
-
 def _cos_means(vol: DeliverySeasonal, dp: DeliveryPeriod) -> tuple[float, float]:
     """Means of cos(2 pi (u + c)) and cos^2 over the delivery period."""
     a1 = TWO_PI * (dp.tau1 + vol.c)
@@ -143,14 +141,6 @@ def _weighted_moments(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
     return mean, var
 
 
-def _mean_var(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
-              t: float) -> tuple[float, float]:
-    if isinstance(vol, DeliverySeasonal) and isinstance(w, UniformWeight):
-        c1, c2 = _cos_means(vol, dp)
-        return vol.a + vol.b * c1, vol.b * vol.b * (c2 - c1 * c1)
-    return _weighted_moments(vol, w, dp, t)
-
-
 def _moment_factors(mean: float, var: float) -> tuple[float, float]:
     """(S, xi) from the mean and variance of s(t, U)."""
     return float(mean), float(0.5 * _clamp_variance(var) / mean)
@@ -163,37 +153,22 @@ def _delivery_factors(vol: VolStructure, w: WeightFunction,
         return 1.0, 0.0
     if isinstance(vol, Samuelson) and isinstance(w, UniformWeight):
         return d1_d2(vol.lam, dp.delta)
-    return _moment_factors(*_mean_var(vol, w, dp, dp.tau1))
-
-
-def _decayed(value: float, vol: VolStructure, dp: DeliveryPeriod, t):
-    """value * e^{-lam (tau1 - t)}, lam = 0 unless ``vol`` is Samuelson."""
-    lam = vol.lam if isinstance(vol, Samuelson) else 0.0
-    t_arr = np.asarray(t, dtype=float)
-    out = value * np.exp(-lam * (dp.tau1 - t_arr))
-    return float(out) if t_arr.ndim == 0 else out
-
-
-def _factors(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
-             t: float) -> tuple[float, float]:
-    """(S(t), xi(t)) at one time t <= tau1."""
-    t = _check_t(t, dp)
-    if isinstance(vol, GeneralSeparable):
-        return _moment_factors(*_mean_var(vol, w, dp, t))
-    s1, xi1 = _delivery_factors(vol, w, dp)
-    return _decayed(s1, vol, dp, t), _decayed(xi1, vol, dp, t)
+    if isinstance(vol, DeliverySeasonal) and isinstance(w, UniformWeight):
+        c1, c2 = _cos_means(vol, dp)
+        return _moment_factors(vol.a + vol.b * c1, vol.b * vol.b * (c2 - c1 * c1))
+    return _moment_factors(*_weighted_moments(vol, w, dp, dp.tau1))
 
 
 def swap_vol_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
                     t: float) -> float:
     """Averaged volatility factor S(t) = E[s(t, U)] for t <= tau1."""
-    return _factors(vol, w, dp, t)[0]
+    return decompose(vol, w, dp).big_s(t)
 
 
 def market_price_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
                         t: float) -> float:
     """Delivery-risk factor xi(t) = 0.5 * Var[s(t, U)] / E[s(t, U)] >= 0."""
-    return _factors(vol, w, dp, t)[1]
+    return decompose(vol, w, dp).xi(t)
 
 
 def variance_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
@@ -202,8 +177,8 @@ def variance_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
 
     Var[sigma(t, U)] along a variance path nu is variance_factor(t) * nu(t).
     """
-    big_s, xi = _factors(vol, w, dp, t)
-    return 2.0 * big_s * xi
+    dec = decompose(vol, w, dp)
+    return 2.0 * dec.big_s(t) * dec.xi(t)
 
 
 def swap_spread(f_arith: float, variance_integral: float) -> float:
@@ -225,38 +200,47 @@ def swap_spread(f_arith: float, variance_integral: float) -> float:
 class SwapVolDecomposition:
     """Deterministic curves t -> S(t) and t -> xi(t) for one delivery period.
 
-    Both callables accept scalars or arrays of times in [0, tau1].
+    Both callables accept scalars or arrays of times in [0, tau1] and raise
+    ValueError for a time past tau1.
     """
     big_s: Callable
     xi: Callable
-    dp: DeliveryPeriod
-    weight: WeightFunction
 
 
-def _vectorize_scalar(f):
-    def fn(t):
+def _curve(dp: DeliveryPeriod, fn: Callable) -> Callable:
+    """fn(t_array) as a curve on [0, tau1]: a float for a scalar t, else an array."""
+    def curve(t):
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.ndim == 0:
-            return f(float(t_arr))
-        return np.array([f(float(v)) for v in t_arr])
-    return fn
+        if np.any(t_arr > dp.tau1):
+            raise ValueError(
+                f"t must not exceed the delivery start {dp.tau1}, got {np.max(t_arr)}")
+        out = fn(t_arr)
+        return float(out) if t_arr.ndim == 0 else out
+    return curve
 
 
 def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapVolDecomposition:
     """Bundle S(t) and xi(t) as vectorized functions of time.
 
     The pair (S(tau1), xi(tau1)) is computed once and scaled by the
-    Samuelson decay; only ``GeneralSeparable`` is evaluated point by point.
+    Samuelson decay.  ``GeneralSeparable`` integrates both moments once per
+    distinct time: the Riccati solver asks for the same stage times in every
+    doubling pass and every block.
     """
     if isinstance(vol, GeneralSeparable):
-        big_s = _vectorize_scalar(lambda tv: swap_vol_factor(vol, w, dp, tv))
-        xi = _vectorize_scalar(lambda tv: market_price_factor(vol, w, dp, tv))
+        @functools.lru_cache(maxsize=None)
+        def factors(t: float) -> tuple[float, float]:
+            return _moment_factors(*_weighted_moments(vol, w, dp, t))
+
+        big_s = np.vectorize(lambda t: factors(float(t))[0], otypes=[float])
+        xi = np.vectorize(lambda t: factors(float(t))[1], otypes=[float])
     else:
         s1, xi1 = _delivery_factors(vol, w, dp)
+        lam = vol.lam if isinstance(vol, Samuelson) else 0.0
 
         def big_s(t):
-            return _decayed(s1, vol, dp, t)
+            return s1 * np.exp(-lam * (dp.tau1 - t))
 
         def xi(t):
-            return _decayed(xi1, vol, dp, t)
-    return SwapVolDecomposition(big_s=big_s, xi=xi, dp=dp, weight=w)
+            return xi1 * np.exp(-lam * (dp.tau1 - t))
+    return SwapVolDecomposition(big_s=_curve(dp, big_s), xi=_curve(dp, xi))

@@ -28,7 +28,6 @@ from .models import (
     HestonParams,
     VolStructure,
     WeightFunction,
-    as_time_function,
 )
 
 __all__ = ["RiccatiCoefficients", "CharFnSolution", "RiccatiError",
@@ -67,7 +66,7 @@ class RiccatiCoefficients:
         dec = decompose(vol, w, dp)
         return cls(k=k, alpha=0.5 if k == 1 else -0.5, kappa=p.kappa,
                    sigma_vv=p.sigma_vv, rho=p.rho, big_s=dec.big_s, xi=dec.xi,
-                   theta=as_time_function(p.theta))
+                   theta=p.theta_fn())
 
     def beta(self, t):
         """Linear-term coefficient beta_k(t); real and bounded on [0, tau1]."""

@@ -262,8 +262,8 @@ def _parse_delivery(raw: dict) -> tuple[DeliveryPeriod, dict]:
     tau2_raw = sec.get("tau2", "5/6")
     tau1 = _parse_tau("delivery.tau1", tau1_raw)
     tau2 = _parse_tau("delivery.tau2", tau2_raw)
-    if tau1 < 0:
-        raise ConfigError("delivery.tau1", "must be non-negative")
+    if tau1 <= 0:
+        raise ConfigError("delivery.tau1", "must be positive")
     if tau2 <= tau1:
         raise ConfigError("delivery.tau2", "must exceed tau1")
     return DeliveryPeriod(tau1=tau1, tau2=tau2), {"tau1": tau1_raw, "tau2": tau2_raw}
@@ -315,7 +315,7 @@ def _parse_option(raw: dict, dp: DeliveryPeriod) -> tuple[OptionSpec, dict]:
     return OptionSpec(strike=strike, exercise=exercise), {"strike": strike, "exercise": exercise}
 
 
-def _parse_grid(raw: dict) -> tuple[GridSettings, dict]:
+def _parse_grid(raw: dict, dp: DeliveryPeriod) -> tuple[GridSettings, dict]:
     sec = _section(raw, "grid")
     _check_keys("grid", sec, ("t0", "t_end", "n_steps", "n_paths", "seed"))
     t0 = _require_number("grid.t0", sec.get("t0", 0.0))
@@ -326,6 +326,8 @@ def _parse_grid(raw: dict) -> tuple[GridSettings, dict]:
         t_end = _require_number("grid.t_end", sec["t_end"])
         if t_end <= t0:
             raise ConfigError("grid.t_end", "must exceed t0")
+        if t_end > dp.tau1:
+            raise ConfigError("grid.t_end", "must not exceed delivery.tau1")
     n_steps = None
     if "n_steps" in sec:
         n_steps = _require_int("grid.n_steps", sec["n_steps"])
@@ -363,6 +365,18 @@ def _parse_output(raw: dict) -> tuple[str | None, str | None, dict]:
     return fmt, path, normalized
 
 
+def _read_config_file(path: Any) -> dict:
+    """The top-level JSON object of a config file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError("<config>", f"invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError("<config>", "top level must be a JSON object")
+    return raw
+
+
 def load_config(source: Any = None) -> RunConfig:
     """Build a RunConfig from a dict, a JSON file path, or nothing.
 
@@ -376,13 +390,7 @@ def load_config(source: Any = None) -> RunConfig:
     elif isinstance(source, dict):
         raw = source
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<config>", f"invalid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("<config>", "top level must be a JSON object")
+        raw = _read_config_file(source)
     known = ("model", "heston", "delivery", "weight", "option", "grid", "output")
     for key in raw:
         if key not in known:
@@ -393,7 +401,7 @@ def load_config(source: Any = None) -> RunConfig:
     dp, delivery_norm = _parse_delivery(raw)
     weight, weight_norm = _parse_weight(raw)
     option, option_norm = _parse_option(raw, dp)
-    grid, grid_norm = _parse_grid(raw)
+    grid, grid_norm = _parse_grid(raw, dp)
     fmt, path, output_norm = _parse_output(raw)
 
     normalized = {
@@ -735,14 +743,8 @@ def _load_with_overrides(args: argparse.Namespace) -> RunConfig:
     if args.config is None:
         raw: dict = {}
     else:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<config>", f"invalid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("<config>", "top level must be a JSON object")
-        raw = {k: (dict(v) if isinstance(v, dict) else v) for k, v in raw.items()}
+        raw = {k: (dict(v) if isinstance(v, dict) else v)
+               for k, v in _read_config_file(args.config).items()}
     if args.seed is not None:
         raw.setdefault("grid", {})["seed"] = args.seed
     if args.paths is not None:

@@ -42,6 +42,17 @@ __all__ = [
 TWO_PI = 2.0 * np.pi
 
 
+def _on_array(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f(x) for an array x; a callable that only takes scalars is looped over."""
+    try:
+        out = np.asarray(f(x), dtype=float)
+        if out.shape == x.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([float(f(float(v))) for v in x.ravel()]).reshape(x.shape)
+
+
 def as_time_function(value: float | Callable) -> Callable:
     """Wrap a constant or a scalar callable into a vectorized function of time.
 
@@ -53,13 +64,7 @@ def as_time_function(value: float | Callable) -> Callable:
             t_arr = np.asarray(t, dtype=float)
             if t_arr.ndim == 0:
                 return float(value(float(t_arr)))
-            try:
-                out = np.asarray(value(t_arr), dtype=float)
-                if out.shape == t_arr.shape:
-                    return out
-            except (TypeError, ValueError):
-                pass
-            return np.array([float(value(float(v))) for v in t_arr])
+            return _on_array(value, t_arr)
         return fn
     v = float(value)
 
@@ -75,9 +80,10 @@ def as_time_function(value: float | Callable) -> Callable:
 class HestonParams:
     """CIR variance and market parameters.
 
-    theta may be a finite positive constant or a callable of trading time;
-    positivity of a callable theta is grid-checked by the modules that consume
-    it.  Every other field must be finite.
+    theta may be a finite positive constant or a callable of trading time.
+    A constant is checked here; a callable is checked wherever the pricing
+    engines evaluate it, through ``theta_fn``.  Every other field must be
+    finite.
     """
     kappa: float
     theta: float | Callable[[float], float]
@@ -104,7 +110,18 @@ class HestonParams:
             raise ValueError(f"r must be finite and >= 0, got {self.r}")
 
     def theta_fn(self) -> Callable:
-        return as_time_function(self.theta)
+        """theta as a vectorized function of time that raises where theta(t) <= 0."""
+        theta = as_time_function(self.theta)
+        if not callable(self.theta):
+            return theta
+
+        def checked(t):
+            vals = theta(t)
+            if not np.all(np.asarray(vals) > 0):
+                raise ValueError("theta(t) must be positive at every time the "
+                                 "pricing engines evaluate it")
+            return vals
+        return checked
 
 
 @dataclass(frozen=True)
@@ -198,13 +215,7 @@ def weight_hat(w: WeightFunction, u) -> np.ndarray | float:
     elif isinstance(w, ExponentialWeight):
         vals = np.exp(-w.rate * u_arr)
     elif isinstance(w, CustomWeight):
-        try:
-            vals = np.asarray(w.w_hat(u_arr), dtype=float)
-            if vals.shape != u_arr.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([float(w.w_hat(float(v))) for v in np.atleast_1d(u_arr)])
-            vals = vals.reshape(u_arr.shape)
+        vals = _on_array(w.w_hat, u_arr)
         if np.any(vals <= 0):
             raise ValueError("custom weight must be positive on the delivery period")
     else:
@@ -372,13 +383,7 @@ def variant_tag(vol: VolStructure) -> str:
 
 
 def _general_values(vol: GeneralSeparable, t: float, u_arr: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(vol.s(t, u_arr), dtype=float)
-        if vals.shape != u_arr.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(vol.s(t, float(v))) for v in np.atleast_1d(u_arr)])
-        vals = vals.reshape(u_arr.shape)
+    vals = _on_array(lambda u: vol.s(t, u), u_arr)
     if np.any(vals <= 0):
         raise ValueError("general separable factor must satisfy s(t, u) > 0")
     if np.any(vals > vol.bound_r * (1.0 + 1e-12)):

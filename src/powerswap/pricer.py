@@ -32,9 +32,8 @@ from .models import (
 )
 from .simulate import GridSpec, Measure, simulate_terminal
 
-__all__ = ["PriceResult", "PricingError", "TruncationError", "exercise_prob",
-           "price_fourier", "price_fourier_many", "price_mc", "price_mc_many",
-           "black76_oracle"]
+__all__ = ["PriceResult", "PricingError", "TruncationError", "price_fourier",
+           "price_fourier_many", "price_mc", "price_mc_many", "black76_oracle"]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 _PANEL_WIDTH = 2.0
@@ -140,30 +139,6 @@ def _finalize_prob(raw: float, k: int, diagnostics: dict | None) -> float:
     return clipped
 
 
-def _resolve_state(p: HestonParams, x, nu) -> tuple[float, float]:
-    x = np.log(p.f0) if x is None else float(x)
-    nu = p.nu0 if nu is None else float(nu)
-    return x, nu
-
-
-def exercise_prob(p: HestonParams, vol: VolStructure, w: WeightFunction,
-                  dp: DeliveryPeriod, k: int, strike: float, exercise: float,
-                  t: float = 0.0, x: float | None = None, nu: float | None = None,
-                  phi_max: float = PHI_MAX_DEFAULT, ode_tol: float = 1e-10) -> float:
-    """Probability 1 - Q_k of finishing in the money, via Fourier inversion.
-
-    k=1 is the exercise probability under the spot (swap-price-weighted)
-    measure, k=2 under the swap martingale measure.
-    """
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k}")
-    if not strike > 0:
-        raise ValueError(f"strike must be > 0, got {strike}")
-    x, nu = _resolve_state(p, x, nu)
-    ctx = _FourierContext(p, vol, w, dp, exercise, t, x, nu, phi_max, ode_tol)
-    return ctx.exercise_prob(k, strike)
-
-
 def _assemble(p: HestonParams, ctx: _FourierContext, strike: float,
               diagnostics: dict) -> PriceResult:
     q1 = ctx.exercise_prob(1, strike, diagnostics)
@@ -221,7 +196,8 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     """Fourier prices for several strikes sharing one characteristic-function cache."""
     diagnostics_base: dict = {}
     _consult_novikov(p, vol, dp, diagnostics_base)
-    x, nu = _resolve_state(p, x, nu)
+    x = np.log(p.f0) if x is None else x
+    nu = p.nu0 if nu is None else nu
     ctx = _FourierContext(p, vol, w, dp, exercise, t, x, nu, phi_max, ode_tol)
     out = []
     for strike in strikes:

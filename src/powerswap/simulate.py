@@ -39,7 +39,6 @@ from .models import (
     HestonParams,
     VolStructure,
     WeightFunction,
-    as_time_function,
 )
 
 __all__ = ["GridSpec", "Measure", "PathSet", "TerminalSample", "SummaryStats",
@@ -144,9 +143,7 @@ def _build_coeffs(p: HestonParams, vol: VolStructure, w: WeightFunction,
     dec = decompose(vol, w, dp)
     s_all = np.asarray(dec.big_s(times), dtype=float)
     xi_all = np.asarray(dec.xi(times), dtype=float)
-    theta_all = np.asarray(as_time_function(p.theta)(times), dtype=float)
-    if np.any(theta_all <= 0):
-        raise ValueError("theta(t) must be positive on the simulation grid")
+    theta_all = np.asarray(p.theta_fn()(times), dtype=float)
 
     # S(t) grows like e^{lam t} under Samuelson, so S(t_n)^2 dt undershoots
     # the step's integrated S^2 by about lam dt; average S^2 over the step.

@@ -204,6 +204,37 @@ def test_t_beyond_delivery_start_rejected():
         swap_vol_factor(Samuelson(3.5), UNI, DP, 0.76)
     with pytest.raises(ValueError):
         market_price_factor(Samuelson(3.5), UNI, DP, 0.8)
+    general = GeneralSeparable(s=lambda t, u: np.exp(-(np.asarray(u, float) - t)), bound_r=1.0)
+    for vol in [vol for vol, _ in VOLS] + [general]:
+        dec = decompose(vol, UNI, DP)
+        for t in (0.76, np.array([0.0, 0.5, 0.8])):
+            with pytest.raises(ValueError, match="delivery start"):
+                dec.big_s(t)
+            with pytest.raises(ValueError, match="delivery start"):
+                dec.xi(t)
+        assert dec.big_s(DP.tau1) > 0.0
+
+
+def test_general_separable_integrates_each_distinct_time_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate_over_delivery(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "integrate_over_delivery", counting)
+    g = GeneralSeparable(
+        s=lambda t, u: np.exp(-1.2 * (np.asarray(u, float) - t)) * (1.0 + 0.1 * np.asarray(u, float)),
+        bound_r=2.0,
+    )
+    dec = decompose(g, UNI, DP)
+    t = np.linspace(0.0, DP.tau1, 50)
+    first = dec.big_s(t)
+    dec.xi(t)
+    again = dec.big_s(t)
+    # one mean and one variance integral per grid time, none for repeats
+    assert len(calls) <= 2 * t.size
+    assert again.tobytes() == first.tobytes()
 
 
 def test_variance_factor_ties_to_mean_and_market_price():

@@ -58,6 +58,8 @@ def test_unknown_section_and_field_rejected():
         load_config({"grid": {"seed": -3}})
     with pytest.raises(ConfigError, match="option.exercise"):
         load_config({"option": {"exercise": 0.8}})
+    with pytest.raises(ConfigError, match="delivery.tau1: must be positive"):
+        load_config({"delivery": {"tau1": 0}})
 
 
 def test_readme_config_example_loads():
@@ -265,6 +267,15 @@ def test_error_paths(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["check", "--config", str(notjson)])
     assert code == 1
     assert "invalid JSON" in json.loads(err)["error"]["message"]
+
+
+def test_grid_end_past_delivery_start_rejected(capsys, tmp_path):
+    cfg = tmp_path / "late.json"
+    cfg.write_text('{"grid": {"t_end": 0.9, "n_steps": 3}}')
+    code, out, err = run_cli(capsys, ["decompose", "--config", str(cfg)])
+    assert code == 1
+    assert out == ""
+    assert "grid.t_end" in json.loads(err)["error"]["message"]
 
 
 def test_workers_env_var(capsys, monkeypatch):

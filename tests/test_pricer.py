@@ -12,6 +12,7 @@ from powerswap.conditions import ConditionWarning
 from powerswap.models import (
     DeliveryPeriod,
     DeliverySeasonal,
+    GeneralSeparable,
     HestonParams,
     OptionSpec,
     Samuelson,
@@ -23,7 +24,6 @@ from powerswap.pricer import (
     PricingError,
     TruncationError,
     black76_oracle,
-    exercise_prob,
     price_fourier,
     price_fourier_many,
     price_mc,
@@ -140,15 +140,27 @@ def test_degenerate_heston_matches_lognormal():
         assert res.put == pytest.approx(ref_put, abs=1e-7)
 
 
-def test_exercise_prob_module_function():
+def test_fourier_rejects_theta_negative_before_exercise():
+    # theta(t) = 0.6 - 2 t turns negative at t = 0.3 < T; the simulator
+    # rejects it too, on its grid
+    p = _params(theta=lambda t: 0.6 - 2.0 * t)
+    with pytest.raises(ValueError, match="theta"):
+        price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
+    with pytest.warns(ConditionWarning), pytest.raises(ValueError, match="theta"):
+        price_mc(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T),
+                 GridSpec(t0=0.0, t_end=T, n_steps=10, n_paths=10, seed=1))
+
+
+def test_general_separable_with_samuelson_shape_matches_samuelson():
     p = _params()
-    res = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
-    q1 = exercise_prob(p, SAM, UNI, DP, k=1, strike=30.0, exercise=T)
-    q2 = exercise_prob(p, SAM, UNI, DP, k=2, strike=30.0, exercise=T)
-    assert q1 == pytest.approx(res.q1, abs=1e-14)
-    assert q2 == pytest.approx(res.q2, abs=1e-14)
-    with pytest.raises(ValueError):
-        exercise_prob(p, SAM, UNI, DP, k=3, strike=30.0, exercise=T)
+    shape = GeneralSeparable(lambda t, u: np.exp(-3.5 * (np.asarray(u, float) - t)),
+                             bound_r=1.0)
+    opt = OptionSpec(strike=30.0, exercise=T)
+    general = price_fourier(p, shape, UNI, DP, opt)
+    closed = price_fourier(p, SAM, UNI, DP, opt)
+    assert general.call == pytest.approx(closed.call, abs=1e-10)
+    assert general.q1 == pytest.approx(closed.q1, abs=1e-10)
+    assert general.q2 == pytest.approx(closed.q2, abs=1e-10)
 
 
 def test_fourier_diagnostics_and_truncation(monkeypatch):
