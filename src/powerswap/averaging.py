@@ -116,9 +116,10 @@ def _cos_means(vol: DeliverySeasonal, dp: DeliveryPeriod) -> tuple[float, float]
 
 
 def _weighted_moments(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
-                      t: float) -> tuple[float, float]:
+                      t: float, den: float) -> tuple[float, float]:
     """Mean and variance of s(t, U) by adaptive quadrature.
 
+    ``den`` is ``weight_normalizer(w, dp)``, computed once by the caller.
     When every sampled node value coincides, s is constant as far as the
     quadrature can see and the exact result (value, 0) is returned.
     """
@@ -131,7 +132,6 @@ def _weighted_moments(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
         seen_hi[0] = max(seen_hi[0], float(vals.max()))
         return vals
 
-    den = weight_normalizer(w, dp)
     num = integrate_over_delivery(lambda u: weight_hat(w, u) * s_vals(u), w, dp)
     mean = num / den
     if seen_lo[0] == seen_hi[0]:
@@ -156,7 +156,7 @@ def _delivery_factors(vol: VolStructure, w: WeightFunction,
     if isinstance(vol, DeliverySeasonal) and isinstance(w, UniformWeight):
         c1, c2 = _cos_means(vol, dp)
         return _moment_factors(vol.a + vol.b * c1, vol.b * vol.b * (c2 - c1 * c1))
-    return _moment_factors(*_weighted_moments(vol, w, dp, dp.tau1))
+    return _moment_factors(*_weighted_moments(vol, w, dp, dp.tau1, weight_normalizer(w, dp)))
 
 
 def swap_vol_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
@@ -228,9 +228,11 @@ def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapV
     doubling pass and every block.
     """
     if isinstance(vol, GeneralSeparable):
+        den = weight_normalizer(w, dp)
+
         @functools.lru_cache(maxsize=None)
         def factors(t: float) -> tuple[float, float]:
-            return _moment_factors(*_weighted_moments(vol, w, dp, t))
+            return _moment_factors(*_weighted_moments(vol, w, dp, t, den))
 
         big_s = np.vectorize(lambda t: factors(float(t))[0], otypes=[float])
         xi = np.vectorize(lambda t: factors(float(t))[1], otypes=[float])

@@ -15,7 +15,13 @@ section is optional; omitted fields fall back to the standard simulation
 setup (swap delivering on [0.75, 5/6], Samuelson decay 3.5, strike 30,
 exercise 0.5, one hundred thousand paths at two thousand steps per year).
 Unknown fields and out-of-range values are rejected with the offending
-dotted path in the message, e.g. ``heston.rho``.
+dotted path in the message, e.g. ``heston.rho: must lie in (-1, 1), got 1.0``.
+The valid ranges belong to the library's dataclasses in ``models``: the CLI
+checks JSON types and unknown keys, builds each dataclass from a table of
+fields and defaults, and reports its ValueError under the field that the
+message names.  It adds only the rules that span sections: the
+trading-seasonal variant owns theta, the exercise precedes ``delivery.tau1``,
+and the grid lies within [0, ``delivery.tau1``].
 
 ``delivery.tau1`` and ``delivery.tau2`` accept fraction strings such as
 ``"5/6"`` so that one-sixth-of-a-year boundaries survive JSON without
@@ -141,6 +147,9 @@ class GridSettings:
 
     def resolve(self, t_end_default: float) -> GridSpec:
         t_end = self.t_end if self.t_end is not None else t_end_default
+        if not self.t0 < t_end:
+            raise ConfigError("grid.t0", f"must precede the default grid end {t_end} "
+                                         "(the option exercise) when grid.t_end is omitted")
         n_steps = self.n_steps
         if n_steps is None:
             n_steps = max(1, round((t_end - self.t0) * STEPS_PER_YEAR))
@@ -171,148 +180,106 @@ class RunConfig:
         return json.dumps(self.normalized, indent=2) + "\n"
 
 
-def _parse_model(raw: dict) -> tuple[Any, dict]:
-    sec = _section(raw, "model")
-    variant = sec.get("variant", "samuelson")
+def _build(section: str, cls: Callable, **fields: Any) -> Any:
+    """cls(**fields), with its ValueError reported under the field it names.
+
+    Every validation message of the model dataclasses starts with the
+    offending field's name; any other message is reported for the section.
+    """
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name in fields:
+            raise ConfigError(f"{section}.{name}", rest) from None
+        raise ConfigError(section, str(exc)) from None
+
+
+def _read(section: str, sec: dict, defaults: dict, parse: Callable = _require_number) -> dict:
+    """The fields of ``defaults`` from ``sec`` or their defaults, type-checked."""
+    _check_keys(section, sec, tuple(defaults))
+    return {key: parse(f"{section}.{key}", sec.get(key, default))
+            for key, default in defaults.items()}
+
+
+def _parse_variant(raw: dict, section: str, table: dict) -> tuple[Any, dict]:
+    """A section whose ``variant`` picks a table entry, the first by default.
+
+    An entry is (dataclass, {field: default}) or a function that reads the
+    section itself.
+    """
+    sec = dict(_section(raw, section))
+    variant = sec.pop("variant", next(iter(table)))
     if not isinstance(variant, str):
-        raise ConfigError("model.variant", f"expected a string, got {variant!r}")
-    if variant == "samuelson":
-        _check_keys("model", sec, ("variant", "lam"))
-        lam = _require_number("model.lam", sec.get("lam", 3.5))
-        if lam <= 0:
-            raise ConfigError("model.lam", "must be positive")
-        return Samuelson(lam), {"variant": "samuelson", "lam": lam}
-    if variant == "trading_seasonal":
-        _check_keys("model", sec, ("variant", "alpha", "beta", "gamma"))
-        alpha = _require_number("model.alpha", sec.get("alpha", 0.6))
-        beta = _require_number("model.beta", sec.get("beta", 0.7))
-        gamma = _require_number("model.gamma", sec.get("gamma", 0.2))
-        if alpha <= 0:
-            raise ConfigError("model.alpha", "must be positive")
-        if beta <= 0:
-            raise ConfigError("model.beta", "must be positive")
-        vol = TradingSeasonal(alpha=alpha, beta=beta, gamma=gamma)
-        return vol, {"variant": "trading_seasonal", "alpha": alpha, "beta": beta, "gamma": gamma}
-    if variant == "delivery_seasonal":
-        _check_keys("model", sec, ("variant", "a", "b", "c"))
-        a = _require_number("model.a", sec.get("a", 1.0))
-        b = _require_number("model.b", sec.get("b", 0.4))
-        c = _require_number("model.c", sec.get("c", 0.0))
-        if not a > b > 0:
-            raise ConfigError("model.a", "requires a > b > 0")
-        if not 0.0 <= c < 1.0:
-            raise ConfigError("model.c", "must lie in [0, 1)")
-        return DeliverySeasonal(a=a, b=b, c=c), {"variant": "delivery_seasonal", "a": a, "b": b, "c": c}
-    if variant == "general_separable":
+        raise ConfigError(f"{section}.variant", f"expected a string, got {variant!r}")
+    if variant not in table:
+        *head, last = table
         raise ConfigError(
-            "model.variant",
-            "general_separable needs a callable shape and is only available "
-            "through the library API",
-        )
-    raise ConfigError(
-        "model.variant",
-        f"unknown variant {variant!r}; expected samuelson, trading_seasonal "
-        "or delivery_seasonal",
-    )
+            f"{section}.variant",
+            f"unknown variant {variant!r}; expected {', '.join(head)} or {last}")
+    if callable(table[variant]):
+        return table[variant](sec)
+    cls, defaults = table[variant]
+    values = _read(section, sec, defaults)
+    return _build(section, cls, **values), {"variant": variant, **values}
+
+
+def _parse_custom_weight(sec: dict) -> tuple[CustomWeight, dict]:
+    _check_keys("weight", sec, ("u_grid", "values"))
+    for key in ("u_grid", "values"):
+        if key not in sec:
+            raise ConfigError(f"weight.{key}", "required for the custom variant")
+        if not isinstance(sec[key], list):
+            raise ConfigError(f"weight.{key}", "expected a list of numbers")
+    u_grid = [_require_number(f"weight.u_grid[{i}]", v) for i, v in enumerate(sec["u_grid"])]
+    values = [_require_number(f"weight.values[{i}]", v) for i, v in enumerate(sec["values"])]
+    w = _build("weight", CustomWeight.from_table, u_grid=u_grid, values=values)
+    return w, {"variant": "custom", "u_grid": u_grid, "values": values}
+
+
+# variant -> (dataclass, {field: default}); the dataclass owns each field's range
+_MODELS = {
+    "samuelson": (Samuelson, {"lam": 3.5}),
+    "trading_seasonal": (TradingSeasonal, {"alpha": 0.6, "beta": 0.7, "gamma": 0.2}),
+    "delivery_seasonal": (DeliverySeasonal, {"a": 1.0, "b": 0.4, "c": 0.0}),
+}
+_WEIGHTS = {
+    "uniform": (UniformWeight, {}),
+    "exponential": (ExponentialWeight, {"rate": 0.0}),
+    "custom": _parse_custom_weight,
+}
 
 
 def _parse_heston(raw: dict, vol: Any) -> tuple[HestonParams, dict]:
     sec = _section(raw, "heston")
-    _check_keys("heston", sec, ("kappa", "theta", "sigma_vv", "rho", "nu0", "f0", "r"))
-    seasonal_theta = isinstance(vol, TradingSeasonal)
-    if seasonal_theta and "theta" in sec:
-        raise ConfigError(
-            "heston.theta",
-            "set by the trading_seasonal variant; remove it from the heston section",
-        )
-    values = {}
-    for key, default in _HESTON_DEFAULTS.items():
-        if key == "theta" and seasonal_theta:
-            continue
-        values[key] = _require_number(f"heston.{key}", sec.get(key, default))
-    for key, cond, msg in (
-        ("kappa", values["kappa"] > 0, "must be positive"),
-        ("sigma_vv", values["sigma_vv"] >= 0, "must be non-negative"),
-        ("rho", -1.0 < values["rho"] < 1.0, "must lie in (-1, 1)"),
-        ("nu0", values["nu0"] > 0, "must be positive"),
-        ("f0", values["f0"] > 0, "must be positive"),
-        ("r", values["r"] >= 0, "must be non-negative"),
-    ):
-        if not cond:
-            raise ConfigError(f"heston.{key}", msg)
-    if not seasonal_theta and values["theta"] <= 0:
-        raise ConfigError("heston.theta", "must be positive")
-    theta = vol.theta if seasonal_theta else values["theta"]
-    params = HestonParams(
-        kappa=values["kappa"],
-        theta=theta,
-        sigma_vv=values["sigma_vv"],
-        rho=values["rho"],
-        nu0=values["nu0"],
-        f0=values["f0"],
-        r=values["r"],
-    )
-    return params, dict(values)
+    defaults = dict(_HESTON_DEFAULTS)
+    owned = {}
+    if isinstance(vol, TradingSeasonal):
+        if "theta" in sec:
+            raise ConfigError(
+                "heston.theta",
+                "set by the trading_seasonal variant; remove it from the heston section",
+            )
+        del defaults["theta"]
+        owned["theta"] = vol.theta
+    values = _read("heston", sec, defaults)
+    return _build("heston", HestonParams, **values, **owned), values
 
 
 def _parse_delivery(raw: dict) -> tuple[DeliveryPeriod, dict]:
     sec = _section(raw, "delivery")
-    _check_keys("delivery", sec, ("tau1", "tau2"))
-    tau1_raw = sec.get("tau1", 0.75)
-    tau2_raw = sec.get("tau2", "5/6")
-    tau1 = _parse_tau("delivery.tau1", tau1_raw)
-    tau2 = _parse_tau("delivery.tau2", tau2_raw)
-    if tau1 <= 0:
-        raise ConfigError("delivery.tau1", "must be positive")
-    if tau2 <= tau1:
-        raise ConfigError("delivery.tau2", "must exceed tau1")
-    return DeliveryPeriod(tau1=tau1, tau2=tau2), {"tau1": tau1_raw, "tau2": tau2_raw}
-
-
-def _parse_weight(raw: dict) -> tuple[Any, dict]:
-    sec = _section(raw, "weight")
-    variant = sec.get("variant", "uniform")
-    if not isinstance(variant, str):
-        raise ConfigError("weight.variant", f"expected a string, got {variant!r}")
-    if variant == "uniform":
-        _check_keys("weight", sec, ("variant",))
-        return UniformWeight(), {"variant": "uniform"}
-    if variant == "exponential":
-        _check_keys("weight", sec, ("variant", "rate"))
-        rate = _require_number("weight.rate", sec.get("rate", 0.0))
-        return ExponentialWeight(rate=rate), {"variant": "exponential", "rate": rate}
-    if variant == "custom":
-        _check_keys("weight", sec, ("variant", "u_grid", "values"))
-        for key in ("u_grid", "values"):
-            if key not in sec:
-                raise ConfigError(f"weight.{key}", "required for the custom variant")
-            if not isinstance(sec[key], list):
-                raise ConfigError(f"weight.{key}", "expected a list of numbers")
-        u_grid = [_require_number(f"weight.u_grid[{i}]", v) for i, v in enumerate(sec["u_grid"])]
-        values = [_require_number(f"weight.values[{i}]", v) for i, v in enumerate(sec["values"])]
-        try:
-            w = CustomWeight.from_table(u_grid, values)
-        except ValueError as exc:
-            raise ConfigError("weight", str(exc)) from None
-        return w, {"variant": "custom", "u_grid": u_grid, "values": values}
-    raise ConfigError(
-        "weight.variant",
-        f"unknown variant {variant!r}; expected uniform, exponential or custom",
-    )
+    defaults = {"tau1": 0.75, "tau2": "5/6"}
+    dp = _build("delivery", DeliveryPeriod, **_read("delivery", sec, defaults, _parse_tau))
+    # fraction strings are kept as given so that they round-trip exactly
+    return dp, {key: sec.get(key, default) for key, default in defaults.items()}
 
 
 def _parse_option(raw: dict, dp: DeliveryPeriod) -> tuple[OptionSpec, dict]:
-    sec = _section(raw, "option")
-    _check_keys("option", sec, ("strike", "exercise"))
-    strike = _require_number("option.strike", sec.get("strike", 30.0))
-    exercise = _require_number("option.exercise", sec.get("exercise", 0.5))
-    if strike <= 0:
-        raise ConfigError("option.strike", "must be positive")
-    if exercise <= 0:
-        raise ConfigError("option.exercise", "must be positive")
-    if exercise > dp.tau1:
-        raise ConfigError("option.exercise", "must not exceed delivery.tau1")
-    return OptionSpec(strike=strike, exercise=exercise), {"strike": strike, "exercise": exercise}
+    values = _read("option", _section(raw, "option"), {"strike": 30.0, "exercise": 0.5})
+    option = _build("option", OptionSpec, **values)
+    if not option.exercise < dp.tau1:
+        raise ConfigError("option.exercise", "must precede delivery.tau1")
+    return option, values
 
 
 def _parse_grid(raw: dict, dp: DeliveryPeriod) -> tuple[GridSettings, dict]:
@@ -321,6 +288,8 @@ def _parse_grid(raw: dict, dp: DeliveryPeriod) -> tuple[GridSettings, dict]:
     t0 = _require_number("grid.t0", sec.get("t0", 0.0))
     if t0 < 0:
         raise ConfigError("grid.t0", "must be non-negative")
+    if not t0 < dp.tau1:
+        raise ConfigError("grid.t0", "must precede delivery.tau1")
     t_end = None
     if "t_end" in sec:
         t_end = _require_number("grid.t_end", sec["t_end"])
@@ -396,10 +365,16 @@ def load_config(source: Any = None) -> RunConfig:
         if key not in known:
             raise ConfigError(key, "unknown section")
 
-    vol, model_norm = _parse_model(raw)
+    if _section(raw, "model").get("variant") == "general_separable":
+        raise ConfigError(
+            "model.variant",
+            "general_separable needs a callable shape and is only available "
+            "through the library API",
+        )
+    vol, model_norm = _parse_variant(raw, "model", _MODELS)
     params, heston_norm = _parse_heston(raw, vol)
     dp, delivery_norm = _parse_delivery(raw)
-    weight, weight_norm = _parse_weight(raw)
+    weight, weight_norm = _parse_variant(raw, "weight", _WEIGHTS)
     option, option_norm = _parse_option(raw, dp)
     grid, grid_norm = _parse_grid(raw, dp)
     fmt, path, output_norm = _parse_output(raw)
@@ -444,6 +419,11 @@ def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
     return buf.getvalue()
 
 
+def _render_row_dicts(rows: list[dict]) -> str:
+    """CSV of rows that share their keys; the keys are the header."""
+    return _render_csv(list(rows[0]), [list(r.values()) for r in rows])
+
+
 def _render_json(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -458,42 +438,46 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _novikov_lhs_json(value: float) -> Any:
     # strict JSON has no Infinity literal; the unconditional case (no
-    # size restriction at all) is spelled out instead
+    # size restriction at all) is spelled out instead, in CSV as well
     return "unconditional" if math.isinf(value) else value
 
 
+def _exercise_grid(cfg: RunConfig) -> GridSpec:
+    """The Monte-Carlo pricing grid, which must end at the option exercise."""
+    if cfg.grid.t_end is not None and cfg.grid.t_end != cfg.option.exercise:
+        raise ConfigError(
+            "grid.t_end",
+            f"must equal option.exercise {cfg.option.exercise} for Monte-Carlo "
+            f"pricing, got {cfg.grid.t_end}")
+    return cfg.grid.resolve(t_end_default=cfg.option.exercise)
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifact text, exit code) in the format given
 
 
-def _cmd_check(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_check(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     report = full_report(cfg.params, cfg.vol, cfg.delivery)
-    fmt = args.format or cfg.out_format or "json"
+    lhs = _novikov_lhs_json(report.novikov_lhs)
     if fmt == "json":
         payload = {
             "model": report.model_tag,
             "feller": {"ok": report.feller_ok, "lhs": report.feller_lhs, "rhs": report.feller_rhs},
-            "novikov": {
-                "ok": report.novikov_ok,
-                "lhs": _novikov_lhs_json(report.novikov_lhs),
-                "rhs": report.novikov_rhs,
-            },
+            "novikov": {"ok": report.novikov_ok, "lhs": lhs, "rhs": report.novikov_rhs},
             "notes": list(report.notes),
         }
         text = _render_json(payload)
     else:
-        lhs = "unconditional" if math.isinf(report.novikov_lhs) else report.novikov_lhs
         text = _render_csv(
             ["model", "feller_ok", "feller_lhs", "feller_rhs", "novikov_ok", "novikov_lhs", "novikov_rhs"],
             [[report.model_tag, report.feller_ok, report.feller_lhs, report.feller_rhs,
               report.novikov_ok, lhs, report.novikov_rhs]],
         )
-    _emit(text, args.out or cfg.out_path)
     # a failed condition is a finding, not an error: the report is the artifact
-    return 0
+    return text, 0
 
 
-def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     dec = decompose(cfg.vol, cfg.weight, cfg.delivery)
     t0 = cfg.grid.t0
     t_end = cfg.grid.t_end if cfg.grid.t_end is not None else cfg.delivery.tau1
@@ -501,27 +485,22 @@ def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace) -> int:
     times = np.linspace(t0, t_end, n + 1)
     big_s = np.asarray(dec.big_s(times), dtype=float)
     xi = np.asarray(dec.xi(times), dtype=float)
-    fmt = args.format or cfg.out_format or "csv"
     if fmt == "csv":
         rows = [[float(t), float(s), float(x)] for t, s, x in zip(times, big_s, xi)]
-        text = _render_csv(["t", "big_s", "xi"], rows)
-    else:
-        text = _render_json(
-            {
-                "model": variant_tag(cfg.vol),
-                "t": list(map(float, times)),
-                "big_s": list(map(float, big_s)),
-                "xi": list(map(float, xi)),
-            }
-        )
-    _emit(text, args.out or cfg.out_path)
-    return 0
+        return _render_csv(["t", "big_s", "xi"], rows), 0
+    return _render_json(
+        {
+            "model": variant_tag(cfg.vol),
+            "t": list(map(float, times)),
+            "big_s": list(map(float, big_s)),
+            "xi": list(map(float, xi)),
+        }
+    ), 0
 
 
-def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     g = cfg.grid.resolve(t_end_default=cfg.option.exercise)
     workers = _resolve_workers(args)
-    fmt = args.format or cfg.out_format or "csv"
     if args.summary:
         stats = simulate_summary(cfg.params, cfg.vol, cfg.weight, cfg.delivery, g, workers=workers)
         if fmt == "csv":
@@ -529,36 +508,31 @@ def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 [float(t), float(m), float(se), float(nu)]
                 for t, m, se, nu in zip(stats.times, stats.mean_f, stats.stderr_f, stats.mean_nu)
             ]
-            text = _render_csv(["t", "mean_F", "stderr_F", "mean_nu"], rows)
-        else:
-            text = _render_json(
-                {
-                    "t": list(map(float, stats.times)),
-                    "mean_F": list(map(float, stats.mean_f)),
-                    "stderr_F": list(map(float, stats.stderr_f)),
-                    "mean_nu": list(map(float, stats.mean_nu)),
-                }
-            )
-    else:
-        paths = simulate_paths(cfg.params, cfg.vol, cfg.weight, cfg.delivery, g, workers=workers)
-        f = paths.f_paths
-        if fmt == "csv":
-            rows = []
-            for i in range(g.n_paths):
-                for j, t in enumerate(paths.times):
-                    rows.append([i, float(t), float(paths.x_paths[i, j]), float(paths.nu_paths[i, j]), float(f[i, j])])
-            text = _render_csv(["path_id", "t", "X", "nu", "F"], rows)
-        else:
-            text = _render_json(
-                {
-                    "t": list(map(float, paths.times)),
-                    "X": [list(map(float, row)) for row in paths.x_paths],
-                    "nu": [list(map(float, row)) for row in paths.nu_paths],
-                    "F": [list(map(float, row)) for row in f],
-                }
-            )
-    _emit(text, args.out or cfg.out_path)
-    return 0
+            return _render_csv(["t", "mean_F", "stderr_F", "mean_nu"], rows), 0
+        return _render_json(
+            {
+                "t": list(map(float, stats.times)),
+                "mean_F": list(map(float, stats.mean_f)),
+                "stderr_F": list(map(float, stats.stderr_f)),
+                "mean_nu": list(map(float, stats.mean_nu)),
+            }
+        ), 0
+    paths = simulate_paths(cfg.params, cfg.vol, cfg.weight, cfg.delivery, g, workers=workers)
+    f = paths.f_paths
+    if fmt == "csv":
+        rows = []
+        for i in range(g.n_paths):
+            for j, t in enumerate(paths.times):
+                rows.append([i, float(t), float(paths.x_paths[i, j]), float(paths.nu_paths[i, j]), float(f[i, j])])
+        return _render_csv(["path_id", "t", "X", "nu", "F"], rows), 0
+    return _render_json(
+        {
+            "t": list(map(float, paths.times)),
+            "X": [list(map(float, row)) for row in paths.x_paths],
+            "nu": [list(map(float, row)) for row in paths.nu_paths],
+            "F": [list(map(float, row)) for row in f],
+        }
+    ), 0
 
 
 def _result_payload(res) -> dict:
@@ -573,43 +547,39 @@ def _result_payload(res) -> dict:
     }
 
 
-def _cmd_price(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_price(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     method = args.method
+    g = _exercise_grid(cfg) if method in ("mc", "both") else None
     results = {}
     if method in ("fourier", "both"):
         results["fourier"] = price_fourier(cfg.params, cfg.vol, cfg.weight, cfg.delivery, cfg.option)
-    if method in ("mc", "both"):
-        g = cfg.grid.resolve(t_end_default=cfg.option.exercise)
+    if g is not None:
         results["mc"] = price_mc(
             cfg.params, cfg.vol, cfg.weight, cfg.delivery, cfg.option, g,
             workers=_resolve_workers(args),
         )
-    fmt = args.format or cfg.out_format or "json"
     if fmt == "json":
         if method == "both":
             payload = {name: _result_payload(res) for name, res in results.items()}
         else:
             payload = _result_payload(results[method])
-        text = _render_json(payload)
-    else:
-        rows = [
-            [res.method, res.call, res.put, res.q1, res.q2, "" if res.stderr is None else res.stderr]
-            for res in results.values()
-        ]
-        text = _render_csv(["method", "call", "put", "q1", "q2", "stderr"], rows)
-    _emit(text, args.out or cfg.out_path)
-    return 0
+        return _render_json(payload), 0
+    rows = [
+        [res.method, res.call, res.put, res.q1, res.q2, "" if res.stderr is None else res.stderr]
+        for res in results.values()
+    ]
+    return _render_csv(["method", "call", "put", "q1", "q2", "stderr"], rows), 0
 
 
-def _cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_validate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     k0 = cfg.option.strike
     strikes = [0.8 * k0, k0, 1.2 * k0]
     exercise = cfg.option.exercise
+    g = _exercise_grid(cfg)
+    workers = _resolve_workers(args)
     fouriers = price_fourier_many(
         cfg.params, cfg.vol, cfg.weight, cfg.delivery, strikes=strikes, exercise=exercise
     )
-    g = cfg.grid.resolve(t_end_default=exercise)
-    workers = _resolve_workers(args)
     mcs = price_mc_many(
         cfg.params, cfg.vol, cfg.weight, cfg.delivery, strikes, exercise, g, workers=workers
     )
@@ -629,28 +599,22 @@ def _cmd_validate(cfg: RunConfig, args: argparse.Namespace) -> int:
                 "ok": ok,
             }
         )
-    fmt = args.format or cfg.out_format or "csv"
+    code = 0 if all_ok else 2
     if fmt == "csv":
-        text = _render_csv(
-            ["strike", "fourier_call", "mc_call", "mc_stderr", "z", "ok"],
-            [[r["strike"], r["fourier_call"], r["mc_call"], r["mc_stderr"], r["z"], r["ok"]] for r in rows],
-        )
-    else:
-        text = _render_json(
-            {
-                "model": variant_tag(cfg.vol),
-                "n_paths": g.n_paths,
-                "n_steps": g.n_steps,
-                "seed": g.seed,
-                "ok": all_ok,
-                "rows": rows,
-            }
-        )
-    _emit(text, args.out or cfg.out_path)
-    return 0 if all_ok else 2
+        return _render_row_dicts(rows), code
+    return _render_json(
+        {
+            "model": variant_tag(cfg.vol),
+            "n_paths": g.n_paths,
+            "n_steps": g.n_steps,
+            "seed": g.seed,
+            "ok": all_ok,
+            "rows": rows,
+        }
+    ), code
 
 
-def _cmd_table3(cfg: RunConfig, args: argparse.Namespace) -> int:
+def _cmd_table3(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     # the averaging factors depend on the window length only; one month here
     dp = DeliveryPeriod(tau1=0.75, tau2=0.75 + 1.0 / 12.0)
     rows = []
@@ -663,16 +627,8 @@ def _cmd_table3(cfg: RunConfig, args: argparse.Namespace) -> int:
             ok = bool(round(computed, 4) == expected)
             all_ok = all_ok and ok
             rows.append({"lam": lam, "quantity": name, "computed": computed, "expected": expected, "ok": ok})
-    fmt = args.format or cfg.out_format or "csv"
-    if fmt == "csv":
-        text = _render_csv(
-            ["lam", "quantity", "computed", "expected", "ok"],
-            [[r["lam"], r["quantity"], r["computed"], r["expected"], r["ok"]] for r in rows],
-        )
-    else:
-        text = _render_json({"ok": all_ok, "rows": rows})
-    _emit(text, args.out or cfg.out_path)
-    return 0 if all_ok else 2
+    text = _render_row_dicts(rows) if fmt == "csv" else _render_json({"ok": all_ok, "rows": rows})
+    return text, 0 if all_ok else 2
 
 
 # ---------------------------------------------------------------------------
@@ -729,13 +685,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DISPATCH: dict[str, Callable[[RunConfig, argparse.Namespace], int]] = {
-    "check": _cmd_check,
-    "decompose": _cmd_decompose,
-    "simulate": _cmd_simulate,
-    "price": _cmd_price,
-    "validate": _cmd_validate,
-    "table3": _cmd_table3,
+# subcommand -> (command, default artifact format)
+_DISPATCH: dict[str, tuple[Callable[[RunConfig, argparse.Namespace, str], tuple[str, int]], str]] = {
+    "check": (_cmd_check, "json"),
+    "decompose": (_cmd_decompose, "csv"),
+    "simulate": (_cmd_simulate, "csv"),
+    "price": (_cmd_price, "json"),
+    "validate": (_cmd_validate, "csv"),
+    "table3": (_cmd_table3, "csv"),
 }
 
 
@@ -764,7 +721,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_with_overrides(args)
-        return _DISPATCH[args.cmd](cfg, args)
+        command, default_format = _DISPATCH[args.cmd]
+        text, code = command(cfg, args, args.format or cfg.out_format or default_format)
+        _emit(text, args.out or cfg.out_path)
+        return code
     except ValueError as exc:  # ConfigError included: bad input, not a numerical fault
         _emit_error(1, exc)
         return 1

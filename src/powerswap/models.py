@@ -6,6 +6,10 @@ where u is the delivery time, s is a deterministic factor selected by a
 d nu = kappa (theta(t) - nu) dt + sigma_vv sqrt(nu) dW.  Swaps deliver over a
 period (tau1, tau2] and average the underlying futures with a normalized
 weight density.
+
+Every construction-time ValueError message starts with the name of the
+offending field ("rho must lie in (-1, 1), got 1.0"); the CLI relies on that
+first word to report the error under the dotted config path.
 """
 
 from __future__ import annotations
@@ -131,9 +135,11 @@ class DeliveryPeriod:
     tau2: float
 
     def __post_init__(self):
-        if not 0 < self.tau1 < self.tau2 < math.inf:
-            raise ValueError("delivery period requires finite 0 < tau1 < tau2, "
-                             f"got ({self.tau1}, {self.tau2})")
+        if not 0 < self.tau1 < math.inf:
+            raise ValueError(f"tau1 must be positive and finite, got {self.tau1}")
+        if not self.tau1 < self.tau2 < math.inf:
+            raise ValueError(f"tau2 must be finite and exceed tau1 = {self.tau1}, "
+                             f"got {self.tau2}")
 
     @property
     def delta(self) -> float:
@@ -150,7 +156,7 @@ class OptionSpec:
         if not 0 < self.strike < math.inf:
             raise ValueError(f"strike must be finite and > 0, got {self.strike}")
         if not 0 < self.exercise < math.inf:
-            raise ValueError(f"exercise time must be finite and > 0, got {self.exercise}")
+            raise ValueError(f"exercise must be finite and > 0, got {self.exercise}")
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +331,10 @@ class DeliverySeasonal:
     c: float
 
     def __post_init__(self):
-        if not math.inf > self.a > self.b > 0:
-            raise ValueError("delivery seasonality requires finite a > b > 0, "
-                             f"got a={self.a}, b={self.b}")
+        if not 0 < self.b < math.inf:
+            raise ValueError(f"b must be finite and > 0, got {self.b}")
+        if not self.b < self.a < math.inf:
+            raise ValueError(f"a must be finite and exceed b = {self.b}, got {self.a}")
         if not 0.0 <= self.c < 1.0:
             raise ValueError(f"c must lie in [0, 1), got {self.c}")
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
@@ -84,7 +84,10 @@ class _FourierContext:
         self.x, self.nu = float(x), float(nu)
         self.phi_max = float(phi_max)
         self.ode_tol = float(ode_tol)
-        self._rc = {k: RiccatiCoefficients.for_model(p, vol, w, dp, k) for k in (1, 2)}
+        # k = 2 differs from k = 1 only in alpha and beta_k, so both share one
+        # decomposition (and, for GeneralSeparable, one moment cache)
+        rc1 = RiccatiCoefficients.for_model(p, vol, w, dp, 1)
+        self._rc = {1: rc1, 2: replace(rc1, k=2, alpha=-0.5)}
         self._truncated: dict[int, tuple] = {}
 
     def _solve(self, k: int) -> tuple:

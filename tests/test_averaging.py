@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerswap import averaging
+from powerswap import averaging, models
 from powerswap.averaging import (
     d1_d2,
     decompose,
@@ -222,7 +222,9 @@ def test_general_separable_integrates_each_distinct_time_once(monkeypatch):
         calls.append(args)
         return integrate_over_delivery(*args, **kwargs)
 
+    # the weight normalizer integrates through the models module's name
     monkeypatch.setattr(averaging, "integrate_over_delivery", counting)
+    monkeypatch.setattr(models, "integrate_over_delivery", counting)
     g = GeneralSeparable(
         s=lambda t, u: np.exp(-1.2 * (np.asarray(u, float) - t)) * (1.0 + 0.1 * np.asarray(u, float)),
         bound_r=2.0,
@@ -235,6 +237,14 @@ def test_general_separable_integrates_each_distinct_time_once(monkeypatch):
     # one mean and one variance integral per grid time, none for repeats
     assert len(calls) <= 2 * t.size
     assert again.tobytes() == first.tobytes()
+
+    # a custom weight adds one normalizer integral per decomposition
+    calls.clear()
+    dec = decompose(g, WEIGHTS[2][0], DP)
+    t = np.linspace(0.0, DP.tau1, 10)
+    dec.big_s(t)
+    dec.xi(t)
+    assert len(calls) <= 2 * t.size + 1
 
 
 def test_variance_factor_ties_to_mean_and_market_price():

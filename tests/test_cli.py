@@ -82,10 +82,60 @@ def test_bool_is_not_a_number():
         load_config({"heston": {"kappa": True}})
 
 
+# (section, field, extra config, out-of-range value); the extra config picks
+# the variant that owns the field
+_BAD_FIELDS = [
+    ("model", "lam", {"variant": "samuelson"}, -1.0),
+    ("model", "alpha", {"variant": "trading_seasonal"}, 0.0),
+    ("model", "beta", {"variant": "trading_seasonal"}, -0.7),
+    ("model", "gamma", {"variant": "trading_seasonal"}, 1.5),
+    ("model", "a", {"variant": "delivery_seasonal"}, 0.3),
+    ("model", "b", {"variant": "delivery_seasonal"}, -0.4),
+    ("model", "b", {"variant": "delivery_seasonal"}, 0.0),
+    ("model", "c", {"variant": "delivery_seasonal"}, 1.0),
+    ("heston", "kappa", {}, 0.0),
+    ("heston", "theta", {}, -0.6),
+    ("heston", "sigma_vv", {}, -0.4),
+    ("heston", "rho", {}, 1.0),
+    ("heston", "nu0", {}, 0.0),
+    ("heston", "f0", {}, -30.0),
+    ("heston", "r", {}, -0.01),
+    ("delivery", "tau1", {}, 0.0),
+    ("delivery", "tau2", {}, 0.7),
+    ("delivery", "tau2", {}, "3/4"),
+    ("weight", "rate", {"variant": "exponential"}, float("inf")),
+    ("option", "strike", {}, 0.0),
+    ("option", "exercise", {}, -0.5),
+    ("option", "exercise", {}, 0.75),
+]
+
+
+@pytest.mark.parametrize("section, field, extra, value", _BAD_FIELDS,
+                         ids=[f"{s}.{f}={v}" for s, f, _, v in _BAD_FIELDS])
+def test_out_of_range_field_is_named(section, field, extra, value):
+    with pytest.raises(ConfigError) as info:
+        load_config({section: {**extra, field: value}})
+    assert info.value.field == f"{section}.{field}"
+    assert str(info.value).startswith(f"{section}.{field}: ")
+
+
+def test_range_message_is_the_library_message():
+    with pytest.raises(ConfigError, match=r"^heston\.rho: must lie in \(-1, 1\), got 1\.0$"):
+        load_config({"heston": {"rho": 1.0}})
+    with pytest.raises(ConfigError, match=r"^weight: weight table values must be positive$"):
+        load_config({"weight": {"variant": "custom", "u_grid": [0.75, 0.9], "values": [1.0, 0.0]}})
+
+
 def test_normalized_round_trip():
-    cfg = load_config({"model": {"variant": "delivery_seasonal"}, "grid": {"seed": 9}})
-    again = load_config(json.loads(cfg.to_json()))
-    assert cfg.normalized == again.normalized
+    custom = {"variant": "custom", "u_grid": [0.75, 0.8, 5.0 / 6.0], "values": [1.0, 2.0, 1.5]}
+    for model in ("samuelson", "trading_seasonal", "delivery_seasonal"):
+        for weight in ({"variant": "uniform"}, {"variant": "exponential", "rate": 0.5}, custom):
+            cfg = load_config({"model": {"variant": model}, "weight": weight, "grid": {"seed": 9}})
+            again = load_config(json.loads(cfg.to_json()))
+            assert cfg.normalized == again.normalized
+            assert cfg.to_json() == again.to_json()
+            assert (cfg.vol, cfg.delivery, cfg.option, cfg.grid) == (
+                again.vol, again.delivery, again.option, again.grid)
 
 
 def test_general_separable_rejected_in_config():
@@ -276,6 +326,26 @@ def test_grid_end_past_delivery_start_rejected(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "grid.t_end" in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, config, field", [
+    (["decompose"], {"grid": {"t0": 0.8}}, "grid.t0"),
+    (["simulate"], {"grid": {"t0": 0.5}}, "grid.t0"),
+    (["price", "--method", "mc"], {"grid": {"t0": 0.6}}, "grid.t0"),
+    (["validate"], {"grid": {"t0": 0.5}}, "grid.t0"),
+    (["price", "--method", "mc"], {"grid": {"t_end": 0.6}}, "grid.t_end"),
+    (["price", "--method", "both"], {"grid": {"t_end": 0.4}}, "grid.t_end"),
+    (["validate"], {"grid": {"t_end": 0.6}}, "grid.t_end"),
+    (["price"], {"option": {"exercise": 0.75}}, "option.exercise"),
+], ids=["decompose-t0", "simulate-t0", "mc-t0", "validate-t0", "mc-t_end", "both-t_end",
+        "validate-t_end", "price-exercise"])
+def test_grid_and_exercise_errors_name_the_field(capsys, tmp_path, argv, config, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, [*argv, "--config", str(path), "--paths", "10"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["message"].startswith(f"{field}: ")
 
 
 def test_workers_env_var(capsys, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from powerswap import pricer
+from powerswap import charfn, pricer
+from powerswap.averaging import decompose
 from powerswap.charfn import RiccatiCoefficients, char_fn, solve_riccati
 from powerswap.conditions import ConditionWarning
 from powerswap.models import (
@@ -161,6 +162,20 @@ def test_general_separable_with_samuelson_shape_matches_samuelson():
     assert general.call == pytest.approx(closed.call, abs=1e-10)
     assert general.q1 == pytest.approx(closed.q1, abs=1e-10)
     assert general.q2 == pytest.approx(closed.q2, abs=1e-10)
+
+
+def test_fourier_context_decomposes_once(monkeypatch):
+    # k = 1 and k = 2 share one decomposition, so a GeneralSeparable moment
+    # cache is filled once per pricing call
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(charfn, "decompose", counting)
+    price_fourier_many(_params(), SAM, UNI, DP, [28.0, 32.0], T, ode_tol=1e-6)
+    assert len(calls) == 1
 
 
 def test_fourier_diagnostics_and_truncation(monkeypatch):
