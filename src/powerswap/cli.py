@@ -21,7 +21,7 @@ checks JSON types and unknown keys, builds each dataclass from a table of
 fields and defaults, and reports its ValueError under the field that the
 message names.  It adds only the rules that span sections: the
 trading-seasonal variant owns theta, the exercise precedes ``delivery.tau1``,
-and the grid lies within [0, ``delivery.tau1``].
+and the grid starts before and ends by ``delivery.tau1``.
 
 ``delivery.tau1`` and ``delivery.tau2`` accept fraction strings such as
 ``"5/6"`` so that one-sixth-of-a-year boundaries survive JSON without
@@ -286,28 +286,21 @@ def _parse_grid(raw: dict, dp: DeliveryPeriod) -> tuple[GridSettings, dict]:
     sec = _section(raw, "grid")
     _check_keys("grid", sec, ("t0", "t_end", "n_steps", "n_paths", "seed"))
     t0 = _require_number("grid.t0", sec.get("t0", 0.0))
-    if t0 < 0:
-        raise ConfigError("grid.t0", "must be non-negative")
     if not t0 < dp.tau1:
         raise ConfigError("grid.t0", "must precede delivery.tau1")
     t_end = None
     if "t_end" in sec:
         t_end = _require_number("grid.t_end", sec["t_end"])
-        if t_end <= t0:
-            raise ConfigError("grid.t_end", "must exceed t0")
         if t_end > dp.tau1:
             raise ConfigError("grid.t_end", "must not exceed delivery.tau1")
     n_steps = None
     if "n_steps" in sec:
         n_steps = _require_int("grid.n_steps", sec["n_steps"])
-        if n_steps < 1:
-            raise ConfigError("grid.n_steps", "must be at least 1")
     n_paths = _require_int("grid.n_paths", sec.get("n_paths", 100_000))
-    if n_paths < 1:
-        raise ConfigError("grid.n_paths", "must be at least 1")
     seed = _require_int("grid.seed", sec.get("seed", 42))
-    if not 0 <= seed < 2**64:
-        raise ConfigError("grid.seed", "must fit in an unsigned 64-bit integer")
+    # GridSpec owns the ranges; an omitted t_end or n_steps is checked as tau1 or 1
+    _build("grid", GridSpec, t0=t0, t_end=dp.tau1 if t_end is None else t_end,
+           n_steps=1 if n_steps is None else n_steps, n_paths=n_paths, seed=seed)
     settings = GridSettings(t0=t0, t_end=t_end, n_steps=n_steps, n_paths=n_paths, seed=seed)
     normalized = {"t0": t0, "n_paths": n_paths, "seed": seed}
     if t_end is not None:

@@ -1,12 +1,19 @@
 """Feller and Novikov sufficient conditions for the variance process and measure change.
 
 Conditions are reported, never enforced: the inequalities are sufficient, not
-necessary, so consumers emit a warning and proceed when a check fails.
+necessary, so consumers emit a warning and proceed when a check fails.  Both
+engines warn through one helper, which attributes the ConditionWarning to the
+first caller outside the powerswap package: the user's line for a library
+call, and the caller of ``cli.main`` for a command-line run, whose standard
+output is unaffected.  Under ``python -m powerswap.cli`` the module runs as
+``__main__``, so the warning names the CLI line that priced or simulated.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 
 from .models import (
@@ -27,6 +34,22 @@ __all__ = ["ConditionCheck", "ConditionReport", "ConditionWarning",
 
 class ConditionWarning(UserWarning):
     """A sufficient condition failed; results may leave the guaranteed regime."""
+
+
+_CONSEQUENCES = {"Feller": "the variance process may hit zero",
+                 "Novikov": "the measure change is not guaranteed"}
+
+
+def _warn_if_failed(name: str, ok: bool, lhs: float, rhs: float) -> None:
+    """ConditionWarning for a failed Feller or Novikov check, at the first outside caller."""
+    if ok:
+        return
+    frame, level = sys._getframe(), 1
+    while (frame.f_back is not None
+           and frame.f_globals.get("__name__", "").partition(".")[0] == "powerswap"):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(f"{name} condition fails ({lhs:.6g} <= {rhs:.6g}); {_CONSEQUENCES[name]}",
+                  ConditionWarning, stacklevel=level)
 
 
 @dataclass(frozen=True)

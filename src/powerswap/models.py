@@ -159,6 +159,14 @@ class OptionSpec:
             raise ValueError(f"exercise must be finite and > 0, got {self.exercise}")
 
 
+def _require_finite(**tables: np.ndarray) -> None:
+    """Reject a table with a NaN or infinite entry, naming the table first."""
+    for name, arr in tables.items():
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
 # ---------------------------------------------------------------------------
 # weight functions on the delivery period
 
@@ -196,6 +204,7 @@ class CustomWeight:
         values = np.asarray(values, dtype=float)
         if u_grid.ndim != 1 or u_grid.shape != values.shape or u_grid.size < 2:
             raise ValueError("weight table needs matching 1-d u_grid and values with >= 2 points")
+        _require_finite(u_grid=u_grid, values=values)
         if np.any(np.diff(u_grid) <= 0):
             raise ValueError("weight table u_grid must be strictly increasing")
         if np.any(values <= 0):
@@ -222,8 +231,8 @@ def weight_hat(w: WeightFunction, u) -> np.ndarray | float:
         vals = np.exp(-w.rate * u_arr)
     elif isinstance(w, CustomWeight):
         vals = _on_array(w.w_hat, u_arr)
-        if np.any(vals <= 0):
-            raise ValueError("custom weight must be positive on the delivery period")
+        if not np.all((vals > 0) & (vals < np.inf)):
+            raise ValueError("custom weight must be positive and finite on the delivery period")
     else:
         raise TypeError(f"unsupported weight function {type(w).__name__}")
     if u_arr.ndim == 0:
@@ -361,6 +370,7 @@ class GeneralSeparable:
         values = np.asarray(values, dtype=float)
         if values.shape != (t_grid.size, u_grid.size):
             raise ValueError("values must have shape (len(t_grid), len(u_grid))")
+        _require_finite(t_grid=t_grid, u_grid=u_grid, values=values)
         interp = RegularGridInterpolator((t_grid, u_grid), values, method="linear",
                                          bounds_error=True)
 
@@ -391,6 +401,8 @@ def variant_tag(vol: VolStructure) -> str:
 
 def _general_values(vol: GeneralSeparable, t: float, u_arr: np.ndarray) -> np.ndarray:
     vals = _on_array(lambda u: vol.s(t, u), u_arr)
+    if not np.isfinite(vals).all():
+        raise ValueError("general separable factor s(t, u) must be finite")
     if np.any(vals <= 0):
         raise ValueError("general separable factor must satisfy s(t, u) > 0")
     if np.any(vals > vol.bound_r * (1.0 + 1e-12)):

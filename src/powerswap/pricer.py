@@ -14,15 +14,13 @@ strike as one weighted sum over the same nodes.  Puts follow from put-call parit
 
 from __future__ import annotations
 
-import sys
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import ndtr
 
 from .charfn import PHI_MAX_DEFAULT, RiccatiCoefficients, char_fn, solve_riccati
-from .conditions import ConditionWarning, check_novikov
+from .conditions import _warn_if_failed, check_novikov
 from .models import (
     DeliveryPeriod,
     HestonParams,
@@ -165,19 +163,6 @@ def _assemble(p: HestonParams, ctx: _FourierContext, strike: float,
                        method="fourier", stderr=None, diagnostics=diagnostics)
 
 
-def _consult_novikov(p, vol, dp, diagnostics):
-    nov = check_novikov(p, vol, dp)
-    diagnostics["novikov_ok"] = nov.ok
-    if not nov.ok:
-        # point the warning at the first frame outside this module
-        frame, level = sys._getframe(), 1
-        while frame.f_back is not None and frame.f_globals["__name__"] == __name__:
-            frame, level = frame.f_back, level + 1
-        warnings.warn(
-            f"Novikov condition fails ({nov.lhs:.6g} <= {nov.rhs:.6g}); "
-            "the measure change is not guaranteed", ConditionWarning, stacklevel=level)
-
-
 def price_fourier(p: HestonParams, vol: VolStructure, w: WeightFunction,
                   dp: DeliveryPeriod, opt: OptionSpec, t: float = 0.0,
                   x: float | None = None, nu: float | None = None,
@@ -197,8 +182,9 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
                        nu: float | None = None, phi_max: float = PHI_MAX_DEFAULT,
                        ode_tol: float = 1e-10) -> list[PriceResult]:
     """Fourier prices for several strikes sharing one characteristic-function cache."""
-    diagnostics_base: dict = {}
-    _consult_novikov(p, vol, dp, diagnostics_base)
+    nov = check_novikov(p, vol, dp)
+    _warn_if_failed("Novikov", nov.ok, nov.lhs, nov.rhs)
+    diagnostics_base = {"novikov_ok": nov.ok}
     x = np.log(p.f0) if x is None else x
     nu = p.nu0 if nu is None else nu
     ctx = _FourierContext(p, vol, w, dp, exercise, t, x, nu, phi_max, ode_tol)

@@ -21,11 +21,18 @@ is path-major, (rows, 2, L), so row r of a chunk sits at the same offset of
 every block's stream whatever the number of rows.  Path i's increments
 therefore depend only on (seed, i, n_steps), not on n_paths or the worker
 count.  Changing _CHUNK or _STEP_BLOCK changes the stream.
+
+One driver, _simulate, serves simulate_paths, simulate_terminal and
+simulate_summary: it validates the run, reports failed Feller and Novikov
+checks, builds the per-step coefficients and steps every chunk, in order or on
+a thread pool.  The front-ends only allocate their outputs and pass an
+observer that sees each chunk's state at every grid time.  Chunks write their
+own slots and chunk sums are combined in chunk order, so every result is the
+same for any worker count.
 """
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -33,7 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .averaging import decompose
-from .conditions import ConditionWarning, full_report
+from .conditions import _warn_if_failed, full_report
 from .models import (
     DeliveryPeriod,
     HestonParams,
@@ -238,42 +245,43 @@ def _step_chunk(c: _StepCoeffs, x0: float, nu0: float, seed: int, chunk: int,
     return x, nu
 
 
-def _chunk_ranges(n_paths: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+def _n_chunks(g: GridSpec) -> int:
+    return -(-g.n_paths // _CHUNK)
 
 
-def _warn_conditions(p, vol, dp, g):
-    rep = full_report(p, vol, dp, horizon=g.t_end)
-    if not rep.feller_ok:
-        warnings.warn(
-            f"Feller condition fails ({rep.feller_lhs:.6g} <= {rep.feller_rhs:.6g}); "
-            "the variance process may hit zero", ConditionWarning, stacklevel=3)
-    if not rep.novikov_ok:
-        warnings.warn(
-            f"Novikov condition fails ({rep.novikov_lhs:.6g} <= {rep.novikov_rhs:.6g}); "
-            "the measure change is not guaranteed", ConditionWarning, stacklevel=3)
+def _simulate(p: HestonParams, vol: VolStructure, w: WeightFunction,
+              dp: DeliveryPeriod, g: GridSpec, measure: Measure, workers: int,
+              observer=None) -> tuple[np.ndarray, np.ndarray]:
+    """Validate, warn and step every chunk once; returns terminal (x, nu) of all paths.
 
-
-def _validate_run(p, vol, w, dp, g, measure):
+    observer(chunk, lo, hi), when given, returns the observe callback that
+    _step_chunk hands the state of paths lo..hi-1 at every grid time.
+    """
     if g.t_end > dp.tau1:
         raise ValueError(
             f"t_end must not exceed the delivery start {dp.tau1}, got {g.t_end}")
     if not isinstance(measure, Measure):
         raise TypeError("measure must be a Measure enum member")
+    rep = full_report(p, vol, dp, horizon=g.t_end)
+    _warn_if_failed("Feller", rep.feller_ok, rep.feller_lhs, rep.feller_rhs)
+    _warn_if_failed("Novikov", rep.novikov_ok, rep.novikov_lhs, rep.novikov_rhs)
+    coeffs = _build_coeffs(p, vol, w, dp, g, measure)
+    x_t = np.empty(g.n_paths)
+    nu_t = np.empty(g.n_paths)
 
+    def run_chunk(idx):
+        lo, hi = idx * _CHUNK, min((idx + 1) * _CHUNK, g.n_paths)
+        observe = None if observer is None else observer(idx, lo, hi)
+        x_t[lo:hi], nu_t[lo:hi] = _step_chunk(coeffs, np.log(p.f0), p.nu0, g.seed,
+                                              idx, hi - lo, observe)
 
-def _run_chunks(n_paths: int, workers: int, worker_fn) -> None:
-    """Execute worker_fn(chunk_index, lo, hi) with results in pre-assigned slots."""
-    ranges = _chunk_ranges(n_paths)
+    chunks = range(_n_chunks(g))
     if workers <= 1:
-        for idx, (lo, hi) in enumerate(ranges):
-            worker_fn(idx, lo, hi)
+        list(map(run_chunk, chunks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(worker_fn, idx, lo, hi)
-                       for idx, (lo, hi) in enumerate(ranges)]
-            for fut in futures:
-                fut.result()
+            list(pool.map(run_chunk, chunks))
+    return x_t, nu_t
 
 
 def simulate_paths(p: HestonParams, vol: VolStructure, w: WeightFunction,
@@ -284,21 +292,16 @@ def simulate_paths(p: HestonParams, vol: VolStructure, w: WeightFunction,
     Memory scales as 2 * n_paths * (n_steps + 1) doubles; prefer
     simulate_terminal or simulate_summary for large runs.
     """
-    _validate_run(p, vol, w, dp, g, measure)
-    _warn_conditions(p, vol, dp, g)
-    coeffs = _build_coeffs(p, vol, w, dp, g, measure)
-    x0, nu0 = np.log(p.f0), p.nu0
     x_paths = np.empty((g.n_paths, g.n_steps + 1))
     nu_paths = np.empty((g.n_paths, g.n_steps + 1))
 
-    def worker(idx, lo, hi):
+    def observer(idx, lo, hi):
         def record(n, x, nu):
             x_paths[lo:hi, n] = x
             nu_paths[lo:hi, n] = nu
+        return record
 
-        _step_chunk(coeffs, x0, nu0, g.seed, idx, hi - lo, record)
-
-    _run_chunks(g.n_paths, workers, worker)
+    _simulate(p, vol, w, dp, g, measure, workers, observer)
     return PathSet(times=g.times(), x_paths=x_paths, nu_paths=nu_paths, seed=g.seed)
 
 
@@ -307,17 +310,7 @@ def simulate_terminal(p: HestonParams, vol: VolStructure, w: WeightFunction,
                       measure: Measure = Measure.Q_TILDE,
                       workers: int = 1) -> TerminalSample:
     """Terminal (X, nu) only; same paths as simulate_paths for the same seed."""
-    _validate_run(p, vol, w, dp, g, measure)
-    _warn_conditions(p, vol, dp, g)
-    coeffs = _build_coeffs(p, vol, w, dp, g, measure)
-    x0, nu0 = np.log(p.f0), p.nu0
-    x_t = np.empty(g.n_paths)
-    nu_t = np.empty(g.n_paths)
-
-    def worker(idx, lo, hi):
-        x_t[lo:hi], nu_t[lo:hi] = _step_chunk(coeffs, x0, nu0, g.seed, idx, hi - lo)
-
-    _run_chunks(g.n_paths, workers, worker)
+    x_t, nu_t = _simulate(p, vol, w, dp, g, measure, workers)
     return TerminalSample(t_end=g.t_end, x=x_t, nu=nu_t, seed=g.seed)
 
 
@@ -330,23 +323,17 @@ def simulate_summary(p: HestonParams, vol: VolStructure, w: WeightFunction,
     Chunk partial sums are combined in a fixed order, so the output is
     identical across runs and worker counts.
     """
-    _validate_run(p, vol, w, dp, g, measure)
-    _warn_conditions(p, vol, dp, g)
-    coeffs = _build_coeffs(p, vol, w, dp, g, measure)
-    x0, nu0 = np.log(p.f0), p.nu0
-    partial = [None] * len(_chunk_ranges(g.n_paths))
+    partial = [None] * _n_chunks(g)
 
-    def worker(idx, lo, hi):
-        sums = np.empty((3, g.n_steps + 1))
+    def observer(idx, lo, hi):
+        sums = partial[idx] = np.empty((3, g.n_steps + 1))
 
         def accumulate(n, x, nu):
             f = np.exp(x)
             sums[:, n] = f.sum(), (f * f).sum(), nu.sum()
+        return accumulate
 
-        _step_chunk(coeffs, x0, nu0, g.seed, idx, hi - lo, accumulate)
-        partial[idx] = sums
-
-    _run_chunks(g.n_paths, workers, worker)
+    _simulate(p, vol, w, dp, g, measure, workers, observer)
     sum_f, sum_f2, sum_nu = sum(partial)
     n = g.n_paths
     mean_f = sum_f / n

@@ -111,6 +111,16 @@ def test_d1_d2_match_decimal_reference(y):
     assert d2 == pytest.approx(ref_d2, rel=1e-13, abs=0.0)
 
 
+@pytest.mark.parametrize("y", np.concatenate([np.logspace(-8, np.log10(20.0), 25),
+                                              [0.999e-3, 1e-3, 1.03e-3, 0.1]]))
+def test_samuelson_variance_matches_decimal_reference(y):
+    # the variance is 2 d1 d2; taking it as g(2y) - g(y)^2 instead loses
+    # about nine digits to cancellation near y = 1e-3
+    ref_d1, ref_d2 = samuelson_d1_d2(y)
+    var = samuelson_variance(y, DeliveryPeriod(0.5, 1.5))
+    assert var == pytest.approx(2.0 * ref_d1 * ref_d2, rel=1e-13, abs=0.0)
+
+
 def test_samuelson_factors_against_quadrature():
     sam = Samuelson(3.5)
     for t in (0.0, 0.3, 0.75):
@@ -165,6 +175,19 @@ def test_constant_general_separable_is_exact():
     g = GeneralSeparable(s=lambda t, u: 0.7 * np.ones_like(np.asarray(u, float)), bound_r=1.0)
     assert swap_vol_factor(g, UNI, DP, 0.1) == 0.7
     assert market_price_factor(g, UNI, DP, 0.1) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_factor_or_weight_is_rejected(bad):
+    # NaN passes a "<= 0" positivity check, so S and xi used to come out NaN
+    g = GeneralSeparable(s=lambda t, u: np.full(np.shape(u), bad), bound_r=1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        swap_vol_factor(g, UNI, DP, 0.1)
+    with pytest.raises(ValueError, match="must be finite"):
+        decompose(g, UNI, DP).xi(np.array([0.0, 0.5]))
+    w = CustomWeight(lambda u: np.full(np.shape(u), bad))
+    with pytest.raises(ValueError, match="positive and finite"):
+        decompose(Samuelson(3.5), w, DP)
 
 
 def test_general_separable_quadrature_path():

@@ -107,6 +107,11 @@ _BAD_FIELDS = [
     ("option", "strike", {}, 0.0),
     ("option", "exercise", {}, -0.5),
     ("option", "exercise", {}, 0.75),
+    ("grid", "t0", {}, -0.1),
+    ("grid", "t_end", {"t0": 0.3}, 0.2),
+    ("grid", "n_steps", {}, 0),
+    ("grid", "n_paths", {}, 0),
+    ("grid", "seed", {}, 2**64),
 ]
 
 

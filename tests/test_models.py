@@ -124,6 +124,11 @@ def test_general_separable_bound_enforced():
     g = GeneralSeparable(s=lambda t, u: 5.0 * np.ones_like(np.asarray(u, float)), bound_r=2.0)
     with pytest.raises(ValueError):
         eval_s(g, 0.0, 0.8)
+    for bad in (np.nan, np.inf):
+        g_bad = GeneralSeparable(s=lambda t, u: bad * np.ones_like(np.asarray(u, float)),
+                                 bound_r=2.0)
+        with pytest.raises(ValueError, match="finite"):
+            eval_s(g_bad, 0.0, 0.8)
     g_ok = GeneralSeparable(s=lambda t, u: 1.5 * np.ones_like(np.asarray(u, float)), bound_r=2.0)
     assert eval_s(g_ok, 0.0, 0.8) == 1.5
     for bound_r in (np.inf, np.nan):
@@ -138,6 +143,11 @@ def test_general_separable_from_table():
     vals = np.ones((3, 3))
     g = GeneralSeparable.from_table(t_grid, u_grid, vals, bound_r=2.0)
     assert eval_s(g, 0.25, 0.75) == pytest.approx(1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^values must be finite"):
+            GeneralSeparable.from_table(t_grid, u_grid, np.full((3, 3), bad), bound_r=2.0)
+        with pytest.raises(ValueError, match=r"^u_grid must be finite"):
+            GeneralSeparable.from_table(t_grid, [0.0, 0.5, bad], vals, bound_r=2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +191,11 @@ def test_custom_weight_from_table():
         CustomWeight.from_table([0.7, 0.7], [1.0, 1.0])
     with pytest.raises(ValueError):
         CustomWeight.from_table([0.7, 0.8], [1.0, -1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"^values must be finite"):
+            CustomWeight.from_table([0.75, 5.0 / 6.0], [1.0, bad])
+        with pytest.raises(ValueError, match=r"^u_grid must be finite"):
+            CustomWeight.from_table([0.75, bad], [1.0, 1.0])
 
 
 @settings(max_examples=60, deadline=None)

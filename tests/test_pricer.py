@@ -31,7 +31,13 @@ from powerswap.pricer import (
     price_mc_many,
     _finalize_prob,
 )
-from powerswap.simulate import GridSpec, Measure
+from powerswap.simulate import (
+    GridSpec,
+    Measure,
+    simulate_paths,
+    simulate_summary,
+    simulate_terminal,
+)
 from powerswap.averaging import swap_vol_factor
 
 from _reference import lognormal_call_put
@@ -235,9 +241,14 @@ def test_block_solves_match_per_panel_solves(vol):
 
 def test_novikov_warning_points_at_the_caller():
     # kappa = 0.1 fails 8 kappa^2 > sigma_vv^2 / (lam delta)^2; the tiny
-    # phi_max stops the pricing right after the check
+    # phi_max stops the Fourier pricing right after the check.  It fails
+    # Feller too (2 kappa theta = 0.12 <= 0.16), which only the simulator checks.
     p = _params(kappa=0.1)
     opt = OptionSpec(strike=30.0, exercise=T)
+    g = GridSpec(t0=0.0, t_end=T, n_steps=4, n_paths=10, seed=1)
+    feller = "Feller condition fails (0.12 <= 0.16); the variance process may hit zero"
+    novikov = ("Novikov condition fails (0.08 <= 1.88082); "
+               "the measure change is not guaranteed")
     for price in (
         lambda: price_fourier(p, SAM, UNI, DP, opt, phi_max=4.0),
         lambda: price_fourier_many(p, SAM, UNI, DP, [30.0], T, phi_max=4.0),
@@ -245,6 +256,18 @@ def test_novikov_warning_points_at_the_caller():
         with pytest.warns(ConditionWarning) as record, pytest.raises(TruncationError):
             price()
         assert [w.filename for w in record] == [__file__]
+        assert [str(w.message) for w in record] == [novikov]
+    for run in (
+        lambda: price_mc(p, SAM, UNI, DP, opt, g),
+        lambda: price_mc_many(p, SAM, UNI, DP, [27.0, 30.0], T, g),
+        lambda: simulate_paths(p, SAM, UNI, DP, g),
+        lambda: simulate_terminal(p, SAM, UNI, DP, g, workers=2),
+        lambda: simulate_summary(p, SAM, UNI, DP, g, measure=Measure.Q),
+    ):
+        with pytest.warns(ConditionWarning) as record:
+            run()
+        assert [w.filename for w in record] == [__file__, __file__]
+        assert [str(w.message) for w in record] == [feller, novikov]
 
 
 def test_finalize_prob_clamp():
