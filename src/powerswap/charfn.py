@@ -50,7 +50,6 @@ class RiccatiError(RuntimeError):
 class RiccatiCoefficients:
     """Time-dependent coefficients of one Riccati system (k = 1 or 2)."""
     k: int
-    alpha: float
     kappa: float
     sigma_vv: float
     rho: float
@@ -64,9 +63,13 @@ class RiccatiCoefficients:
         if k not in (1, 2):
             raise ValueError(f"k must be 1 or 2, got {k}")
         dec = decompose(vol, w, dp)
-        return cls(k=k, alpha=0.5 if k == 1 else -0.5, kappa=p.kappa,
-                   sigma_vv=p.sigma_vv, rho=p.rho, big_s=dec.big_s, xi=dec.xi,
-                   theta=p.theta_fn())
+        return cls(k=k, kappa=p.kappa, sigma_vv=p.sigma_vv, rho=p.rho,
+                   big_s=dec.big_s, xi=dec.xi, theta=p.theta_fn())
+
+    @property
+    def alpha(self) -> float:
+        """alpha_k of the S(t)^2 term: 1/2 for k = 1, -1/2 for k = 2."""
+        return 0.5 if self.k == 1 else -0.5
 
     def beta(self, t):
         """Linear-term coefficient beta_k(t); real and bounded on [0, tau1]."""
@@ -199,26 +202,24 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
 
 
 def solve_riccati_fixed(rc: RiccatiCoefficients, t: float, T: float, phi,
-                        n_steps: int,
-                        phi_max: float = PHI_MAX_DEFAULT) -> CharFnSolution:
+                        n_steps: int) -> CharFnSolution:
     """Single RK4 pass on a fixed grid, for convergence/diagnostic studies."""
     phi_arr, scalar = _as_phi_array(phi)
-    _check_phi(phi_arr, phi_max)
+    _check_phi(phi_arr, PHI_MAX_DEFAULT)
     if not 0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
     psi0, psi1 = _integrate(rc, t, T, phi_arr, int(n_steps))
     return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps)
 
 
-def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi,
-                 n_steps: int, phi_max: float = PHI_MAX_DEFAULT):
+def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
     """Psi0, Psi1 on the whole grid, ordered by ascending time t.
 
     Returns (times, psi0, psi1) with times of length n_steps + 1 from t to T;
     row i of each psi array belongs to times[i].
     """
     phi_arr, scalar = _as_phi_array(phi)
-    _check_phi(phi_arr, phi_max)
+    _check_phi(phi_arr, PHI_MAX_DEFAULT)
     if not 0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
     _, _, path0, path1 = _integrate(rc, t, T, phi_arr, int(n_steps), keep_path=True)

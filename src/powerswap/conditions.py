@@ -76,12 +76,16 @@ class ConditionReport:
 def check_feller(p: HestonParams, vol: VolStructure, horizon: float) -> ConditionCheck:
     """Feller positivity 2 kappa theta_min > sigma_vv^2 over [0, horizon].
 
-    theta_min is exact (alpha e^{-beta}) for the trading-seasonal variant and a
-    1e-4-resolution grid minimum otherwise.
+    theta_min is exact (alpha e^{-beta}) when p.theta is the theta of a
+    trading-seasonal variant equal to vol, and a 1e-4-resolution grid minimum of
+    p.theta otherwise: the engines use p.theta, whatever the variant.
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    if isinstance(vol, TradingSeasonal):
+    # bound methods compare equal only when bound to the same instance, so an
+    # equal but distinct TradingSeasonal is matched through its owner
+    owner = getattr(p.theta, "__self__", None)
+    if isinstance(owner, TradingSeasonal) and owner == vol and p.theta == owner.theta:
         theta_min = vol.theta_min
         note = "theta_min = alpha * exp(-beta), exact"
     else:

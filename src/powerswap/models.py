@@ -240,18 +240,18 @@ def weight_hat(w: WeightFunction, u) -> np.ndarray | float:
     return vals
 
 
-def integrate_over_delivery(fn, w: WeightFunction, dp: DeliveryPeriod,
-                            abs_tol: float = 1e-10) -> float:
+def integrate_over_delivery(fn, w: WeightFunction, dp: DeliveryPeriod) -> float:
     """Integrate ``fn`` over the delivery period, splitting at weight knots.
 
     A tabulated weight has kinks at its breakpoints; placing panel edges on
     them keeps each panel smooth (for linear tables, exactly polynomial).
+    The absolute tolerance of 1e-10 is shared evenly between the pieces.
     """
     inner: list[float] = []
     if isinstance(w, CustomWeight) and w.knots is not None:
         inner = [k for k in w.knots if dp.tau1 < k < dp.tau2]
     pts = [dp.tau1, *inner, dp.tau2]
-    budget = abs_tol / (len(pts) - 1)
+    budget = 1e-10 / (len(pts) - 1)
     return float(sum(
         adaptive_gauss_legendre(fn, lo, hi, abs_tol=budget)
         for lo, hi in zip(pts[:-1], pts[1:])

@@ -5,11 +5,12 @@ exercise probabilities recovered from the characteristic functions by
 
     1 - Q_k = 1/2 + (1/pi) Integral_0^inf Re(e^{-i phi ln K} Q_hat_k / (i phi)) dphi.
 
-The integral is evaluated on fixed-width panels with 32-point Gauss-Legendre
-nodes, solved 16 panels per Riccati call until max |Q_hat_k| / phi stays below
-1e-12 on two panels in a row.  Neither that truncation nor the node values
-depend on the strike, so a pricing context solves each k once and prices every
-strike as one weighted sum over the same nodes.  Puts follow from put-call parity.
+``price_fourier_many`` does all Fourier pricing in one pass.  It first
+solves the transform of each k once: fixed-width panels with 32-point
+Gauss-Legendre nodes, 16 panels per Riccati call, until max |Q_hat_k| / phi
+stays below 1e-12 on two panels in a row.  Neither that truncation nor the
+node values depend on the strike, so each strike is then one weighted sum
+over the same nodes per k.  Puts follow from put-call parity.
 """
 
 from __future__ import annotations
@@ -65,102 +66,38 @@ class PriceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-class _FourierContext:
-    """Q_hat_k for one (t, T, state), solved in blocks up to truncation once per k."""
-
-    def __init__(self, p, vol, w, dp, exercise, t, x, nu, phi_max, ode_tol):
-        if not t < exercise:
-            raise ValueError(f"valuation time {t} must precede exercise {exercise}")
-        if not exercise < dp.tau1:
-            raise ValueError(
-                f"exercise {exercise} must precede the delivery start {dp.tau1}")
-        if nu < 0:
-            raise ValueError(f"nu must be non-negative, got {nu}")
-        if not phi_max < np.inf:
-            raise ValueError(f"phi_max must be finite, got {phi_max}")
-        self.t, self.T = float(t), float(exercise)
-        self.x, self.nu = float(x), float(nu)
-        self.phi_max = float(phi_max)
-        self.ode_tol = float(ode_tol)
-        # k = 2 differs from k = 1 only in alpha and beta_k, so both share one
-        # decomposition (and, for GeneralSeparable, one moment cache)
-        rc1 = RiccatiCoefficients.for_model(p, vol, w, dp, 1)
-        self._rc = {1: rc1, 2: replace(rc1, k=2, alpha=-0.5)}
-        self._truncated: dict[int, tuple] = {}
-
-    def _solve(self, k: int) -> tuple:
-        """(nodes, qhat, panels, envelope, converged), solving block by block."""
-        n_panels = int(self.phi_max * (1.0 + 1e-12) // _PANEL_WIDTH)
-        nodes, qhat = np.empty((0, _GL_NODES.size)), np.empty((0, _GL_NODES.size), complex)
-        for start in range(0, n_panels, _BLOCK_PANELS):
-            mid = np.arange(start, min(start + _BLOCK_PANELS, n_panels)) + 0.5
-            block = _PANEL_WIDTH * (mid[:, None] + 0.5 * _GL_NODES)
-            sol = solve_riccati(self._rc[k], self.t, self.T, block.ravel(),
-                                abs_tol=self.ode_tol, phi_max=self.phi_max)
-            nodes = np.vstack([nodes, block])
-            qhat = np.vstack([qhat, char_fn(sol, self.x, self.nu).reshape(block.shape)])
-            below = np.max(np.abs(qhat) / nodes, axis=1) < _ENVELOPE_TOL
-            hits = np.flatnonzero(below[:-1] & below[1:])
-            if hits.size:
-                panels, converged = int(hits[0]) + 2, True
-                break
-        else:
-            panels, converged = len(nodes), False
-        envelope = (float(np.max(np.abs(qhat[panels - 1]) / nodes[panels - 1]))
-                    if panels else np.inf)
-        return nodes[:panels].ravel(), qhat[:panels].ravel(), panels, envelope, converged
-
-    def exercise_prob(self, k: int, strike: float,
-                      diagnostics: dict | None = None) -> float:
-        """1 - Q_k for the given strike from the truncated nodes of k."""
-        if k not in self._truncated:
-            self._truncated[k] = self._solve(k)
-        nodes, qhat, panels, envelope, converged = self._truncated[k]
-        integrand = np.real(np.exp(-1j * nodes * np.log(strike)) * qhat / (1j * nodes))
-        total = 0.5 * _PANEL_WIDTH * float(np.dot(np.tile(_GL_WEIGHTS, panels), integrand))
-        raw = 0.5 + total / np.pi
-        if not converged:
-            raise TruncationError(
-                f"integrand envelope still {envelope:.3e} at phi_max={self.phi_max}",
-                partial=raw, envelope=envelope)
-        if diagnostics is not None:
-            diagnostics[f"panels_k{k}"] = panels
-            diagnostics[f"phi_used_k{k}"] = panels * _PANEL_WIDTH
-        return _finalize_prob(raw, k, diagnostics)
+def _truncated_transform(rc: RiccatiCoefficients, t: float, T: float, x: float,
+                         nu: float, phi_max: float, ode_tol: float) -> tuple:
+    """(nodes, qhat, panels, envelope, converged) for one k, solving block by block."""
+    n_panels = int(phi_max * (1.0 + 1e-12) // _PANEL_WIDTH)
+    nodes, qhat = np.empty((0, _GL_NODES.size)), np.empty((0, _GL_NODES.size), complex)
+    for start in range(0, n_panels, _BLOCK_PANELS):
+        mid = np.arange(start, min(start + _BLOCK_PANELS, n_panels)) + 0.5
+        block = _PANEL_WIDTH * (mid[:, None] + 0.5 * _GL_NODES)
+        sol = solve_riccati(rc, t, T, block.ravel(), abs_tol=ode_tol, phi_max=phi_max)
+        nodes = np.vstack([nodes, block])
+        qhat = np.vstack([qhat, char_fn(sol, x, nu).reshape(block.shape)])
+        below = np.max(np.abs(qhat) / nodes, axis=1) < _ENVELOPE_TOL
+        hits = np.flatnonzero(below[:-1] & below[1:])
+        if hits.size:
+            panels, converged = int(hits[0]) + 2, True
+            break
+    else:
+        panels, converged = len(nodes), False
+    envelope = (float(np.max(np.abs(qhat[panels - 1]) / nodes[panels - 1]))
+                if panels else np.inf)
+    return nodes[:panels].ravel(), qhat[:panels].ravel(), panels, envelope, converged
 
 
-def _finalize_prob(raw: float, k: int, diagnostics: dict | None) -> float:
+def _finalize_prob(raw: float, k: int, diagnostics: dict) -> float:
     if raw < -_PROB_SLACK or raw > 1.0 + _PROB_SLACK:
         raise PricingError(
             f"exercise probability for k={k} is {raw}, outside [0, 1] beyond "
             f"slack {_PROB_SLACK}")
     clipped = min(max(raw, 0.0), 1.0)
-    if clipped != raw and diagnostics is not None:
+    if clipped != raw:
         diagnostics[f"clamped_q{k}"] = raw
     return clipped
-
-
-def _assemble(p: HestonParams, ctx: _FourierContext, strike: float,
-              diagnostics: dict) -> PriceResult:
-    q1 = ctx.exercise_prob(1, strike, diagnostics)
-    q2 = ctx.exercise_prob(2, strike, diagnostics)
-    df = np.exp(-p.r * (ctx.T - ctx.t))
-    fwd = np.exp(ctx.x)
-    call = df * (fwd * q1 - strike * q2)
-    if call < 0.0:
-        if call < -1e-10 * max(1.0, strike):
-            raise PricingError(f"negative call price {call}")
-        diagnostics["clamped_call"] = call
-        call = 0.0
-    put = call - df * (fwd - strike)
-    if put < 0.0:
-        if put < -1e-10 * max(1.0, strike):
-            raise PricingError(f"negative put price {put}")
-        diagnostics["clamped_put"] = put
-        put = 0.0
-        call = df * (fwd - strike)
-    return PriceResult(call=float(call), put=float(put), q1=q1, q2=q2,
-                       method="fourier", stderr=None, diagnostics=diagnostics)
 
 
 def price_fourier(p: HestonParams, vol: VolStructure, w: WeightFunction,
@@ -181,17 +118,57 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
                        t: float = 0.0, x: float | None = None,
                        nu: float | None = None, phi_max: float = PHI_MAX_DEFAULT,
                        ode_tol: float = 1e-10) -> list[PriceResult]:
-    """Fourier prices for several strikes sharing one characteristic-function cache."""
+    """Fourier prices for several strikes from one truncated transform per k."""
     nov = check_novikov(p, vol, dp)
     _warn_if_failed("Novikov", nov.ok, nov.lhs, nov.rhs)
-    diagnostics_base = {"novikov_ok": nov.ok}
     x = np.log(p.f0) if x is None else x
     nu = p.nu0 if nu is None else nu
-    ctx = _FourierContext(p, vol, w, dp, exercise, t, x, nu, phi_max, ode_tol)
+    if not t < exercise:
+        raise ValueError(f"valuation time {t} must precede exercise {exercise}")
+    if not exercise < dp.tau1:
+        raise ValueError(f"exercise {exercise} must precede the delivery start {dp.tau1}")
+    if not phi_max < np.inf:
+        raise ValueError(f"phi_max must be finite, got {phi_max}")
+    specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
+    t, T, x, nu, phi_max = float(t), float(exercise), float(x), float(nu), float(phi_max)
+    # k = 2 differs from k = 1 only in alpha and beta_k, so both share one
+    # decomposition (and, for GeneralSeparable, one moment cache)
+    rc1 = RiccatiCoefficients.for_model(p, vol, w, dp, 1)
+    transforms = {rc.k: _truncated_transform(rc, t, T, x, nu, phi_max, ode_tol)
+                  for rc in (rc1, replace(rc1, k=2))}
+    df = np.exp(-p.r * (T - t))
+    fwd = np.exp(x)
     out = []
-    for strike in strikes:
-        spec = OptionSpec(strike=float(strike), exercise=float(exercise))
-        out.append(_assemble(p, ctx, spec.strike, dict(diagnostics_base)))
+    for spec in specs:
+        strike = spec.strike
+        diagnostics = {"novikov_ok": nov.ok}
+        q = {}
+        for k, (nodes, qhat, panels, envelope, converged) in transforms.items():
+            integrand = np.real(np.exp(-1j * nodes * np.log(strike)) * qhat / (1j * nodes))
+            total = 0.5 * _PANEL_WIDTH * float(np.dot(np.tile(_GL_WEIGHTS, panels), integrand))
+            raw = 0.5 + total / np.pi
+            if not converged:
+                raise TruncationError(
+                    f"integrand envelope still {envelope:.3e} at phi_max={phi_max}",
+                    partial=raw, envelope=envelope)
+            diagnostics[f"panels_k{k}"] = panels
+            diagnostics[f"phi_used_k{k}"] = panels * _PANEL_WIDTH
+            q[k] = _finalize_prob(raw, k, diagnostics)
+        call = df * (fwd * q[1] - strike * q[2])
+        if call < 0.0:
+            if call < -1e-10 * max(1.0, strike):
+                raise PricingError(f"negative call price {call}")
+            diagnostics["clamped_call"] = call
+            call = 0.0
+        put = call - df * (fwd - strike)
+        if put < 0.0:
+            if put < -1e-10 * max(1.0, strike):
+                raise PricingError(f"negative put price {put}")
+            diagnostics["clamped_put"] = put
+            put = 0.0
+            call = df * (fwd - strike)
+        out.append(PriceResult(call=float(call), put=float(put), q1=q[1], q2=q[2],
+                               method="fourier", stderr=None, diagnostics=diagnostics))
     return out
 
 

@@ -9,6 +9,7 @@ import numpy as np
 __all__ = ["QuadratureError", "adaptive_gauss_legendre"]
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(10)
+_MAX_LEVELS = 20
 
 
 class QuadratureError(RuntimeError):
@@ -35,15 +36,14 @@ def _refine(f, lo: float, hi: float) -> tuple[float, float]:
     return refined, abs(refined - coarse)
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, abs_tol: float = 1e-10,
-                            max_levels: int = 20) -> float:
+def adaptive_gauss_legendre(f, a: float, b: float, abs_tol: float = 1e-10) -> float:
     """Integrate ``f`` over ``[a, b]`` with bisected 10-point Gauss-Legendre panels.
 
     ``f`` must accept a numpy array of nodes and return the integrand values.
     The error budget is global: the panel with the worst refinement estimate
     is bisected first, so integrands with kinks concentrate work where it is
     needed instead of exhausting a uniform per-panel allowance.  Bisection
-    stops at ``max_levels`` halvings of the original interval.
+    stops at ``_MAX_LEVELS`` halvings of the original interval.
     """
     if not b > a:
         raise ValueError("integration interval must satisfy a < b")
@@ -58,7 +58,7 @@ def adaptive_gauss_legendre(f, a: float, b: float, abs_tol: float = 1e-10,
 
     while total_err > abs_tol + 64.0 * eps * scale:
         neg_err, _, lo, hi, val, level = heapq.heappop(heap)
-        if level >= max_levels:
+        if level >= _MAX_LEVELS:
             raise QuadratureError("quadrature did not converge", total_err)
         total_err += neg_err  # remove this panel's contribution
         scale -= abs(val)

@@ -7,6 +7,8 @@ the ODE system on the solver output, and (c) the observed convergence
 order of the integrator.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,8 @@ def test_coefficients_for_model():
     rc1 = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1)
     rc2 = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
     assert rc1.alpha == 0.5 and rc2.alpha == -0.5
+    # alpha follows k, so the pricer's k = 2 copy of rc1 needs no alpha of its own
+    assert replace(rc1, k=2).alpha == -0.5
     # beta differs between the two transforms by sigma rho S(t)
     t = 0.3
     s_t = rc1.big_s(t)

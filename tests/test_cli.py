@@ -307,6 +307,34 @@ def test_validate_small(capsys):
     assert strikes == [24.0, 30.0, 36.0]
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_validate_zero_stderr_agreeing(capsys, tmp_path):
+    # far out of the money both engines price exactly 0, with no MC spread
+    cfg = tmp_path / "otm.json"
+    cfg.write_text('{"option": {"strike": 200}}')
+    code, out, _ = run_cli(capsys, ["validate", "--config", str(cfg), "--paths", "500",
+                                    "--steps", "20", "--format", "json"])
+    assert code == 0
+    rows = _strict_json(out)["rows"]
+    assert [(r["strike"], r["mc_stderr"], r["z"], r["ok"]) for r in rows] == [
+        (160.0, 0.0, 0.0, True), (200.0, 0.0, 0.0, True), (240.0, 0.0, 0.0, True)]
+
+
+def test_validate_zero_stderr_disagreeing_is_strict_json(capsys):
+    # one path has no spread either, but its calls disagree with Fourier
+    code, out, _ = run_cli(capsys, ["validate", "--paths", "1", "--steps", "20",
+                                    "--format", "json"])
+    assert code == 2
+    payload = _strict_json(out)
+    assert payload["ok"] is False
+    assert [(r["z"], r["ok"]) for r in payload["rows"]] == [(None, False)] * 3
+
+
 def test_error_paths(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"heston": {"bogus": 1}}')

@@ -42,6 +42,26 @@ def test_feller_trading_seasonal_worst_case_is_exact():
     # the same setup fails once sigma_vv is large enough
     bad = check_feller(_params(theta=ts.theta, sigma_vv=1.4), ts, horizon=0.75)
     assert not bad.ok
+    # an equal but distinct instance still gets the exact minimum
+    twin = check_feller(_params(theta=TradingSeasonal(0.6, 0.7, 0.2).theta), ts, horizon=0.75)
+    assert twin == chk
+
+
+def test_feller_trading_seasonal_uses_the_params_theta():
+    # the engines run on p.theta, so the check must too, whatever the variant
+    ts = TradingSeasonal(0.6, 0.7, 0.2)
+    low = check_feller(_params(theta=0.01), ts, horizon=0.75)
+    assert not low.ok
+    assert low.lhs == pytest.approx(2 * 3.0 * 0.01, rel=1e-15)
+    assert "grid minimum" in low.note
+    other = TradingSeasonal(0.01, 0.7, 0.2)
+    high = check_feller(_params(theta=0.6), other, horizon=0.75)
+    assert high.ok
+    assert high.lhs == pytest.approx(2 * 3.0 * 0.6, rel=1e-15)
+    # theta bound to a different trading-seasonal instance: its grid minimum
+    mixed = check_feller(_params(theta=ts.theta), other, horizon=0.75)
+    assert mixed.ok
+    assert mixed.lhs == pytest.approx(2 * 3.0 * 0.6 * math.exp(-0.7), rel=1e-6)
 
 
 def test_novikov_samuelson():

@@ -194,9 +194,14 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
 
     monkeypatch.setattr(pricer, "solve_riccati", counting_solve)
     res = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
-    # one solve per block of at most 16 panels of 32 nodes, each k truncated once
+    # one solve per block of at most 16 panels of 32 nodes, each k truncated
+    # once per pricing call, however many strikes it prices
     panels = res.diagnostics["panels_k1"], res.diagnostics["panels_k2"]
-    assert len(solves) <= sum(-(-n // 16) for n in panels)
+    assert len(solves) == sum(-(-n // 16) for n in panels)
+    one_strike = len(solves)
+    solves.clear()
+    price_fourier_many(p, SAM, UNI, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T)
+    assert len(solves) == one_strike
     assert max(solves) <= 16 * 32
     assert res.diagnostics["panels_k1"] >= 1
     assert res.diagnostics["phi_used_k1"] <= 400.0
@@ -297,6 +302,17 @@ def test_fourier_at_later_valuation_time():
     assert res.call - res.put == pytest.approx(df * (30.0 - 30.0), abs=1e-10)
     with pytest.raises(ValueError):
         price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), t=0.6)
+    opt = OptionSpec(strike=30.0, exercise=T)
+    for kwargs, message in [
+        (dict(opt=opt, nu=-0.1), "nu must be non-negative, got -0.1"),
+        (dict(opt=opt, phi_max=np.inf), "phi_max must be finite, got inf"),
+        (dict(opt=OptionSpec(strike=30.0, exercise=0.75)),
+         "exercise 0.75 must precede the delivery start 0.75"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            price_fourier(p, SAM, UNI, DP, **kwargs)
+        assert type(info.value) is ValueError
+        assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

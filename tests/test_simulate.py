@@ -187,6 +187,10 @@ def test_feller_violation_warns():
     g = GridSpec(t0=0.0, t_end=0.1, n_steps=20, n_paths=4, seed=1)
     with pytest.warns(ConditionWarning):
         simulate_paths(p, SAM, UNI, DP, g)
+    # a trading-seasonal variant whose theta the params do not use is
+    # checked on the params' theta: 2 kappa 0.01 = 0.06 <= 0.16
+    with pytest.warns(ConditionWarning, match="Feller"):
+        simulate_terminal(_params(theta=0.01), TradingSeasonal(0.6, 0.7, 0.2), UNI, DP, g)
 
 
 def test_implicit_denominator_guard():
