@@ -23,6 +23,11 @@ message names.  It adds only the rules that span sections: the
 trading-seasonal variant owns theta, the exercise precedes ``delivery.tau1``,
 and the grid starts before and ends by ``delivery.tau1``.
 
+``price`` and ``validate`` value the option at ``grid.t0`` with the state
+(``heston.f0``, ``heston.nu0``) there, in both engines; ``grid.t0`` must
+therefore precede ``option.exercise``.  Both subcommands reach the engines
+through one call, ``_prices``.
+
 ``delivery.tau1`` and ``delivery.tau2`` accept fraction strings such as
 ``"5/6"`` so that one-sixth-of-a-year boundaries survive JSON without
 decimal truncation.
@@ -57,8 +62,8 @@ from .models import (
     UniformWeight,
     variant_tag,
 )
-from .pricer import price_fourier, price_fourier_many, price_mc, price_mc_many
-from .simulate import GridSpec, Measure, simulate_paths, simulate_summary
+from .pricer import price_fourier_many, price_mc_many
+from .simulate import GridSpec, simulate_paths, simulate_summary
 
 STEPS_PER_YEAR = 2000.0
 WORKERS_ENV = "POWERSWAP_WORKERS"
@@ -412,13 +417,23 @@ def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
     return buf.getvalue()
 
 
-def _render_row_dicts(rows: list[dict]) -> str:
-    """CSV of rows that share their keys; the keys are the header."""
-    return _render_csv(list(rows[0]), [list(r.values()) for r in rows])
-
-
 def _render_json(obj: Any) -> str:
     return json.dumps(obj, indent=2) + "\n"
+
+
+def _render_rows(fmt: str, rows: list[dict], **meta: Any) -> str:
+    """Rows that share their keys: CSV with the keys as header, or JSON {**meta, "rows": rows}."""
+    if fmt == "csv":
+        return _render_csv(list(rows[0]), [list(r.values()) for r in rows])
+    return _render_json({**meta, "rows": rows})
+
+
+def _render_columns(fmt: str, columns: dict, **meta: Any) -> str:
+    """Equal-length float columns: CSV one row per index, or JSON {**meta, name: list}."""
+    columns = {name: [float(v) for v in col] for name, col in columns.items()}
+    if fmt == "csv":
+        return _render_csv(list(columns), [list(row) for row in zip(*columns.values())])
+    return _render_json({**meta, **columns})
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -435,14 +450,33 @@ def _novikov_lhs_json(value: float) -> Any:
     return "unconditional" if math.isinf(value) else value
 
 
-def _exercise_grid(cfg: RunConfig) -> GridSpec:
-    """The Monte-Carlo pricing grid, which must end at the option exercise."""
-    if cfg.grid.t_end is not None and cfg.grid.t_end != cfg.option.exercise:
-        raise ConfigError(
-            "grid.t_end",
-            f"must equal option.exercise {cfg.option.exercise} for Monte-Carlo "
-            f"pricing, got {cfg.grid.t_end}")
-    return cfg.grid.resolve(t_end_default=cfg.option.exercise)
+def _prices(cfg: RunConfig, args: argparse.Namespace, strikes: list[float],
+            methods: tuple[str, ...]) -> dict[str, list]:
+    """{method: one PriceResult per strike}, valued at grid.t0 by each engine.
+
+    Every input is checked before any engine runs, so a bad Monte-Carlo grid
+    costs no Fourier price.
+    """
+    t0, exercise = cfg.grid.t0, cfg.option.exercise
+    if not t0 < exercise:
+        raise ConfigError("grid.t0", f"the valuation time must precede option.exercise "
+                                     f"{exercise}, got {t0}")
+    if "mc" in methods:
+        # the Monte-Carlo grid starts at the valuation time and ends at the exercise
+        if cfg.grid.t_end is not None and cfg.grid.t_end != exercise:
+            raise ConfigError(
+                "grid.t_end",
+                f"must equal option.exercise {exercise} for Monte-Carlo "
+                f"pricing, got {cfg.grid.t_end}")
+        g = cfg.grid.resolve(t_end_default=exercise)
+        workers = _resolve_workers(args)
+    model = (cfg.params, cfg.vol, cfg.weight, cfg.delivery)
+    results = {}
+    if "fourier" in methods:
+        results["fourier"] = price_fourier_many(*model, strikes, exercise, t=t0)
+    if "mc" in methods:
+        results["mc"] = price_mc_many(*model, strikes, exercise, g, workers=workers)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -451,21 +485,17 @@ def _exercise_grid(cfg: RunConfig) -> GridSpec:
 
 def _cmd_check(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     report = full_report(cfg.params, cfg.vol, cfg.delivery)
-    lhs = _novikov_lhs_json(report.novikov_lhs)
+    conditions = {
+        "feller": {"ok": report.feller_ok, "lhs": report.feller_lhs, "rhs": report.feller_rhs},
+        "novikov": {"ok": report.novikov_ok, "lhs": _novikov_lhs_json(report.novikov_lhs),
+                    "rhs": report.novikov_rhs},
+    }
     if fmt == "json":
-        payload = {
-            "model": report.model_tag,
-            "feller": {"ok": report.feller_ok, "lhs": report.feller_lhs, "rhs": report.feller_rhs},
-            "novikov": {"ok": report.novikov_ok, "lhs": lhs, "rhs": report.novikov_rhs},
-            "notes": list(report.notes),
-        }
-        text = _render_json(payload)
+        text = _render_json({"model": report.model_tag, **conditions, "notes": list(report.notes)})
     else:
-        text = _render_csv(
-            ["model", "feller_ok", "feller_lhs", "feller_rhs", "novikov_ok", "novikov_lhs", "novikov_rhs"],
-            [[report.model_tag, report.feller_ok, report.feller_lhs, report.feller_rhs,
-              report.novikov_ok, lhs, report.novikov_rhs]],
-        )
+        flat = {f"{name}_{key}": value
+                for name, fields in conditions.items() for key, value in fields.items()}
+        text = _render_rows(fmt, [{"model": report.model_tag, **flat}])
     # a failed condition is a finding, not an error: the report is the artifact
     return text, 0
 
@@ -476,19 +506,9 @@ def _cmd_decompose(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[
     t_end = cfg.grid.t_end if cfg.grid.t_end is not None else cfg.delivery.tau1
     n = cfg.grid.n_steps if cfg.grid.n_steps is not None else 200
     times = np.linspace(t0, t_end, n + 1)
-    big_s = np.asarray(dec.big_s(times), dtype=float)
-    xi = np.asarray(dec.xi(times), dtype=float)
-    if fmt == "csv":
-        rows = [[float(t), float(s), float(x)] for t, s, x in zip(times, big_s, xi)]
-        return _render_csv(["t", "big_s", "xi"], rows), 0
-    return _render_json(
-        {
-            "model": variant_tag(cfg.vol),
-            "t": list(map(float, times)),
-            "big_s": list(map(float, big_s)),
-            "xi": list(map(float, xi)),
-        }
-    ), 0
+    columns = {"t": times, "big_s": np.asarray(dec.big_s(times), dtype=float),
+               "xi": np.asarray(dec.xi(times), dtype=float)}
+    return _render_columns(fmt, columns, model=variant_tag(cfg.vol)), 0
 
 
 def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
@@ -496,20 +516,9 @@ def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[s
     workers = _resolve_workers(args)
     if args.summary:
         stats = simulate_summary(cfg.params, cfg.vol, cfg.weight, cfg.delivery, g, workers=workers)
-        if fmt == "csv":
-            rows = [
-                [float(t), float(m), float(se), float(nu)]
-                for t, m, se, nu in zip(stats.times, stats.mean_f, stats.stderr_f, stats.mean_nu)
-            ]
-            return _render_csv(["t", "mean_F", "stderr_F", "mean_nu"], rows), 0
-        return _render_json(
-            {
-                "t": list(map(float, stats.times)),
-                "mean_F": list(map(float, stats.mean_f)),
-                "stderr_F": list(map(float, stats.stderr_f)),
-                "mean_nu": list(map(float, stats.mean_nu)),
-            }
-        ), 0
+        columns = {"t": stats.times, "mean_F": stats.mean_f, "stderr_F": stats.stderr_f,
+                   "mean_nu": stats.mean_nu}
+        return _render_columns(fmt, columns), 0
     paths = simulate_paths(cfg.params, cfg.vol, cfg.weight, cfg.delivery, g, workers=workers)
     f = paths.f_paths
     if fmt == "csv":
@@ -529,22 +538,12 @@ def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[s
 
 
 def _cmd_price(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
-    method = args.method
-    g = _exercise_grid(cfg) if method in ("mc", "both") else None
-    results = {}
-    if method in ("fourier", "both"):
-        results["fourier"] = price_fourier(cfg.params, cfg.vol, cfg.weight, cfg.delivery, cfg.option)
-    if g is not None:
-        results["mc"] = price_mc(
-            cfg.params, cfg.vol, cfg.weight, cfg.delivery, cfg.option, g,
-            workers=_resolve_workers(args),
-        )
+    methods = ("fourier", "mc") if args.method == "both" else (args.method,)
+    results = {name: res[0] for name, res in
+               _prices(cfg, args, [cfg.option.strike], methods).items()}
     if fmt == "json":
-        if method == "both":
-            payload = {name: asdict(res) for name, res in results.items()}
-        else:
-            payload = asdict(results[method])
-        return _render_json(payload), 0
+        payload = {name: asdict(res) for name, res in results.items()}
+        return _render_json(payload if args.method == "both" else payload[args.method]), 0
     rows = [
         [res.method, res.call, res.put, res.q1, res.q2, "" if res.stderr is None else res.stderr]
         for res in results.values()
@@ -555,18 +554,10 @@ def _cmd_price(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str,
 def _cmd_validate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
     k0 = cfg.option.strike
     strikes = [0.8 * k0, k0, 1.2 * k0]
-    exercise = cfg.option.exercise
-    g = _exercise_grid(cfg)
-    workers = _resolve_workers(args)
-    fouriers = price_fourier_many(
-        cfg.params, cfg.vol, cfg.weight, cfg.delivery, strikes=strikes, exercise=exercise
-    )
-    mcs = price_mc_many(
-        cfg.params, cfg.vol, cfg.weight, cfg.delivery, strikes, exercise, g, workers=workers
-    )
+    results = _prices(cfg, args, strikes, ("fourier", "mc"))
     rows = []
     all_ok = True
-    for k, fr, mc in zip(strikes, fouriers, mcs):
+    for k, fr, mc in zip(strikes, results["fourier"], results["mc"]):
         if mc.stderr > 0:
             z = float((fr.call - mc.call) / mc.stderr)
             ok = bool(abs(z) <= 3.0)
@@ -586,19 +577,10 @@ def _cmd_validate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[s
                 "ok": ok,
             }
         )
-    code = 0 if all_ok else 2
-    if fmt == "csv":
-        return _render_row_dicts(rows), code
-    return _render_json(
-        {
-            "model": variant_tag(cfg.vol),
-            "n_paths": g.n_paths,
-            "n_steps": g.n_steps,
-            "seed": g.seed,
-            "ok": all_ok,
-            "rows": rows,
-        }
-    ), code
+    diag = results["mc"][0].diagnostics
+    text = _render_rows(fmt, rows, model=variant_tag(cfg.vol), n_paths=diag["n_paths"],
+                        n_steps=diag["n_steps"], seed=diag["seed"], ok=all_ok)
+    return text, 0 if all_ok else 2
 
 
 def _cmd_table3(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:
@@ -614,8 +596,7 @@ def _cmd_table3(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str
             ok = bool(round(computed, 4) == expected)
             all_ok = all_ok and ok
             rows.append({"lam": lam, "quantity": name, "computed": computed, "expected": expected, "ok": ok})
-    text = _render_row_dicts(rows) if fmt == "csv" else _render_json({"ok": all_ok, "rows": rows})
-    return text, 0 if all_ok else 2
+    return _render_rows(fmt, rows, ok=all_ok), 0 if all_ok else 2
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +693,9 @@ def main(argv: list[str] | None = None) -> int:
         text, code = command(cfg, args, args.format or cfg.out_format or default_format)
         _emit(text, args.out or cfg.out_path)
         return code
-    except ValueError as exc:  # ConfigError included: bad input, not a numerical fault
+    except (ValueError, OSError) as exc:
+        # bad input, not a numerical fault: ConfigError, an unreadable config
+        # file or an unwritable --out
         _emit_error(1, exc)
         return 1
     except (RuntimeError, ArithmeticError) as exc:

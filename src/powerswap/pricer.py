@@ -129,6 +129,12 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
         raise ValueError(f"exercise {exercise} must precede the delivery start {dp.tau1}")
     if not phi_max < np.inf:
         raise ValueError(f"phi_max must be finite, got {phi_max}")
+    # the state is checked here so that a bad one costs no Riccati solve
+    for name, value in (("x", x), ("nu", nu)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if nu < 0:
+        raise ValueError(f"nu must be non-negative, got {nu}")
     specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
     t, T, x, nu, phi_max = float(t), float(exercise), float(x), float(nu), float(phi_max)
     # k = 2 differs from k = 1 only in alpha and beta_k, so both share one

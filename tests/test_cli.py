@@ -307,6 +307,29 @@ def test_validate_small(capsys):
     assert strikes == [24.0, 30.0, 36.0]
 
 
+def test_validate_at_a_later_valuation_time(capsys, tmp_path):
+    # both engines value at grid.t0 from (f0, nu0); a Fourier leg valued at
+    # t = 0 instead disagrees with MC by z > 5 on this config
+    cfg = tmp_path / "t0.json"
+    cfg.write_text('{"grid": {"t0": 0.2, "n_paths": 20000, "n_steps": 100, "seed": 3}}')
+    code, out, _ = run_cli(capsys, ["validate", "--config", str(cfg), "--format", "json"])
+    assert code == 0
+    assert [abs(r["z"]) <= 3.0 for r in json.loads(out)["rows"]] == [True] * 3
+
+
+def test_price_fourier_values_at_grid_t0(capsys, tmp_path):
+    from powerswap.pricer import price_fourier
+
+    cfg = tmp_path / "t0.json"
+    cfg.write_text('{"grid": {"t0": 0.2}}')
+    code, out, _ = run_cli(capsys, ["price", "--config", str(cfg), "--method", "fourier",
+                                    "--format", "json"])
+    assert code == 0
+    c = load_config(str(cfg))
+    expected = price_fourier(c.params, c.vol, c.weight, c.delivery, c.option, t=0.2)
+    assert json.loads(out)["call"] == expected.call
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
@@ -351,6 +374,19 @@ def test_error_paths(capsys, tmp_path):
     assert code == 1
     assert "invalid JSON" in json.loads(err)["error"]["message"]
 
+    # a config file that cannot be read and an --out that cannot be written
+    for argv, error_type in [
+        (["check", "--config", str(tmp_path / "missing.json")], "FileNotFoundError"),
+        (["check", "--config", str(tmp_path)], "IsADirectoryError"),
+        (["table3", "--out", str(tmp_path / "no" / "such" / "x.csv")], "FileNotFoundError"),
+    ]:
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"]["code"] == 1
+        assert payload["error"]["type"] == error_type
+
 
 def test_grid_end_past_delivery_start_rejected(capsys, tmp_path):
     cfg = tmp_path / "late.json"
@@ -370,8 +406,9 @@ def test_grid_end_past_delivery_start_rejected(capsys, tmp_path):
     (["price", "--method", "both"], {"grid": {"t_end": 0.4}}, "grid.t_end"),
     (["validate"], {"grid": {"t_end": 0.6}}, "grid.t_end"),
     (["price"], {"option": {"exercise": 0.75}}, "option.exercise"),
+    (["price"], {"grid": {"t0": 0.6}}, "grid.t0"),
 ], ids=["decompose-t0", "simulate-t0", "mc-t0", "validate-t0", "mc-t_end", "both-t_end",
-        "validate-t_end", "price-exercise"])
+        "validate-t_end", "price-exercise", "fourier-t0"])
 def test_grid_and_exercise_errors_name_the_field(capsys, tmp_path, argv, config, field):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

@@ -294,7 +294,7 @@ def test_price_result_frozen():
         res.call = 0.0
 
 
-def test_fourier_at_later_valuation_time():
+def test_fourier_at_later_valuation_time(monkeypatch):
     p = _params()
     res = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), t=0.25)
     assert res.call > 0.0
@@ -302,9 +302,18 @@ def test_fourier_at_later_valuation_time():
     assert res.call - res.put == pytest.approx(df * (30.0 - 30.0), abs=1e-10)
     with pytest.raises(ValueError):
         price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), t=0.6)
+    # every bad input below is rejected before the first Riccati solve
+    solves = []
+    monkeypatch.setattr(pricer, "solve_riccati",
+                        lambda *args, **kwargs: solves.append(1) or solve_riccati(*args, **kwargs))
     opt = OptionSpec(strike=30.0, exercise=T)
     for kwargs, message in [
         (dict(opt=opt, nu=-0.1), "nu must be non-negative, got -0.1"),
+        (dict(opt=opt, nu=np.nan), "nu must be finite, got nan"),
+        (dict(opt=opt, nu=np.inf), "nu must be finite, got inf"),
+        (dict(opt=opt, x=np.nan), "x must be finite, got nan"),
+        (dict(opt=opt, x=np.inf), "x must be finite, got inf"),
+        (dict(opt=opt, x=-np.inf), "x must be finite, got -inf"),
         (dict(opt=opt, phi_max=np.inf), "phi_max must be finite, got inf"),
         (dict(opt=OptionSpec(strike=30.0, exercise=0.75)),
          "exercise 0.75 must precede the delivery start 0.75"),
@@ -313,6 +322,7 @@ def test_fourier_at_later_valuation_time():
             price_fourier(p, SAM, UNI, DP, **kwargs)
         assert type(info.value) is ValueError
         assert str(info.value) == message
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------
