@@ -218,8 +218,8 @@ def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapV
 
     The pair (S(tau1), xi(tau1)) is computed once and scaled by the
     Samuelson decay.  ``GeneralSeparable`` integrates both moments once per
-    distinct time: the Riccati solver asks for the same stage times in every
-    doubling pass and every block.
+    distinct time, so a time the Riccati solver asks for again (t = T in
+    every block's solve) costs nothing.
     """
     if isinstance(vol, GeneralSeparable):
         den = weight_normalizer(w, dp)

@@ -9,10 +9,15 @@ requires, backward in time with zero terminal data,
 
 with alpha_1 = 1/2, alpha_2 = -1/2, beta_1 = kappa + sigma rho (xi(t) - S(t)),
 beta_2 = kappa + sigma rho xi(t).  Time dependence of S and xi rules out the
-textbook log-linear solution, so the system is integrated by classical RK4 in
-s = T - t with step-doubling error control.  Psi0 is advanced inside the same
-RK stages as Psi1, which keeps the coupled system at order 4 and avoids any
-complex-logarithm branch tracking.
+textbook log-linear solution, so ``solve_riccati`` integrates the system in
+s = T - t with the adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980;
+Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5), the whole node batch in
+one solve with one step size.  Psi0 is advanced inside the same stages as
+Psi1, which avoids any complex-logarithm branch tracking.  phi may be
+complex: the k = 2 system at phi - i is the k = 1 system at phi, which lets
+the pricer solve one system for both transforms.  Fixed-grid classical RK4
+(``solve_riccati_fixed``, ``riccati_path``) is kept for convergence and
+residual studies.
 """
 
 from __future__ import annotations
@@ -36,6 +41,28 @@ __all__ = ["RiccatiCoefficients", "CharFnSolution", "RiccatiError",
 
 PHI_MAX_DEFAULT = 400.0
 _PHI_HARD_CAP = 1e4
+# attempted steps (accepted or rejected) before an adaptive solve gives up
+_MAX_STEPS = 10_000
+# below about 100 ulp the error estimate is rounding noise, so a tighter
+# abs_tol would be "met" without being achieved (solve_ivp and ode45 apply
+# the same floor to their relative tolerance)
+_MIN_ABS_TOL = 100 * np.finfo(float).eps
+
+# Dormand-Prince 5(4): stage times, stage weights (row 6 is the 5th-order
+# solution, so its last stage is the next step's first) and the weights of
+# the embedded error estimate, 5th minus 4th order
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_A = tuple(np.array(row) for row in (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
 
 
 class RiccatiError(RuntimeError):
@@ -81,7 +108,11 @@ class RiccatiCoefficients:
 
 @dataclass(frozen=True)
 class CharFnSolution:
-    """Psi0, Psi1 at (t, T) for one or more Fourier arguments phi."""
+    """Psi0, Psi1 at (t, T) for one or more Fourier arguments phi.
+
+    ``n_steps`` counts accepted steps (the grid size for fixed-grid RK4) and
+    ``n_rhs`` the right-hand-side evaluations, each over the whole batch.
+    """
     k: int
     t: float
     T: float
@@ -89,14 +120,15 @@ class CharFnSolution:
     psi0: np.ndarray | complex
     psi1: np.ndarray | complex
     n_steps: int
+    n_rhs: int
 
 
 def _check_phi(phi_arr: np.ndarray, phi_max: float) -> None:
     if not 0 < phi_max <= _PHI_HARD_CAP:
         raise ValueError(f"phi_max must lie in (0, {_PHI_HARD_CAP}]")
-    if np.any(np.abs(phi_arr) > phi_max):
+    if np.any(np.abs(phi_arr.real) > phi_max):
         raise ValueError(
-            f"|phi| exceeds the configured maximum {phi_max}")
+            f"|Re phi| exceeds the configured maximum {phi_max}")
 
 
 def _integrate(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
@@ -153,52 +185,107 @@ def _integrate(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
 
 
 def _as_phi_array(phi) -> tuple[np.ndarray, bool]:
-    phi_arr = np.asarray(phi, dtype=float)
+    phi_arr = np.asarray(phi)
+    phi_arr = phi_arr.astype(complex if np.iscomplexobj(phi_arr) else float)
     scalar = phi_arr.ndim == 0
     return (phi_arr.reshape(1) if scalar else phi_arr), scalar
 
 
-def _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps) -> CharFnSolution:
+def _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, n_rhs) -> CharFnSolution:
     """Package Psi0, Psi1 (node axis last); a scalar phi drops that axis."""
     fields = (phi_arr, psi0, psi1)
     if scalar:
         fields = tuple(a[..., 0] for a in fields)
     phi, psi0, psi1 = (a.item() if a.ndim == 0 else a for a in fields)
     return CharFnSolution(k=rc.k, t=t, T=T, phi=phi, psi0=psi0, psi1=psi1,
-                          n_steps=int(n_steps))
+                          n_steps=int(n_steps), n_rhs=int(n_rhs))
+
+
+def _dormand_prince(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
+                    abs_tol: float):
+    """Adaptive DP5(4) in s = T - t' on the state y = (Psi1 nodes, Psi0 nodes).
+
+    A step is accepted when every component's error estimate is at most
+    abs_tol (1 + max(|y|, |y_new|)); a non-finite trial step is rejected.
+    Returns (psi0, psi1, accepted steps, rhs evaluations).
+    """
+    span = T - t
+    half_sig2 = 0.5 * rc.sigma_vv * rc.sigma_vv
+    shape, phi = phi.shape, phi.ravel()
+    n = phi.size
+    rot = 1j * rc.rho * rc.sigma_vv * phi
+    const_phi = 0.5 * phi * phi - 1j * rc.alpha * phi   # multiplies S(t)^2
+    kappa = rc.kappa
+
+    def coefficients(s):
+        """(S, beta_k, kappa theta) at t' = T - s, one row per time in s."""
+        t_here = T - s
+        return np.stack([rc.big_s(t_here), rc.beta(t_here),
+                         kappa * np.asarray(rc.theta(t_here))], axis=-1)
+
+    def rhs(y, coef, out):
+        """(dPsi1/ds, dPsi0/ds) at state y, written into out."""
+        s_here, beta, kappa_theta = coef
+        p1 = y[:n]
+        out[:n] = (half_sig2 * p1 - beta + s_here * rot) * p1 - (s_here * s_here) * const_phi
+        np.multiply(kappa_theta, p1, out=out[n:])
+
+    y = np.zeros(2 * n, dtype=complex)
+    stages = np.empty((7, 2 * n), dtype=complex)
+    rhs(y, coefficients(0.0), stages[0])
+    s, h, n_rhs, accepted = 0.0, span / 16.0, 1, 0
+    for _ in range(_MAX_STEPS):
+        h = min(h, span - s)
+        # stages 5 and 6 share the time s + h
+        coef = coefficients(s + h * _DP_C[1:6])
+        for i in range(1, 7):
+            y_stage = y + h * (_DP_A[i] @ stages[:i])
+            rhs(y_stage, coef[min(i, 5) - 1], stages[i])
+        n_rhs += 6
+        y_new = y_stage
+        scale = abs_tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+        err = float(np.max(np.abs(h * (_DP_E @ stages)) / scale))
+        if not (np.isfinite(err) and np.isfinite(y_new).all()):
+            err = np.inf
+        if err <= 1.0:
+            s = span if h == span - s else s + h
+            y, accepted = y_new, accepted + 1
+            stages[0] = stages[6]
+            if s == span:
+                return y[n:].reshape(shape), y[:n].reshape(shape), accepted, n_rhs
+        h *= min(max(0.9 * err ** -0.2, 0.2), 5.0) if err > 0 else 5.0
+        if s + h == s:
+            raise RiccatiError(
+                f"Riccati step size underflow near t = {T - s:.6g}", t_fail=T - s)
+    raise RiccatiError(
+        f"Riccati solve stopped after {_MAX_STEPS} steps near t = {T - s:.6g}",
+        t_fail=T - s)
 
 
 def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
-                  abs_tol: float = 1e-10, n_start: int = 64,
-                  max_n: int = 1 << 16,
+                  abs_tol: float = 1e-10,
                   phi_max: float = PHI_MAX_DEFAULT) -> CharFnSolution:
-    """Solve for Psi0, Psi1 at time t with step-doubling error control.
+    """Solve for Psi0, Psi1 at time t with adaptive Dormand-Prince 5(4).
 
-    phi may be a scalar or an array (solved as one vectorized batch).  The
-    grid doubles from n_start until both components move by less than abs_tol;
-    exceeding max_n raises RiccatiError with the achieved difference.
+    phi may be a real or complex scalar or array, solved as one vectorized
+    batch with one step size.  Step-size underflow, a blow-up that no step
+    size avoids, or more than ``_MAX_STEPS`` attempted steps raise
+    RiccatiError with the time reached as ``t_fail``; so does an abs_tol
+    below ``_MIN_ABS_TOL``, before any step.
     """
     phi_arr, scalar = _as_phi_array(phi)
     _check_phi(phi_arr, phi_max)
     if not 0 <= t <= T:
         raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
+    if not abs_tol >= _MIN_ABS_TOL:
+        raise RiccatiError(f"abs_tol {abs_tol:.1e} is below {_MIN_ABS_TOL:.1e}, which "
+                           f"double-precision error control cannot reach", t_fail=T)
     if t == T:
         z = np.zeros(phi_arr.shape, dtype=complex)
-        return _solution(rc, t, T, phi_arr, scalar, z, z.copy(), 0)
-    n = n_start
-    prev0, prev1 = _integrate(rc, t, T, phi_arr, n)
-    while True:
-        n2 = 2 * n
-        cur0, cur1 = _integrate(rc, t, T, phi_arr, n2)
-        err = max(float(np.max(np.abs(cur0 - prev0))),
-                  float(np.max(np.abs(cur1 - prev1))))
-        if err < abs_tol:
-            return _solution(rc, t, T, phi_arr, scalar, cur0, cur1, n2)
-        if n2 >= max_n:
-            raise RiccatiError(
-                f"step-doubling did not reach tolerance {abs_tol:.1e} by "
-                f"n={n2} (last change {err:.2e})")
-        n, prev0, prev1 = n2, cur0, cur1
+        return _solution(rc, t, T, phi_arr, scalar, z, z.copy(), 0, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi0, psi1, n_steps, n_rhs = _dormand_prince(rc, t, T, phi_arr, abs_tol)
+    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, n_rhs)
 
 
 def solve_riccati_fixed(rc: RiccatiCoefficients, t: float, T: float, phi,
@@ -209,7 +296,7 @@ def solve_riccati_fixed(rc: RiccatiCoefficients, t: float, T: float, phi,
     if not 0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
     psi0, psi1 = _integrate(rc, t, T, phi_arr, int(n_steps))
-    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps)
+    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, 4 * n_steps)
 
 
 def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
@@ -224,7 +311,8 @@ def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int)
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
     _, _, path0, path1 = _integrate(rc, t, T, phi_arr, int(n_steps), keep_path=True)
     times = np.linspace(t, T, int(n_steps) + 1)
-    path = _solution(rc, t, T, phi_arr, scalar, path0[::-1], path1[::-1], n_steps)
+    path = _solution(rc, t, T, phi_arr, scalar, path0[::-1], path1[::-1], n_steps,
+                     4 * n_steps)
     return times, path.psi0, path.psi1
 
 

@@ -558,12 +558,13 @@ def _cmd_validate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[s
     rows = []
     all_ok = True
     for k, fr, mc in zip(strikes, results["fourier"], results["mc"]):
-        if mc.stderr > 0:
+        if mc.stderr is not None and mc.stderr > 0:
             z = float((fr.call - mc.call) / mc.stderr)
             ok = bool(abs(z) <= 3.0)
         else:
-            # no sampling spread to scale by: the calls must agree to the
-            # pricer's own negative-price slack; z is null when they do not
+            # no sampling spread to scale by (a zero or, with one path, an
+            # undefined stderr): the calls must agree to the pricer's own
+            # negative-price slack; z is null when they do not
             ok = bool(abs(fr.call - mc.call) <= 1e-10 * max(1.0, k))
             z = 0.0 if ok else None
         all_ok = all_ok and ok
@@ -572,7 +573,7 @@ def _cmd_validate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[s
                 "strike": float(k),
                 "fourier_call": float(fr.call),
                 "mc_call": float(mc.call),
-                "mc_stderr": float(mc.stderr),
+                "mc_stderr": None if mc.stderr is None else float(mc.stderr),
                 "z": z,
                 "ok": ok,
             }

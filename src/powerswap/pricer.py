@@ -5,17 +5,20 @@ exercise probabilities recovered from the characteristic functions by
 
     1 - Q_k = 1/2 + (1/pi) Integral_0^inf Re(e^{-i phi ln K} Q_hat_k / (i phi)) dphi.
 
-``price_fourier_many`` does all Fourier pricing in one pass.  It first
-solves the transform of each k once: fixed-width panels with 32-point
-Gauss-Legendre nodes, 16 panels per Riccati call, until max |Q_hat_k| / phi
-stays below 1e-12 on two panels in a row.  Neither that truncation nor the
-node values depend on the strike, so each strike is then one weighted sum
-over the same nodes per k.  Puts follow from put-call parity.
+``price_fourier_many`` does all Fourier pricing in one pass.  It lays
+fixed-width panels with 32-point Gauss-Legendre nodes, 16 panels per block,
+and solves one stacked k = 2 Riccati system per block on the nodes
+(phi, phi - i): the share-measure identity Q_hat_1(phi) = Q_hat_2(phi - i) / e^x
+(Carr & Madan 1999, Lewis 2001) gives both transforms from that one solve.
+Each k is truncated where max |Q_hat_k| / phi stays below 1e-12 on two
+panels in a row.  Neither that truncation nor the node values depend on the
+strike, so each strike is then one weighted sum over the same nodes per k.
+Puts follow from put-call parity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -57,6 +60,8 @@ class TruncationError(PricingError):
 
 @dataclass(frozen=True)
 class PriceResult:
+    """One option price.  ``stderr`` is the MC standard error of the call; it
+    is None for Fourier prices and for a single MC path, where it is undefined."""
     call: float
     put: float
     q1: float
@@ -66,27 +71,39 @@ class PriceResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _truncated_transform(rc: RiccatiCoefficients, t: float, T: float, x: float,
-                         nu: float, phi_max: float, ode_tol: float) -> tuple:
-    """(nodes, qhat, panels, envelope, converged) for one k, solving block by block."""
+def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
+                          nu: float, phi_max: float, ode_tol: float) -> dict:
+    """{k: (nodes, qhat, panels, envelope, converged)}, solving block by block.
+
+    Each block is one k = 2 solve on the stacked nodes (phi, phi - i):
+    Q_hat_1(phi) = Q_hat_2(phi - i) / e^x.  Blocks are added until each k
+    has its own two panels in a row below the envelope tolerance.
+    """
     n_panels = int(phi_max * (1.0 + 1e-12) // _PANEL_WIDTH)
-    nodes, qhat = np.empty((0, _GL_NODES.size)), np.empty((0, _GL_NODES.size), complex)
+    nodes = np.empty((0, _GL_NODES.size))
+    qhat = {k: np.empty((0, _GL_NODES.size), complex) for k in (1, 2)}
+    panels = {}
     for start in range(0, n_panels, _BLOCK_PANELS):
         mid = np.arange(start, min(start + _BLOCK_PANELS, n_panels)) + 0.5
         block = _PANEL_WIDTH * (mid[:, None] + 0.5 * _GL_NODES)
-        sol = solve_riccati(rc, t, T, block.ravel(), abs_tol=ode_tol, phi_max=phi_max)
+        stacked = np.concatenate([block.ravel(), block.ravel() - 1j])
+        sol = solve_riccati(rc, t, T, stacked, abs_tol=ode_tol, phi_max=phi_max)
+        q2, q1 = char_fn(sol, x, nu).reshape((2,) + block.shape)
         nodes = np.vstack([nodes, block])
-        qhat = np.vstack([qhat, char_fn(sol, x, nu).reshape(block.shape)])
-        below = np.max(np.abs(qhat) / nodes, axis=1) < _ENVELOPE_TOL
-        hits = np.flatnonzero(below[:-1] & below[1:])
-        if hits.size:
-            panels, converged = int(hits[0]) + 2, True
+        qhat = {1: np.vstack([qhat[1], q1 / np.exp(x)]), 2: np.vstack([qhat[2], q2])}
+        for k in (1, 2):
+            below = np.max(np.abs(qhat[k]) / nodes, axis=1) < _ENVELOPE_TOL
+            hits = np.flatnonzero(below[:-1] & below[1:])
+            if hits.size:
+                panels.setdefault(k, int(hits[0]) + 2)
+        if len(panels) == 2:
             break
-    else:
-        panels, converged = len(nodes), False
-    envelope = (float(np.max(np.abs(qhat[panels - 1]) / nodes[panels - 1]))
-                if panels else np.inf)
-    return nodes[:panels].ravel(), qhat[:panels].ravel(), panels, envelope, converged
+    out = {}
+    for k in (1, 2):
+        n, converged = panels.get(k, len(nodes)), k in panels
+        envelope = float(np.max(np.abs(qhat[k][n - 1]) / nodes[n - 1])) if n else np.inf
+        out[k] = nodes[:n].ravel(), qhat[k][:n].ravel(), n, envelope, converged
+    return out
 
 
 def _finalize_prob(raw: float, k: int, diagnostics: dict) -> float:
@@ -118,7 +135,7 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
                        t: float = 0.0, x: float | None = None,
                        nu: float | None = None, phi_max: float = PHI_MAX_DEFAULT,
                        ode_tol: float = 1e-10) -> list[PriceResult]:
-    """Fourier prices for several strikes from one truncated transform per k."""
+    """Fourier prices for several strikes from one stacked truncated transform."""
     nov = check_novikov(p, vol, dp)
     _warn_if_failed("Novikov", nov.ok, nov.lhs, nov.rhs)
     x = np.log(p.f0) if x is None else x
@@ -137,11 +154,8 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
         raise ValueError(f"nu must be non-negative, got {nu}")
     specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
     t, T, x, nu, phi_max = float(t), float(exercise), float(x), float(nu), float(phi_max)
-    # k = 2 differs from k = 1 only in alpha and beta_k, so both share one
-    # decomposition (and, for GeneralSeparable, one moment cache)
-    rc1 = RiccatiCoefficients.for_model(p, vol, w, dp, 1)
-    transforms = {rc.k: _truncated_transform(rc, t, T, x, nu, phi_max, ode_tol)
-                  for rc in (rc1, replace(rc1, k=2))}
+    rc = RiccatiCoefficients.for_model(p, vol, w, dp, 2)
+    transforms = _truncated_transforms(rc, t, T, x, nu, phi_max, ode_tol)
     df = np.exp(-p.r * (T - t))
     fwd = np.exp(x)
     out = []
@@ -206,8 +220,9 @@ def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
         put_pay = np.maximum(spec.strike - f, 0.0)
         call = df * float(call_pay.mean())
         put = df * float(put_pay.mean())
-        stderr = df * float(call_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else 0.0
-        put_stderr = df * float(put_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else 0.0
+        # one path has no sample spread: its standard error is undefined, not 0
+        stderr = df * float(call_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else None
+        put_stderr = df * float(put_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else None
         in_money = f >= spec.strike
         q2 = float(in_money.mean())
         q1 = float(f[in_money].sum() / f_total) if f_total > 0 else 0.0

@@ -79,3 +79,54 @@ def samuelson_d1_d2(y):
         d1 = (1 - e) / y
         d2 = (Decimal("0.5") * (1 + e) - d1) / 2
         return float(d1), float(d2)
+
+
+def samuelson_psi_series(phi, tau, k, lam, kappa, theta, sigma, rho, s_tau, xi_tau,
+                         n_terms=600, n_path=65):
+    """Psi0, Psi1 of the k-th transform at time to maturity ``tau``, without an ODE solver.
+
+    For the Samuelson shape with constant theta and sigma > 0, S and xi at
+    time to maturity s are ``s_tau z`` and ``xi_tau z`` with z = e^{-lam s}.
+    Psi1 = -w_s / (a w), a = sigma^2 / 2, linearises the Riccati equation to
+    the confluent (Kummer) equation
+
+        z w_zz + (1 - kappa/lam - (b1/lam) z) w_z - (a c s_tau^2 / lam^2) z w = 0,
+
+    b1 = sigma rho (xi_tau - s_tau [k = 1]) - i rho sigma s_tau phi and
+    c = phi^2/2 - i alpha_k phi, with w = 1 and w_z = 0 at z = 1.  Its only
+    finite singular point is z = 0, so the Taylor series at z = 1 converges
+    for |1 - e^{-lam tau}| < 1.  Psi0 = -(kappa theta / a) log w, with the
+    phase of w unwrapped along s on ``n_path`` points.
+    """
+    phi = np.asarray(phi, dtype=complex)
+    alpha = 0.5 if k == 1 else -0.5
+    a = 0.5 * sigma * sigma
+    c = 0.5 * phi * phi - 1j * alpha * phi
+    b1 = sigma * rho * (xi_tau - (s_tau if k == 1 else 0.0)) - 1j * rho * sigma * s_tau * phi
+    # in u = z - 1: (1 + u) w'' + (p + q u) w' - r (1 + u) w = 0
+    p = 1.0 - kappa / lam - b1 / lam
+    q = -b1 / lam
+    r = a * c * s_tau * s_tau / (lam * lam)
+    coef = np.zeros((n_terms,) + phi.shape, dtype=complex)
+    coef[0] = 1.0
+    for n in range(n_terms - 2):
+        before = coef[n - 1] if n else 0.0
+        coef[n + 2] = -((n + 1) * (n + p) * coef[n + 1] + (q * n - r) * coef[n]
+                        - r * before) / ((n + 2) * (n + 1))
+    u_end = np.exp(-lam * tau) - 1.0
+    if not abs(u_end) < 1.0:
+        raise ValueError(f"the series needs |1 - e^(-lam tau)| < 1, got {abs(u_end)}")
+    tail = np.max(np.abs(coef[-2:])) * abs(u_end) ** (n_terms - 2)
+    if not tail < 1e-17:
+        raise ValueError(f"{n_terms} terms leave a tail term of {tail:.1e}")
+    u = (np.exp(-lam * np.linspace(0.0, tau, n_path)) - 1.0).reshape((-1,) + (1,) * phi.ndim)
+    w = np.zeros(u.shape[:1] + phi.shape, dtype=complex)
+    w_z = np.zeros(phi.shape, dtype=complex)
+    for n in range(n_terms - 1, -1, -1):
+        w = w * u + coef[n]
+        if n:
+            w_z = w_z * u_end + n * coef[n]
+    log_w = np.log(np.abs(w[-1])) + 1j * np.unwrap(np.angle(w), axis=0)[-1]
+    psi1 = lam * (1.0 + u_end) * w_z / (a * w[-1])
+    psi0 = -(kappa * theta / a) * log_w
+    return psi0, psi1

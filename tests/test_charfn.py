@@ -2,9 +2,10 @@
 
 The solver has no closed form to lean on in general, so correctness is
 established by (a) the constant-coefficient case where the classical
-square-root-model transform is available, (b) direct residual checks of
-the ODE system on the solver output, and (c) the observed convergence
-order of the integrator.
+square-root-model transform is available, (b) the integrator-free series
+solution for the Samuelson shape, (c) direct residual checks of the ODE
+system on the solver output, and (d) the observed convergence order of the
+fixed-grid integrator.
 """
 
 from dataclasses import replace
@@ -29,7 +30,7 @@ from powerswap.models import (
     UniformWeight,
 )
 
-from _reference import const_coef_psi
+from _reference import const_coef_psi, samuelson_d1_d2, samuelson_psi_series
 
 DP = DeliveryPeriod(0.75, 5.0 / 6.0)
 UNI = UniformWeight()
@@ -42,7 +43,7 @@ def test_coefficients_for_model():
     rc1 = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1)
     rc2 = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
     assert rc1.alpha == 0.5 and rc2.alpha == -0.5
-    # alpha follows k, so the pricer's k = 2 copy of rc1 needs no alpha of its own
+    # alpha follows k, so a k = 2 copy of rc1 needs no alpha of its own
     assert replace(rc1, k=2).alpha == -0.5
     # beta differs between the two transforms by sigma rho S(t)
     t = 0.3
@@ -64,7 +65,7 @@ def test_terminal_condition_no_time_to_run():
     sol = solve_riccati(rc, 0.5, 0.5, np.array([1.0, 7.0]))
     np.testing.assert_array_equal(sol.psi0, 0.0)
     np.testing.assert_array_equal(sol.psi1, 0.0)
-    assert sol.n_steps == 0
+    assert sol.n_steps == 0 and sol.n_rhs == 0
 
 
 @pytest.mark.parametrize("k,alpha,beta", [(1, 0.5, 3.0 - 0.4 * (-0.3)), (2, -0.5, 3.0)])
@@ -133,35 +134,82 @@ def test_runge_kutta_convergence_order():
     assert rate2 >= 3.5
 
 
-def test_step_doubling_tolerance():
+def test_tighter_tolerance_takes_more_steps():
     rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
     phi = np.array([2.0, 10.0])
     loose = solve_riccati(rc, 0.0, 0.5, phi, abs_tol=1e-10)
     tight = solve_riccati(rc, 0.0, 0.5, phi, abs_tol=1e-12)
     np.testing.assert_allclose(loose.psi1, tight.psi1, atol=1e-9)
     np.testing.assert_allclose(loose.psi0, tight.psi0, atol=1e-9)
-    assert tight.n_steps >= loose.n_steps
+    assert tight.n_steps > loose.n_steps
+    # FSAL Dormand-Prince: one rhs at s = 0, then six per attempted step
+    assert (tight.n_rhs - 1) % 6 == 0 and tight.n_rhs >= 6 * tight.n_steps + 1
 
 
-def test_starting_resolution_does_not_matter():
-    rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1)
-    phi = np.array([4.0])
-    a = solve_riccati(rc, 0.0, 0.5, phi, n_start=50)
-    b = solve_riccati(rc, 0.0, 0.5, phi, n_start=64)
-    assert abs(a.psi1[0] - b.psi1[0]) < 1e-9
-    assert abs(a.psi0[0] - b.psi0[0]) < 1e-9
+@pytest.mark.parametrize("lam,T", [(3.5, 0.5), (1.0, 0.7)])
+def test_samuelson_matches_series_oracle(lam, T):
+    # |1 - e^{-lam T}| is 0.83 and 0.50, inside the series' radius
+    d1, d2 = samuelson_d1_d2(lam * (DP.tau2 - DP.tau1))
+    decay = np.exp(-lam * (DP.tau1 - T))
+    phi = np.array([0.5, 1.0, 5.0, 25.0, 50.0, 84.0])
+    for k in (1, 2):
+        rc = RiccatiCoefficients.for_model(P, Samuelson(lam), UNI, DP, k=k)
+        sol = solve_riccati(rc, 0.0, T, phi, abs_tol=1e-12)
+        ref0, ref1 = samuelson_psi_series(phi, T, k, lam, 3.0, 0.6, 0.4, -0.3,
+                                          d1 * decay, d2 * decay)
+        np.testing.assert_allclose(sol.psi1, ref1, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(sol.psi0, ref0, rtol=0.0, atol=1e-10)
+
+
+def test_stacked_k2_at_shifted_phi_is_k1():
+    # Q_hat_1(phi) = Q_hat_2(phi - i) / F: the k = 2 system at phi - i has
+    # k = 1's linear term and source, so the pricer solves only k = 2
+    rc1 = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1)
+    rc2 = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
+    phi = np.array([0.5, 5.0, 25.0, 84.0])
+    x, nu = np.log(30.0), 0.6
+    stacked = solve_riccati(rc2, 0.0, 0.5, np.concatenate([phi, phi - 1j]))
+    k1 = solve_riccati_fixed(rc1, 0.0, 0.5, phi, n_steps=4096)
+    shifted = char_fn(stacked, x, nu)[phi.size:] / 30.0
+    np.testing.assert_allclose(shifted, char_fn(k1, x, nu), rtol=0.0, atol=1e-10)
+    # the error control is relative to 1 + |psi|, and |psi1| reaches 13 here
+    np.testing.assert_allclose(stacked.psi1[phi.size:], k1.psi1, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(stacked.psi0[phi.size:], k1.psi0, rtol=1e-10, atol=1e-10)
 
 
 def test_phi_beyond_cap_rejected():
     rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1)
     with pytest.raises(ValueError):
         solve_riccati(rc, 0.0, 0.5, np.array([500.0]), phi_max=400.0)
+    # the cap bounds Re phi; the shifted nodes phi - i of the pricer pass
+    with pytest.raises(ValueError):
+        solve_riccati(rc, 0.0, 0.5, np.array([500.0 - 1j]), phi_max=400.0)
+    solve_riccati(rc, 0.0, 0.5, np.array([400.0 - 1j]), phi_max=400.0)
 
 
-def test_exhausted_refinement_raises():
+def test_unreachable_tolerance_raises():
     rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1)
-    with pytest.raises(RiccatiError):
-        solve_riccati(rc, 0.0, 0.5, np.array([25.0]), abs_tol=1e-16, n_start=2, max_n=8)
+    for tol in (1e-16, 0.0, -1e-10, np.nan):
+        with pytest.raises(RiccatiError):
+            solve_riccati(rc, 0.0, 0.5, np.array([25.0]), abs_tol=tol)
+
+
+def test_moment_explosion_raises_at_blow_up_time():
+    # with constant coefficients, phi = -40i turns the k = 2 system into
+    # psi' = a psi^2 + b psi + c with 4ac > b^2, which blows up at
+    # s* = (2 / sqrt(D)) (pi/2 - atan(b / sqrt(D))), D = 4ac - b^2
+    rc = RiccatiCoefficients.for_model(P, CONST, UNI, DP, k=2)
+    phi = -40j
+    a = 0.5 * 0.4 ** 2
+    b = -(3.0 - 1j * (-0.3) * 0.4 * phi).real
+    c = -(0.5 * phi ** 2 + 0.5j * phi).real
+    disc = 4.0 * a * c - b * b
+    s_star = 2.0 / np.sqrt(disc) * (0.5 * np.pi - np.arctan(b / np.sqrt(disc)))
+    assert 0.0 < s_star < 0.5
+    with pytest.raises(RiccatiError) as info:
+        solve_riccati(rc, 0.0, 0.5, phi)
+    assert np.isfinite(info.value.t_fail)
+    assert info.value.t_fail == pytest.approx(0.5 - s_star, abs=1e-6)
 
 
 def test_scalar_phi_accepted():

@@ -355,7 +355,8 @@ def test_validate_zero_stderr_disagreeing_is_strict_json(capsys):
     assert code == 2
     payload = _strict_json(out)
     assert payload["ok"] is False
-    assert [(r["z"], r["ok"]) for r in payload["rows"]] == [(None, False)] * 3
+    assert [(r["mc_stderr"], r["z"], r["ok"]) for r in payload["rows"]] == [
+        (None, None, False)] * 3
 
 
 def test_error_paths(capsys, tmp_path):

@@ -40,7 +40,7 @@ from powerswap.simulate import (
 )
 from powerswap.averaging import swap_vol_factor
 
-from _reference import lognormal_call_put
+from _reference import lognormal_call_put, samuelson_d1_d2, samuelson_psi_series
 
 DP = DeliveryPeriod(0.75, 5.0 / 6.0)
 UNI = UniformWeight()
@@ -171,8 +171,8 @@ def test_general_separable_with_samuelson_shape_matches_samuelson():
 
 
 def test_fourier_context_decomposes_once(monkeypatch):
-    # k = 1 and k = 2 share one decomposition, so a GeneralSeparable moment
-    # cache is filled once per pricing call
+    # one stacked k = 2 system serves both transforms, so a GeneralSeparable
+    # moment cache is filled once per pricing call
     calls = []
 
     def counting(*args, **kwargs):
@@ -194,15 +194,16 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
 
     monkeypatch.setattr(pricer, "solve_riccati", counting_solve)
     res = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
-    # one solve per block of at most 16 panels of 32 nodes, each k truncated
-    # once per pricing call, however many strikes it prices
+    # one stacked k = 2 solve per block of at most 16 panels of 32 nodes,
+    # (phi, phi - i), until both k are truncated, once per pricing call
+    # however many strikes it prices
     panels = res.diagnostics["panels_k1"], res.diagnostics["panels_k2"]
-    assert len(solves) == sum(-(-n // 16) for n in panels)
+    assert len(solves) == -(-max(panels) // 16)
     one_strike = len(solves)
     solves.clear()
     price_fourier_many(p, SAM, UNI, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T)
     assert len(solves) == one_strike
-    assert max(solves) <= 16 * 32
+    assert max(solves) <= 2 * 16 * 32
     assert res.diagnostics["panels_k1"] >= 1
     assert res.diagnostics["phi_used_k1"] <= 400.0
     assert res.diagnostics["novikov_ok"] is True
@@ -211,6 +212,35 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
         price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), phi_max=4.0)
     assert exc_info.value.envelope > 1e-12
     assert np.isfinite(exc_info.value.partial)
+
+
+@pytest.mark.parametrize("lam", [3.5, 1.0])
+def test_samuelson_prices_match_series_oracle(lam):
+    # the pricer's own nodes and truncation, with Q_hat from the series
+    # solution instead of a Riccati solve
+    p = _params()
+    strikes = [3e-5, 24.0, 30.0, 36.0, 3e7]
+    results = price_fourier_many(p, Samuelson(lam), UNI, DP, strikes, T)
+    d1, d2 = samuelson_d1_d2(lam * (DP.tau2 - DP.tau1))
+    decay = np.exp(-lam * (DP.tau1 - T))
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+    x = np.log(p.f0)
+    q = {}
+    for k in (1, 2):
+        panels = results[0].diagnostics[f"panels_k{k}"]
+        nodes = (2.0 * (np.arange(panels)[:, None] + 0.5) + gl_nodes).ravel()
+        psi0, psi1 = samuelson_psi_series(nodes, T, k, lam, 3.0, 0.6, 0.4, -0.3,
+                                          d1 * decay, d2 * decay)
+        qhat = np.exp(psi0 + p.nu0 * psi1 + 1j * nodes * x)
+        q[k] = [0.5 + np.dot(np.tile(gl_weights, panels),
+                             np.real(np.exp(-1j * nodes * np.log(s)) * qhat / (1j * nodes)))
+                / np.pi for s in strikes]
+    df = np.exp(-0.01 * T)
+    for s, res, q1, q2 in zip(strikes, results, q[1], q[2]):
+        # the pricer clamps probabilities to [0, 1] and the call at 0
+        q1, q2 = min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0)
+        assert (res.q1, res.q2) == pytest.approx((q1, q2), abs=1e-12)
+        assert res.call == pytest.approx(max(df * (p.f0 * q1 - s * q2), 0.0), abs=1e-9)
 
 
 def _per_panel_exercise_probs(p, vol, k, strikes):
@@ -352,6 +382,30 @@ def test_mc_many_matches_single_calls():
         assert res == price_mc(p, SAM, UNI, DP, OptionSpec(strike=k, exercise=T), g)
     with pytest.raises(ValueError):
         price_mc_many(p, SAM, UNI, DP, [30.0, -1.0], T, g)
+
+
+def test_mc_single_path_has_undefined_stderr():
+    g = GridSpec(t0=0.0, t_end=T, n_steps=20, n_paths=1, seed=4)
+    res = price_mc(_params(), SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), g)
+    assert res.stderr is None
+    assert res.diagnostics["put_stderr"] is None
+    assert np.isfinite(res.call) and np.isfinite(res.put)
+
+
+def test_fourier_pricing_does_not_load_scipy_integrate():
+    # scipy.integrate costs about 0.4 s and 25 MB at import; the Riccati
+    # solver is written in numpy so that pricing never loads it
+    code = ("import sys, powerswap\n"
+            "from powerswap.models import *\n"
+            "p = HestonParams(kappa=3.0, theta=0.6, sigma_vv=0.4, rho=-0.3, nu0=0.6,"
+            " f0=30.0, r=0.01)\n"
+            "powerswap.price_fourier_many(p, Samuelson(3.5), UniformWeight(),"
+            " DeliveryPeriod(0.75, 5 / 6), [24.0, 30.0, 36.0], 0.5, ode_tol=1e-6)\n"
+            "print('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_import_does_not_load_scipy_stats():
