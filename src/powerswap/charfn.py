@@ -9,15 +9,16 @@ requires, backward in time with zero terminal data,
 
 with alpha_1 = 1/2, alpha_2 = -1/2, beta_1 = kappa + sigma rho (xi(t) - S(t)),
 beta_2 = kappa + sigma rho xi(t).  Time dependence of S and xi rules out the
-textbook log-linear solution, so ``solve_riccati`` integrates the system in
-s = T - t with the adaptive Dormand-Prince 5(4) pair (Dormand & Prince 1980;
-Hairer, Norsett & Wanner, Solving ODEs I, sec. II.5), the whole node batch in
-one solve with one step size.  Psi0 is advanced inside the same stages as
-Psi1, which avoids any complex-logarithm branch tracking.  phi may be
-complex: the k = 2 system at phi - i is the k = 1 system at phi, which lets
-the pricer solve one system for both transforms.  Fixed-grid classical RK4
-(``solve_riccati_fixed``, ``riccati_path``) is kept for convergence and
-residual studies.
+textbook log-linear solution, so the system is integrated numerically in
+s = T - t with the Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer,
+Norsett & Wanner, Solving ODEs I, sec. II.5), the whole node batch in one
+solve with one step size.  One step routine serves every entry point:
+``solve_riccati`` adapts the step size to a tolerance, while
+``solve_riccati_fixed`` and ``riccati_path`` take equal steps on a fixed grid
+for convergence and residual studies.  Psi0 is advanced inside the same
+stages as Psi1, which avoids any complex-logarithm branch tracking.  phi may
+be complex: the k = 2 system at phi - i is the k = 1 system at phi, which
+lets the pricer solve one system for both transforms.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .models import (
     HestonParams,
     VolStructure,
     WeightFunction,
+    _require_positive_int,
 )
 
 __all__ = ["RiccatiCoefficients", "CharFnSolution", "RiccatiError",
@@ -110,7 +112,7 @@ class RiccatiCoefficients:
 class CharFnSolution:
     """Psi0, Psi1 at (t, T) for one or more Fourier arguments phi.
 
-    ``n_steps`` counts accepted steps (the grid size for fixed-grid RK4) and
+    ``n_steps`` counts accepted steps (the grid size on a fixed grid) and
     ``n_rhs`` the right-hand-side evaluations, each over the whole batch.
     """
     k: int
@@ -131,59 +133,6 @@ def _check_phi(phi_arr: np.ndarray, phi_max: float) -> None:
             f"|Re phi| exceeds the configured maximum {phi_max}")
 
 
-def _integrate(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
-               n: int, keep_path: bool = False):
-    """RK4 in s = T - t' from s=0 to s=T-t on the coupled (Psi1, Psi0) system."""
-    span = T - t
-    h = span / n
-    s_half = np.linspace(0.0, span, 2 * n + 1)
-    t_stage = T - s_half
-    s_vals = np.asarray(rc.big_s(t_stage), dtype=float)
-    beta_vals = np.asarray(rc.beta(t_stage), dtype=float)
-    theta_vals = np.asarray(rc.theta(t_stage), dtype=float)
-
-    half_sig2 = 0.5 * rc.sigma_vv * rc.sigma_vv
-    rho_sig = rc.rho * rc.sigma_vv
-    const_phi = 0.5 * phi * phi - 1j * rc.alpha * phi   # multiplies S(t)^2
-    kappa = rc.kappa
-
-    psi1 = np.zeros(phi.shape, dtype=complex)
-    psi0 = np.zeros(phi.shape, dtype=complex)
-    if keep_path:
-        path1 = np.empty((n + 1,) + phi.shape, dtype=complex)
-        path0 = np.empty((n + 1,) + phi.shape, dtype=complex)
-        path1[0] = psi1
-        path0[0] = psi0
-
-    def rhs(idx, p1):
-        s_here = s_vals[idx]
-        dp1 = (half_sig2 * p1 * p1
-               - (beta_vals[idx] - 1j * rho_sig * s_here * phi) * p1
-               - const_phi * (s_here * s_here))
-        dp0 = kappa * theta_vals[idx] * p1
-        return dp1, dp0
-
-    sixth = h / 6.0
-    for j in range(n):
-        i0 = 2 * j
-        k1_1, k1_0 = rhs(i0, psi1)
-        k2_1, k2_0 = rhs(i0 + 1, psi1 + 0.5 * h * k1_1)
-        k3_1, k3_0 = rhs(i0 + 1, psi1 + 0.5 * h * k2_1)
-        k4_1, k4_0 = rhs(i0 + 2, psi1 + h * k3_1)
-        psi1 = psi1 + sixth * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1)
-        psi0 = psi0 + sixth * (k1_0 + 2.0 * (k2_0 + k3_0) + k4_0)
-        if not np.isfinite(psi1).all():
-            t_fail = T - (j + 1) * h
-            raise RiccatiError(
-                f"Riccati solution blew up near t = {t_fail:.6g}", t_fail=t_fail)
-        if keep_path:
-            path1[j + 1] = psi1
-            path0[j + 1] = psi0
-    if keep_path:
-        return psi0, psi1, path0, path1
-    return psi0, psi1
-
-
 def _as_phi_array(phi) -> tuple[np.ndarray, bool]:
     phi_arr = np.asarray(phi)
     phi_arr = phi_arr.astype(complex if np.iscomplexobj(phi_arr) else float)
@@ -201,17 +150,16 @@ def _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, n_rhs) -> CharFnSo
                           n_steps=int(n_steps), n_rhs=int(n_rhs))
 
 
-def _dormand_prince(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
-                    abs_tol: float):
-    """Adaptive DP5(4) in s = T - t' on the state y = (Psi1 nodes, Psi0 nodes).
+def _dp_system(rc: RiccatiCoefficients, T: float, phi: np.ndarray):
+    """Dormand-Prince steps in s = T - t' on the state y = (Psi1 nodes, Psi0 nodes).
 
-    A step is accepted when every component's error estimate is at most
-    abs_tol (1 + max(|y|, |y_new|)); a non-finite trial step is rejected.
-    Returns (psi0, psi1, accepted steps, rhs evaluations).
+    phi is flat.  Returns (y, stages, step): the zero terminal state, the
+    stage array with row 0 holding the slope there, and step(y, s, h), which
+    fills rows 1-6 for the step from s to s + h and returns the 5th-order
+    solution.  Row 6 is then the slope at that solution; a caller that takes
+    the step copies it to row 0 (first same as last).
     """
-    span = T - t
     half_sig2 = 0.5 * rc.sigma_vv * rc.sigma_vv
-    shape, phi = phi.shape, phi.ravel()
     n = phi.size
     rot = 1j * rc.rho * rc.sigma_vv * phi
     const_phi = 0.5 * phi * phi - 1j * rc.alpha * phi   # multiplies S(t)^2
@@ -230,19 +178,37 @@ def _dormand_prince(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray
         out[:n] = (half_sig2 * p1 - beta + s_here * rot) * p1 - (s_here * s_here) * const_phi
         np.multiply(kappa_theta, p1, out=out[n:])
 
-    y = np.zeros(2 * n, dtype=complex)
-    stages = np.empty((7, 2 * n), dtype=complex)
-    rhs(y, coefficients(0.0), stages[0])
-    s, h, n_rhs, accepted = 0.0, span / 16.0, 1, 0
-    for _ in range(_MAX_STEPS):
-        h = min(h, span - s)
+    def step(y, s, h):
         # stages 5 and 6 share the time s + h
         coef = coefficients(s + h * _DP_C[1:6])
         for i in range(1, 7):
             y_stage = y + h * (_DP_A[i] @ stages[:i])
             rhs(y_stage, coef[min(i, 5) - 1], stages[i])
+        return y_stage
+
+    y = np.zeros(2 * n, dtype=complex)
+    stages = np.empty((7, 2 * n), dtype=complex)
+    rhs(y, coefficients(0.0), stages[0])
+    return y, stages, step
+
+
+def _dormand_prince(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
+                    abs_tol: float):
+    """Adaptive steps from s = 0 to s = T - t.
+
+    A step is accepted when every component's error estimate is at most
+    abs_tol (1 + max(|y|, |y_new|)); a non-finite trial step is rejected.
+    Returns (psi0, psi1, accepted steps, rhs evaluations).
+    """
+    span = T - t
+    shape, phi = phi.shape, phi.ravel()
+    n = phi.size
+    y, stages, step = _dp_system(rc, T, phi)
+    s, h, n_rhs, accepted = 0.0, span / 16.0, 1, 0
+    for _ in range(_MAX_STEPS):
+        h = min(h, span - s)
+        y_new = step(y, s, h)
         n_rhs += 6
-        y_new = y_stage
         scale = abs_tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
         err = float(np.max(np.abs(h * (_DP_E @ stages)) / scale))
         if not (np.isfinite(err) and np.isfinite(y_new).all()):
@@ -260,6 +226,35 @@ def _dormand_prince(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray
     raise RiccatiError(
         f"Riccati solve stopped after {_MAX_STEPS} steps near t = {T - s:.6g}",
         t_fail=T - s)
+
+
+def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
+    """n_steps equal steps from s = 0 to s = T - t.
+
+    Returns (phi array, scalar flag, psi0 path, psi1 path); row j of a path
+    belongs to s = j (T - t) / n_steps.  A non-finite state raises
+    RiccatiError with the time reached as ``t_fail``.
+    """
+    phi_arr, scalar = _as_phi_array(phi)
+    _check_phi(phi_arr, PHI_MAX_DEFAULT)
+    if not 0 <= t < T:
+        raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
+    _require_positive_int("n_steps", n_steps)
+    h = (T - t) / n_steps
+    n = phi_arr.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, stages, step = _dp_system(rc, T, phi_arr.ravel())
+        path = np.empty((n_steps + 1, 2 * n), dtype=complex)
+        path[0] = y
+        for j in range(n_steps):
+            y = path[j + 1] = step(y, j * h, h)
+            if not np.isfinite(y).all():
+                t_fail = T - (j + 1) * h
+                raise RiccatiError(
+                    f"Riccati solution blew up near t = {t_fail:.6g}", t_fail=t_fail)
+            stages[0] = stages[6]
+    rows = (n_steps + 1,) + phi_arr.shape
+    return phi_arr, scalar, path[:, n:].reshape(rows), path[:, :n].reshape(rows)
 
 
 def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
@@ -290,13 +285,13 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
 
 def solve_riccati_fixed(rc: RiccatiCoefficients, t: float, T: float, phi,
                         n_steps: int) -> CharFnSolution:
-    """Single RK4 pass on a fixed grid, for convergence/diagnostic studies."""
-    phi_arr, scalar = _as_phi_array(phi)
-    _check_phi(phi_arr, PHI_MAX_DEFAULT)
-    if not 0 <= t < T:
-        raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
-    psi0, psi1 = _integrate(rc, t, T, phi_arr, int(n_steps))
-    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, 4 * n_steps)
+    """Psi0, Psi1 at time t after n_steps equal Dormand-Prince steps.
+
+    The endpoint of ``riccati_path`` on the same grid, bit for bit.
+    """
+    phi_arr, scalar, path0, path1 = _fixed_grid(rc, t, T, phi, n_steps)
+    return _solution(rc, t, T, phi_arr, scalar, path0[-1], path1[-1], n_steps,
+                     6 * n_steps + 1)
 
 
 def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
@@ -305,14 +300,10 @@ def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int)
     Returns (times, psi0, psi1) with times of length n_steps + 1 from t to T;
     row i of each psi array belongs to times[i].
     """
-    phi_arr, scalar = _as_phi_array(phi)
-    _check_phi(phi_arr, PHI_MAX_DEFAULT)
-    if not 0 <= t < T:
-        raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
-    _, _, path0, path1 = _integrate(rc, t, T, phi_arr, int(n_steps), keep_path=True)
-    times = np.linspace(t, T, int(n_steps) + 1)
+    phi_arr, scalar, path0, path1 = _fixed_grid(rc, t, T, phi, n_steps)
+    times = np.linspace(t, T, n_steps + 1)
     path = _solution(rc, t, T, phi_arr, scalar, path0[::-1], path1[::-1], n_steps,
-                     4 * n_steps)
+                     6 * n_steps + 1)
     return times, path.psi0, path.psi1
 
 

@@ -159,6 +159,12 @@ class OptionSpec:
             raise ValueError(f"exercise must be finite and > 0, got {self.exercise}")
 
 
+def _require_positive_int(name: str, value) -> None:
+    """Reject a count that is not an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+
+
 def _require_finite(**tables: np.ndarray) -> None:
     """Reject a table with a NaN or infinite entry, naming the table first."""
     for name, arr in tables.items():

@@ -46,6 +46,7 @@ from .models import (
     HestonParams,
     VolStructure,
     WeightFunction,
+    _require_positive_int,
 )
 
 __all__ = ["GridSpec", "Measure", "PathSet", "TerminalSample", "SummaryStats",
@@ -80,10 +81,8 @@ class GridSpec:
             raise ValueError(f"t0 must be >= 0, got {self.t0}")
         if not self.t0 < self.t_end < np.inf:
             raise ValueError(f"t_end must be finite and exceed t0, got ({self.t0}, {self.t_end})")
-        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
-            raise ValueError(f"n_steps must be a positive integer, got {self.n_steps}")
-        if not (isinstance(self.n_paths, (int, np.integer)) and self.n_paths >= 1):
-            raise ValueError(f"n_paths must be a positive integer, got {self.n_paths}")
+        _require_positive_int("n_steps", self.n_steps)
+        _require_positive_int("n_paths", self.n_paths)
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
@@ -122,10 +121,12 @@ class TerminalSample:
 
 @dataclass
 class SummaryStats:
-    """Per-time-point statistics of F = e^X and nu across all paths."""
+    """Per-time-point statistics of F = e^X and nu across all paths.
+
+    ``stderr_f`` is None for a single path, where it is undefined."""
     times: np.ndarray
     mean_f: np.ndarray
-    stderr_f: np.ndarray
+    stderr_f: np.ndarray | None
     mean_nu: np.ndarray
 
 
@@ -337,10 +338,9 @@ def simulate_summary(p: HestonParams, vol: VolStructure, w: WeightFunction,
     sum_f, sum_f2, sum_nu = sum(partial)
     n = g.n_paths
     mean_f = sum_f / n
+    stderr_f = None
     if n > 1:
         var_f = np.maximum(sum_f2 - n * mean_f * mean_f, 0.0) / (n - 1)
         stderr_f = np.sqrt(var_f / n)
-    else:
-        stderr_f = np.zeros_like(mean_f)
     return SummaryStats(times=g.times(), mean_f=mean_f, stderr_f=stderr_f,
                         mean_nu=sum_nu / n)

@@ -5,7 +5,7 @@ established by (a) the constant-coefficient case where the classical
 square-root-model transform is available, (b) the integrator-free series
 solution for the Samuelson shape, (c) direct residual checks of the ODE
 system on the solver output, and (d) the observed convergence order of the
-fixed-grid integrator.
+Dormand-Prince step on a fixed grid, the step the adaptive solver takes.
 """
 
 from dataclasses import replace
@@ -118,6 +118,19 @@ def test_path_endpoints():
     sol = solve_riccati_fixed(rc, 0.0, 0.5, np.array([2.0]), n_steps=128)
     assert psi0[0] == sol.psi0[0]
     assert psi1[0] == sol.psi1[0]
+    # first same as last: one rhs at s = 0, then six per step
+    assert sol.n_steps == 128 and sol.n_rhs == 6 * 128 + 1
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.7, True])
+def test_fixed_grid_rejects_bad_step_count(bad):
+    def never(t):
+        raise AssertionError("coefficient evaluated before n_steps was checked")
+
+    rc = replace(RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1), big_s=never)
+    for solve in (solve_riccati_fixed, riccati_path):
+        with pytest.raises(ValueError, match="n_steps must be a positive integer"):
+            solve(rc, 0.0, 0.5, np.array([2.0]), n_steps=bad)
 
 
 def test_runge_kutta_convergence_order():
@@ -130,8 +143,9 @@ def test_runge_kutta_convergence_order():
         errs.append(abs(approx - ref))
     rate1 = np.log2(errs[0] / errs[1])
     rate2 = np.log2(errs[1] / errs[2])
-    assert rate1 >= 3.5
-    assert rate2 >= 3.5
+    # the Dormand-Prince solution is 5th order
+    assert rate1 >= 4.5
+    assert rate2 >= 4.5
 
 
 def test_tighter_tolerance_takes_more_steps():
@@ -175,6 +189,13 @@ def test_stacked_k2_at_shifted_phi_is_k1():
     # the error control is relative to 1 + |psi|, and |psi1| reaches 13 here
     np.testing.assert_allclose(stacked.psi1[phi.size:], k1.psi1, rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(stacked.psi0[phi.size:], k1.psi0, rtol=1e-10, atol=1e-10)
+    # and against the k = 1 series, which shares no code with the integrator
+    d1, d2 = samuelson_d1_d2(3.5 * (DP.tau2 - DP.tau1))
+    decay = np.exp(-3.5 * (DP.tau1 - 0.5))
+    ref0, ref1 = samuelson_psi_series(phi, 0.5, 1, 3.5, 3.0, 0.6, 0.4, -0.3,
+                                      d1 * decay, d2 * decay)
+    np.testing.assert_allclose(stacked.psi1[phi.size:], ref1, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(stacked.psi0[phi.size:], ref0, rtol=1e-10, atol=1e-10)
 
 
 def test_phi_beyond_cap_rejected():
@@ -210,6 +231,13 @@ def test_moment_explosion_raises_at_blow_up_time():
         solve_riccati(rc, 0.0, 0.5, phi)
     assert np.isfinite(info.value.t_fail)
     assert info.value.t_fail == pytest.approx(0.5 - s_star, abs=1e-6)
+    # a fixed grid cannot step around the pole: the state turns non-finite
+    # within a few steps past it
+    n = 1000
+    with pytest.raises(RiccatiError) as info:
+        solve_riccati_fixed(rc, 0.0, 0.5, phi, n_steps=n)
+    assert np.isfinite(info.value.t_fail)
+    assert 0.0 < (0.5 - s_star) - info.value.t_fail < 3 * 0.5 / n
 
 
 def test_scalar_phi_accepted():

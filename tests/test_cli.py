@@ -259,6 +259,20 @@ def test_simulate_summary(capsys):
     assert float(first[1]) == pytest.approx(30.0, rel=1e-12)
 
 
+def test_simulate_summary_one_path_has_no_stderr(capsys):
+    argv = ["simulate", "--summary", "--paths", "1", "--steps", "5"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0
+    payload = _strict_json(out)
+    assert payload["stderr_F"] is None
+    assert len(payload["t"]) == len(payload["mean_F"]) == 6
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 6
+    assert [row[2] for row in rows] == [""] * 6
+
+
 def test_simulate_deterministic_output(capsys):
     _, out1, _ = run_cli(capsys, ["simulate", "--paths", "5", "--steps", "6", "--seed", "2"])
     _, out2, _ = run_cli(capsys, ["simulate", "--paths", "5", "--steps", "6", "--seed", "2"])
@@ -305,6 +319,24 @@ def test_validate_small(capsys):
     assert code == 0
     strikes = [float(line.split(",")[0]) for line in lines[1:]]
     assert strikes == [24.0, 30.0, 36.0]
+
+
+def test_validate_threshold_is_bonferroni_over_three_strikes():
+    from statistics import NormalDist
+
+    from powerswap.cli import VALIDATE_Z_MAX
+
+    assert VALIDATE_Z_MAX == pytest.approx(NormalDist().inv_cdf(1.0 - 0.0027 / 6), abs=1e-3)
+
+
+def test_validate_seed_1_passes(capsys):
+    # the three strikes share one sample whose mean F is +3.02 stderr off at
+    # this seed; the K = 24 row sits at z = -3.08, inside the family-wise bound
+    code, out, _ = run_cli(capsys, ["validate", "--paths", "20000", "--steps", "100",
+                                    "--seed", "1", "--workers", "1", "--format", "json"])
+    assert code == 0
+    zs = [r["z"] for r in _strict_json(out)["rows"]]
+    assert max(abs(z) for z in zs) > 3.0
 
 
 def test_validate_at_a_later_valuation_time(capsys, tmp_path):

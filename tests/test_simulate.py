@@ -59,6 +59,11 @@ def test_grid_spec_validation():
         GridSpec(t0=0.0, t_end=0.5, n_steps=0, n_paths=3, seed=1)
     with pytest.raises(ValueError):
         GridSpec(t0=0.0, t_end=0.5, n_steps=10, n_paths=0, seed=1)
+    # a bool is not a count
+    for field in ("n_steps", "n_paths"):
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
+            GridSpec(**{"t0": 0.0, "t_end": 0.5, "n_steps": 10, "n_paths": 3, "seed": 1,
+                        field: True})
     with pytest.raises(ValueError):
         GridSpec(t0=0.0, t_end=0.5, n_steps=10, n_paths=3, seed=-1)
 
@@ -126,6 +131,14 @@ def test_summary_matches_paths():
         stats.stderr_f, f.std(axis=0, ddof=1) / np.sqrt(g.n_paths), rtol=1e-10
     )
     np.testing.assert_allclose(stats.mean_nu, paths.nu_paths.mean(axis=0), rtol=1e-12)
+
+
+def test_summary_stderr_undefined_for_one_path():
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=5, n_paths=1, seed=3)
+    stats = simulate_summary(_params(), SAM, UNI, DP, g)
+    assert stats.stderr_f is None
+    paths = simulate_paths(_params(), SAM, UNI, DP, g)
+    np.testing.assert_allclose(stats.mean_f, paths.f_paths[0], rtol=1e-12)
 
 
 def test_trading_seasonal_measures_bit_identical():
