@@ -72,9 +72,11 @@ from .simulate import (
     SimulationError,
     SummaryStats,
     TerminalSample,
+    VarianceIntegrals,
     simulate_paths,
     simulate_summary,
     simulate_terminal,
+    simulate_variance_integrals,
 )
 
 __version__ = "0.1.0"
@@ -94,7 +96,8 @@ __all__ = [
     "check_novikov", "full_report",
     # simulate
     "GridSpec", "Measure", "PathSet", "TerminalSample", "SummaryStats",
-    "SimulationError", "simulate_paths", "simulate_terminal", "simulate_summary",
+    "VarianceIntegrals", "SimulationError", "simulate_paths", "simulate_terminal",
+    "simulate_summary", "simulate_variance_integrals",
     # charfn
     "RiccatiCoefficients", "CharFnSolution", "RiccatiError", "solve_riccati",
     "solve_riccati_fixed", "riccati_path", "char_fn",

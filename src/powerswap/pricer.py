@@ -14,6 +14,11 @@ Each k is truncated where max |Q_hat_k| / phi stays below 1e-12 on two
 panels in a row.  Neither that truncation nor the node values depend on the
 strike, so each strike is then one weighted sum over the same nodes per k.
 Puts follow from put-call parity.
+
+``price_mc_many`` is conditional ("mixing") Monte-Carlo (Willard 1997,
+Romano & Touzi 1997): it simulates variance paths only, one normal per
+path-step, and averages over them the Black-76 price of the swap given each
+path.  Every strike is priced on the same paths.
 """
 
 from __future__ import annotations
@@ -32,7 +37,11 @@ from .models import (
     VolStructure,
     WeightFunction,
 )
-from .simulate import GridSpec, Measure, simulate_terminal
+from .simulate import GridSpec, Measure, simulate_variance_integrals
+# Not called here any more.  perfbench/tracing.py wraps this name on this
+# module; it stays importable until the tracer wraps
+# simulate_variance_integrals instead.
+from .simulate import simulate_terminal  # noqa: F401
 
 __all__ = ["PriceResult", "PricingError", "TruncationError", "price_fourier",
            "price_fourier_many", "price_mc", "price_mc_many", "black76_oracle"]
@@ -60,8 +69,10 @@ class TruncationError(PricingError):
 
 @dataclass(frozen=True)
 class PriceResult:
-    """One option price.  ``stderr`` is the MC standard error of the call; it
-    is None for Fourier prices and for a single MC path, where it is undefined."""
+    """One option price.  ``stderr`` is the MC standard error of the call: the
+    sample standard deviation of the per-path conditional (Black-76) calls,
+    discounted, over sqrt(n_paths).  It is None for Fourier prices and for a
+    single MC path, where it is undefined."""
     call: float
     put: float
     q1: float
@@ -195,42 +206,79 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
 def price_mc(p: HestonParams, vol: VolStructure, w: WeightFunction,
              dp: DeliveryPeriod, opt: OptionSpec, g: GridSpec,
              measure: Measure = Measure.Q_TILDE, workers: int = 1) -> PriceResult:
-    """Monte-Carlo price from terminal swap values; put priced on the same paths."""
+    """Conditional Monte-Carlo price; the put is priced on the same variance paths."""
     return price_mc_many(p, vol, w, dp, [opt.strike], opt.exercise, g,
                          measure=measure, workers=workers)[0]
+
+
+def _sample_stderr(values: np.ndarray, scale: float = 1.0) -> float | None:
+    # one path has no sample spread: its standard error is undefined, not 0
+    n = values.size
+    return scale * float(values.std(ddof=1)) / np.sqrt(n) if n > 1 else None
 
 
 def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
                   dp: DeliveryPeriod, strikes, exercise: float, g: GridSpec,
                   measure: Measure = Measure.Q_TILDE,
                   workers: int = 1) -> list[PriceResult]:
-    """Monte-Carlo prices for several strikes from one terminal sample."""
+    """Conditional Monte-Carlo prices for several strikes from one sample of variance paths.
+
+    Given its variance path, log F_T of the joint Euler scheme is Gaussian
+    with mean x0 - D + rho J and variance (1 - rho^2) I (see
+    ``simulate.VarianceIntegrals``), so each path contributes a Black-76 price
+    on its conditional forward F_c = exp(x0 - D + rho J + (1 - rho^2) I / 2).
+    This has the expectation and the discretisation bias of the payoff
+    average over the joint scheme, with no more variance (Rao-Blackwell).
+    Under Q_tilde, F_c = f0 exp(rho J - rho^2 I / 2) is an exact discrete
+    martingale.  q2 is the mean of N(d-), q1 is sum F_c N(d+) / sum F_c, and
+    the diagnostics report the mean and standard error of F_c.
+    """
     specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
     if g.t_end != exercise:
         raise ValueError(
             f"grid must end at the exercise time {exercise}, got {g.t_end}")
-    term = simulate_terminal(p, vol, w, dp, g, measure=measure, workers=workers)
-    f = term.f
+    paths = simulate_variance_integrals(p, vol, w, dp, g, measure=measure,
+                                        workers=workers)
+    rho_bar2 = 1.0 - p.rho * p.rho
+    f_c = np.exp(np.log(p.f0) - paths.drift + p.rho * paths.vol_dw
+                 + 0.5 * rho_bar2 * paths.var)
+    sd = np.sqrt(rho_bar2 * paths.var)
+    f_total = f_c.sum()
     df = np.exp(-p.r * (g.t_end - g.t0))
-    f_total = f.sum()
-    n = g.n_paths
+    forward_stderr = _sample_stderr(f_c)
     out = []
     for spec in specs:
-        call_pay = np.maximum(f - spec.strike, 0.0)
-        put_pay = np.maximum(spec.strike - f, 0.0)
+        call_pay, put_pay, n_plus, n_minus = _black76(f_c, spec.strike, sd)
         call = df * float(call_pay.mean())
         put = df * float(put_pay.mean())
-        # one path has no sample spread: its standard error is undefined, not 0
-        stderr = df * float(call_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else None
-        put_stderr = df * float(put_pay.std(ddof=1)) / np.sqrt(n) if n > 1 else None
-        in_money = f >= spec.strike
-        q2 = float(in_money.mean())
-        q1 = float(f[in_money].sum() / f_total) if f_total > 0 else 0.0
-        diagnostics = {"n_paths": n, "n_steps": g.n_steps, "seed": g.seed,
-                       "measure": measure.value, "put_stderr": put_stderr}
+        q2 = float(n_minus.mean())
+        q1 = float(f_c @ n_plus / f_total) if f_total > 0 else 0.0
+        diagnostics = {"n_paths": g.n_paths, "n_steps": g.n_steps, "seed": g.seed,
+                       "measure": measure.value, "estimator": "conditional",
+                       "put_stderr": _sample_stderr(put_pay, df),
+                       "forward_mean": float(f_c.mean()),
+                       "forward_stderr": forward_stderr}
         out.append(PriceResult(call=call, put=put, q1=q1, q2=q2, method="mc",
-                               stderr=stderr, diagnostics=diagnostics))
+                               stderr=_sample_stderr(call_pay, df),
+                               diagnostics=diagnostics))
     return out
+
+
+def _black76(f: np.ndarray, k: float, sd: np.ndarray):
+    """Undiscounted Black-76 call, put, N(d+) and N(d-), elementwise over (f, sd).
+
+    Where sd = 0 the option is intrinsic: d+- = +inf for f >= k and -inf
+    below, so f = k pays nothing either way.
+    """
+    m = np.log(f / k)
+    spread = sd > 0
+    d_plus = np.where(spread, m / np.where(spread, sd, 1.0) + 0.5 * sd,
+                      np.where(m >= 0, np.inf, -np.inf))
+    d_minus = d_plus - sd
+    n_plus, n_minus = ndtr(d_plus), ndtr(d_minus)
+    call = f * n_plus - k * n_minus
+    put = k * ndtr(-d_minus) - f * ndtr(-d_plus)
+    return call, put, n_plus, n_minus
 
 
 def black76_oracle(f: float, k: float, total_var: float,
@@ -247,13 +295,5 @@ def black76_oracle(f: float, k: float, total_var: float,
         raise ValueError(f"total_var must be >= 0, got {total_var}")
     if not 0 < df <= 1:
         raise ValueError(f"df must lie in (0, 1], got {df}")
-    if total_var == 0.0:
-        call = df * max(f - k, 0.0)
-        put = df * max(k - f, 0.0)
-        return call, put
-    sd = np.sqrt(total_var)
-    d_plus = (np.log(f / k) + 0.5 * total_var) / sd
-    d_minus = d_plus - sd
-    call = df * (f * ndtr(d_plus) - k * ndtr(d_minus))
-    put = call - df * (f - k)
-    return float(call), float(put)
+    call, put, _, _ = _black76(f, k, np.sqrt(total_var))
+    return float(df * call), float(df * put)

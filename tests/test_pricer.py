@@ -446,13 +446,62 @@ def test_mc_measure_invariance_for_flat_profile():
 
 
 def test_mc_parity_is_exact_per_sample():
-    from powerswap.simulate import simulate_terminal
-
     p = _params()
     g = GridSpec(t0=0.0, t_end=T, n_steps=100, n_paths=20_000, seed=33)
-    res = price_mc(p, SAM, UNI, DP, OptionSpec(strike=27.0, exercise=T), g, workers=2)
-    term = simulate_terminal(p, SAM, UNI, DP, g, workers=2)
+    (c1, p1), (c2, p2) = [(r.call, r.put) for r in
+                          price_mc_many(p, SAM, UNI, DP, [27.0, 33.0], T, g, workers=2)]
     df = np.exp(-0.01 * T)
-    # (F-K)+ - (K-F)+ = F - K holds path by path, so the sample parity is
-    # exact up to round-off regardless of the number of paths
-    assert res.call - res.put == pytest.approx(df * (term.f.mean() - 27.0), abs=1e-10)
+    # per path, call - put = F_c - K on the conditional forward F_c, so across
+    # two strikes priced on one sample the forward cancels up to round-off
+    assert c1 - p1 - c2 + p2 == pytest.approx(df * (33.0 - 27.0), abs=1e-10)
+
+
+def test_mc_conditional_forward_is_a_martingale_at_zero_rho():
+    # at rho = 0, F_c = f0 exp(-D + I / 2) with D = I / 2 under Q_tilde
+    g = GridSpec(t0=0.0, t_end=T, n_steps=100, n_paths=5000, seed=3)
+    res = price_mc(_params(rho=0.0), SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), g)
+    assert res.diagnostics["estimator"] == "conditional"
+    assert res.diagnostics["forward_mean"] == pytest.approx(30.0, rel=1e-12)
+    assert res.diagnostics["forward_stderr"] < 1e-12
+
+
+def test_mc_forward_diagnostics_within_noise_of_f0():
+    g = GridSpec(t0=0.0, t_end=T, n_steps=100, n_paths=20_000, seed=9)
+    diag = price_mc(_params(), SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), g).diagnostics
+    assert diag["forward_stderr"] > 0
+    assert abs(diag["forward_mean"] - 30.0) < 4.0 * diag["forward_stderr"]
+    one = price_mc(_params(), SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T),
+                   GridSpec(t0=0.0, t_end=T, n_steps=20, n_paths=1, seed=4))
+    assert one.diagnostics["forward_stderr"] is None
+
+
+def test_mc_conditional_stderr_beats_plain_payoff():
+    p = _params()
+    g = GridSpec(t0=0.0, t_end=T, n_steps=100, n_paths=20_000, seed=21)
+    res = price_mc(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), g, workers=2)
+    payoff = np.maximum(simulate_terminal(p, SAM, UNI, DP, g, workers=2).f - 30.0, 0.0)
+    plain_stderr = np.exp(-0.01 * T) * payoff.std(ddof=1) / np.sqrt(g.n_paths)
+    assert res.stderr <= plain_stderr / 3.0
+
+
+def test_mc_conditional_prices_match_fourier():
+    p = _params()
+    strikes = [24.0, 30.0, 36.0]
+    g = GridSpec(t0=0.0, t_end=T, n_steps=100, n_paths=20_000, seed=13)
+    mc = price_mc_many(p, SAM, UNI, DP, strikes, T, g, workers=2)
+    for fr, res in zip(price_fourier_many(p, SAM, UNI, DP, strikes, T), mc):
+        assert abs(res.call - fr.call) <= 4.0 * res.stderr
+        assert abs(res.put - fr.put) <= 4.0 * res.diagnostics["put_stderr"]
+
+
+def test_mc_zero_conditional_variance_is_intrinsic():
+    # nu0 = 5e-324 and one step: I = S^2 nu0 dt rounds to 0, so every path
+    # prices at its intrinsic value, with no RuntimeWarning from d+-
+    p = _params(nu0=5e-324)
+    g = GridSpec(t0=0.0, t_end=T, n_steps=1, n_paths=10, seed=1)
+    df = np.exp(-0.01 * T)
+    for k, call, put in [(24.0, df * 6.0, 0.0), (36.0, 0.0, df * 6.0)]:
+        res = price_mc(p, SAM, UNI, DP, OptionSpec(strike=k, exercise=T), g)
+        assert res.call == pytest.approx(call, abs=1e-12)
+        assert res.put == pytest.approx(put, abs=1e-12)
+        assert res.q2 == res.q1 == (1.0 if k < 30.0 else 0.0)

@@ -31,6 +31,7 @@ from powerswap.simulate import (
     simulate_paths,
     simulate_summary,
     simulate_terminal,
+    simulate_variance_integrals,
 )
 
 DP = DeliveryPeriod(0.75, 5.0 / 6.0)
@@ -292,3 +293,52 @@ def test_terminal_memory_holds_one_step_block():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+# ---------------------------------------------------------------------------
+# variance-only stream (conditional Monte-Carlo)
+
+
+def _integrals(v):
+    return np.stack([v.drift, v.var, v.vol_dw])
+
+
+@pytest.mark.parametrize("n_steps", [_STEP_BLOCK + 1, 2 * _STEP_BLOCK + 1])
+def test_variance_integrals_prefix_stable(n_steps):
+    p = _params()
+    full = _integrals(simulate_variance_integrals(
+        p, SAM, UNI, DP, GridSpec(0.0, 0.5, n_steps, 9000, seed=23)))
+    for n_paths in (4095, 4097):
+        g = GridSpec(0.0, 0.5, n_steps, n_paths, seed=23)
+        np.testing.assert_array_equal(
+            _integrals(simulate_variance_integrals(p, SAM, UNI, DP, g)), full[:, :n_paths])
+
+
+def test_variance_integrals_do_not_depend_on_workers():
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=2 * _STEP_BLOCK + 1, n_paths=9000, seed=29)
+    one = simulate_variance_integrals(_params(), SAM, UNI, DP, g, workers=1)
+    three = simulate_variance_integrals(_params(), SAM, UNI, DP, g, workers=3)
+    np.testing.assert_array_equal(_integrals(one), _integrals(three))
+
+
+def test_variance_integrals_with_deterministic_variance():
+    # sigma_vv = 0: nu follows its ODE, so I is the same on every path, D is
+    # I / 2 under Q_tilde, and J = sum S sqrt(nu) dW is N(0, I)
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=50, n_paths=20_000, seed=17)
+    v = simulate_variance_integrals(_params(sigma_vv=0.0), SAM, UNI, DP, g)
+    np.testing.assert_allclose(v.var, v.var[0], rtol=1e-12)
+    np.testing.assert_array_equal(v.drift, 0.5 * v.var)
+    n = g.n_paths
+    assert abs(v.vol_dw.mean()) < 5.0 * np.sqrt(v.var[0] / n)
+    assert abs(v.vol_dw.var() / v.var[0] - 1.0) < 5.0 * np.sqrt(2.0 / n)
+
+
+def test_variance_integrals_reject_lost_positivity():
+    # 4 kappa theta = 0.2 < sigma_vv^2 = 1.96: the drift-implicit Milstein
+    # step loses positivity in both kernels
+    p = _params(kappa=0.5, theta=0.1, sigma_vv=1.4)
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=50, n_paths=1000, seed=1)
+    for simulate in (simulate_terminal, simulate_variance_integrals):
+        with pytest.raises(SimulationError, match="4 kappa theta"), \
+                pytest.warns(ConditionWarning):
+            simulate(p, SAM, UNI, DP, g)
