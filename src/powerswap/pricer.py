@@ -234,6 +234,8 @@ def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     the diagnostics report the mean and standard error of F_c.
     """
     specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
+    if not exercise < dp.tau1:
+        raise ValueError(f"exercise {exercise} must precede the delivery start {dp.tau1}")
     if g.t_end != exercise:
         raise ValueError(
             f"grid must end at the exercise time {exercise}, got {g.t_end}")

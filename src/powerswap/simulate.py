@@ -15,29 +15,28 @@ left point.
 
 Random numbers: paths run in chunks of _CHUNK rows, and each chunk steps
 through the grid in blocks of _STEP_BLOCK time steps.  Block b of chunk c
-draws from one counter-based Philox generator with key (seed, c) and counter
-(0, b, 0, 0), so every block owns a range of 2^64 counter values.  The draw
-is path-major, so row r of a chunk sits at the same offset of every block's
-stream whatever the number of rows.  Path i's increments therefore depend
-only on (seed, i, n_steps), not on n_paths or the worker count.  Changing
-_CHUNK or _STEP_BLOCK changes the stream.  There are two layouts:
-
-- the joint (X, nu) kernel draws (rows, 2, L): dW_F and an independent
-  normal that is mixed with it into dW_sigma;
-- the variance-only kernel draws (rows, L): dW_sigma alone, one normal per
-  path-step.
+draws from counter-based Philox generators with key (seed, c): dW_sigma from
+counter (0, b, 0, 0) and, for the joint kernel only, an independent normal Z
+from counter (0, b, 1, 0), so every (block, stream) owns a range of 2^64
+counter values.  Each draw is path-major (rows, L), so row r of a chunk sits
+at the same offset of every block's stream whatever the number of rows.
+Path i's increments therefore depend only on (seed, i, n_steps), not on
+n_paths or the worker count.  Changing _CHUNK or _STEP_BLOCK changes the
+stream.
 
 One driver, _simulate, serves every front-end: it validates the run, reports
 failed Feller and Novikov checks, builds the per-step coefficients once and
 runs a chunk kernel on every chunk, in order or on a thread pool, returning
-the kernels' results in chunk order.  Both kernels step nu with the one
-drift-implicit Milstein step of _milstein_steps.  simulate_paths,
-simulate_terminal and simulate_summary run the joint kernel, _step_chunk,
-and differ only in what they keep of each chunk's state.
+the kernels' results in chunk order.  One block stepper, _variance_block,
+draws dW_sigma and takes the drift-implicit Milstein steps of nu for both
+kernels, so one seed gives the same variance paths everywhere.
+simulate_paths, simulate_terminal and simulate_summary run the joint kernel,
+_step_chunk, which sets dW_F = rho dW_sigma + sqrt(1 - rho^2) Z and differs
+between front-ends only in what it keeps of each chunk's state.
 simulate_variance_integrals runs the variance-only kernel, _integrate_chunk,
 which keeps per path the integrals that conditional Monte-Carlo needs
 (D = sum coef_x_dt nu_n, I = sum S^2 nu_n dt and J = sum S sqrt(nu_n)
-dW_sigma): given the variance path, X_T of the joint scheme is Gaussian
+dW_sigma): given the variance path, X_T of the joint kernel is Gaussian
 with mean x0 - D + rho J and variance (1 - rho^2) I.  Results are the same
 for any worker count.
 """
@@ -212,62 +211,54 @@ def _build_coeffs(p: HestonParams, vol: VolStructure, w: WeightFunction,
     )
 
 
-def _block_normals(c: _StepCoeffs, seed: int, chunk: int, block: int, rows: int,
-                   width: int) -> np.ndarray:
+def _block_normals(c: _StepCoeffs, chunk: int, block: int, rows: int,
+                   stream: int) -> np.ndarray:
     """sqrt(dt) times standard normals of one step block of one chunk, step-major.
 
-    Returns shape (L, width, rows) for steps block * _STEP_BLOCK onwards, L =
+    Returns shape (L, rows) for steps block * _STEP_BLOCK onwards, L =
     _STEP_BLOCK except in the last block.  The normals come from
-    Philox(key=(seed, chunk), counter=(0, block, 0, 0)), drawn path-major as
-    (rows, width, L) so that row r's draws do not depend on how many rows the
+    Philox(key=(seed, chunk), counter=(0, block, stream, 0)), drawn path-major
+    as (rows, L) so that row r's draws do not depend on how many rows the
     chunk has, and copied once into step-major order.  They do not depend on
     the model or the measure either, which gives common random numbers across
     both.
     """
     length = min(_STEP_BLOCK, c.n_steps - block * _STEP_BLOCK)
     gen = np.random.Generator(np.random.Philox(
-        key=np.array([seed, chunk], dtype=np.uint64),
-        counter=np.array([0, block, 0, 0], dtype=np.uint64)))
-    return np.multiply(gen.standard_normal((rows, width, length)).transpose(2, 1, 0),
-                       c.sqdt, order="C")
+        key=np.array([c.seed, chunk], dtype=np.uint64),
+        counter=np.array([0, block, stream, 0], dtype=np.uint64)))
+    return np.multiply(gen.standard_normal((rows, length)).T, c.sqdt, order="C")
 
 
-def _block_increments(c: _StepCoeffs, seed: int, chunk: int, block: int,
-                      rows: int) -> np.ndarray:
-    """Brownian increments of the joint scheme for one step block of one chunk.
+def _variance_block(c: _StepCoeffs, nu: np.ndarray, chunk: int, block: int,
+                    nus: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Drift-implicit Milstein steps of nu over one step block, nu updated in place.
 
-    Shape (L, 2, rows): [:, 0] is dW_F and [:, 1] is dW_sigma, with
-    corr(dW_F, dW_sigma) = rho.
+    Returns (dw, sq), each (L, rows): dW_sigma of steps n = n0..n0+L-1
+    (stream 0) and sqrt(nu_n), the left-point state of every step.  nus,
+    when given, receives nu_n as well.
     """
-    dw = _block_normals(c, seed, chunk, block, rows, 2)
-    dw[:, 1] *= c.rho_bar
-    dw[:, 1] += c.rho * dw[:, 0]
-    return dw
-
-
-def _milstein_steps(c: _StepCoeffs, nu: np.ndarray, dws: np.ndarray, n0: int,
-                    sq: np.ndarray):
-    """Drift-implicit Milstein steps of nu over one step block, in place.
-
-    dws[k] is sigma_vv dW_sigma over step n = n0 + k, and sq[k] receives
-    sqrt(nu_n).  Yields (k, n) while nu still holds nu_n, so the caller can
-    use the left-point state; the step to nu_{n+1} is taken when the caller
-    asks for the next one.
-    """
+    n0 = block * _STEP_BLOCK
+    dw = _block_normals(c, chunk, block, nu.size, 0)
+    dws = c.sigma * dw
     # Milstein correction plus the mean-reversion inflow, ahead of the loop
-    inflow = (0.25 * (dws * dws - c.sigma * c.sigma * c.dt)
-              + c.kap_theta_dt[n0:n0 + len(dws), None])
-    for k in range(len(dws)):
-        n = n0 + k
+    inflow = dws * dws
+    inflow -= c.sigma * c.sigma * c.dt
+    inflow *= 0.25
+    inflow += c.kap_theta_dt[n0:n0 + len(dw), None]
+    sq = np.empty_like(dw)
+    for k in range(len(dw)):
+        if nus is not None:
+            nus[k] = nu
         np.sqrt(nu, out=sq[k])
-        yield k, n
         nu += sq[k] * dws[k]
         nu += inflow[k]
-        nu /= c.denom_right[n]
+        nu /= c.denom_right[n0 + k]
         if np.signbit(nu).any():
             raise SimulationError(
-                f"variance went negative at step {n + 1}; the drift-implicit "
+                f"variance went negative at step {n0 + k + 1}; the drift-implicit "
                 "Milstein step requires 4 kappa theta >= sigma_vv^2")
+    return dw, sq
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -280,23 +271,28 @@ def _step_chunk(c: _StepCoeffs, chunk: int, rows: int,
                 observe=None) -> tuple[np.ndarray, np.ndarray]:
     """Joint kernel: advance (x, nu) of one chunk over the whole grid; returns terminal (x, nu).
 
-    Increments are drawn and consumed one step block at a time, so a chunk
-    never holds more than one block of them.  observe(n, x, nu), when given,
-    sees the state at every grid time n = 0..n_steps; x and nu are updated in
-    place afterwards, so it must copy what it keeps.
+    Each step block takes dW_sigma and nu_n from _variance_block and adds one
+    independent normal Z per path-step from stream 1, so dW_F = rho dW_sigma
+    + rho_bar Z.  observe(n, x, nu), when given, sees the state at every grid
+    time n = 0..n_steps; x is updated in place afterwards, so it must copy
+    what it keeps.
     """
     x = np.full(rows, c.x0)
     nu = np.full(rows, c.nu0)
-    sq = np.empty((_STEP_BLOCK, rows))
     for block, n0 in enumerate(range(0, c.n_steps, _STEP_BLOCK)):
-        dw = _block_increments(c, c.seed, chunk, block, rows)
-        dw[:, 0] *= c.s_step[n0:n0 + len(dw), None]
-        dw[:, 1] *= c.sigma
-        for k, n in _milstein_steps(c, nu, dw[:, 1], n0, sq):
+        n1 = min(n0 + _STEP_BLOCK, c.n_steps)
+        nus = np.empty((n1 - n0, rows))
+        dw, sq = _variance_block(c, nu, chunk, block, nus)
+        # S sqrt(nu_n) dW_F, with dW_F = rho dW_sigma + rho_bar Z
+        dw *= c.rho
+        dw += c.rho_bar * _block_normals(c, chunk, block, rows, 1)
+        dw *= sq
+        dw *= c.s_step[n0:n1, None]
+        for k, n in enumerate(range(n0, n1)):
             if observe is not None:
-                observe(n, x, nu)
-            x += sq[k] * dw[k, 0]
-            x -= c.coef_x_dt[n] * nu
+                observe(n, x, nus[k])
+            x += dw[k]
+            x -= c.coef_x_dt[n] * nus[k]
     if observe is not None:
         observe(c.n_steps, x, nu)
     _require_finite(x, nu)
@@ -320,18 +316,14 @@ def _integrate_chunk(c: _StepCoeffs, chunk: int, lo: int,
                      hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Variance-only kernel: per-path (D, I, J) of paths lo..hi-1, see VarianceIntegrals.
 
-    One normal per path-step, dW_sigma.  Each step block keeps sqrt(nu_n)
-    of its steps and adds to every sum one weighted sum over the block.
+    Each step block adds to every sum one weighted sum over the block.
     """
     rows = hi - lo
     nu = np.full(rows, c.nu0)
     drift, var, vol_dw = np.zeros(rows), np.zeros(rows), np.zeros(rows)
     for block, n0 in enumerate(range(0, c.n_steps, _STEP_BLOCK)):
-        dw = _block_normals(c, c.seed, chunk, block, rows, 1)[:, 0]
+        dw, sq = _variance_block(c, nu, chunk, block)
         n1 = n0 + len(dw)
-        sq = np.empty_like(dw)
-        for _ in _milstein_steps(c, nu, c.sigma * dw, n0, sq):
-            pass  # nothing to do between steps; the block's sums come after
         nu_blk = sq * sq
         drift += _step_sum(c.coef_x_dt[n0:n1], nu_blk)
         var += _step_sum(c.s2_dt[n0:n1], nu_blk)
@@ -438,10 +430,9 @@ def simulate_variance_integrals(p: HestonParams, vol: VolStructure, w: WeightFun
                                 dp: DeliveryPeriod, g: GridSpec,
                                 measure: Measure = Measure.Q_TILDE,
                                 workers: int = 1) -> VarianceIntegrals:
-    """Per-path (D, I, J) from the variance-only stream, one draw per path-step.
+    """Per-path (D, I, J), one draw per path-step.
 
-    This is a different stream from simulate_terminal's: the same seed gives
-    other variance paths.
+    The variance paths are those of simulate_terminal for the same seed.
     """
     parts = _simulate(p, vol, w, dp, g, measure, workers, _integrate_chunk)
     return VarianceIntegrals(*map(np.concatenate, zip(*parts)))

@@ -434,6 +434,24 @@ def test_mc_grid_must_end_at_exercise():
         price_mc(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), g)
 
 
+def test_mc_rejects_exercise_at_delivery_start(monkeypatch):
+    # the paper needs T < tau1; the Fourier engine rejects T = tau1 with the
+    # same message, and the MC engine must do so before simulating
+    runs = []
+    monkeypatch.setattr(pricer, "simulate_variance_integrals",
+                        lambda *args, **kwargs: runs.append(1))
+    p = _params()
+    g = GridSpec(t0=0.0, t_end=0.75, n_steps=20, n_paths=100, seed=1)
+    message = "exercise 0.75 must precede the delivery start 0.75"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        price_mc_many(p, SAM, UNI, DP, [30.0], 0.75, g)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        price_mc(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=0.75), g)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        price_fourier_many(p, SAM, UNI, DP, [30.0], 0.75)
+    assert runs == []
+
+
 def test_mc_measure_invariance_for_flat_profile():
     ts = TradingSeasonal(0.6, 0.7, 0.2)
     p = _params(theta=ts.theta)
@@ -476,6 +494,9 @@ def test_mc_forward_diagnostics_within_noise_of_f0():
 
 
 def test_mc_conditional_stderr_beats_plain_payoff():
+    # both estimators run on the same variance paths: the conditional one
+    # averages out only the part of the payoff that Z, the dW_F noise
+    # independent of dW_sigma, adds
     p = _params()
     g = GridSpec(t0=0.0, t_end=T, n_steps=100, n_paths=20_000, seed=21)
     res = price_mc(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), g, workers=2)

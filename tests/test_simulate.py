@@ -6,6 +6,7 @@ by (seed, chunk), so results must not depend on worker count or on how many
 paths run alongside.
 """
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -20,13 +21,14 @@ from powerswap.models import (
     TradingSeasonal,
     UniformWeight,
 )
+from powerswap.pricer import price_mc_many
 from powerswap.simulate import (
     _CHUNK,
     _STEP_BLOCK,
     GridSpec,
     Measure,
     SimulationError,
-    _block_increments,
+    _block_normals,
     _build_coeffs,
     simulate_paths,
     simulate_summary,
@@ -252,34 +254,34 @@ def test_terminal_and_summary_do_not_depend_on_workers():
         np.testing.assert_array_equal(getattr(s_one, name), getattr(s_three, name))
 
 
-def _coeffs(n_steps, rho=-0.3):
-    g = GridSpec(t0=0.0, t_end=0.5, n_steps=n_steps, n_paths=1, seed=0)
-    return _build_coeffs(_params(rho=rho), SAM, UNI, DP, g, Measure.Q_TILDE)
+def _coeffs(n_steps, seed):
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=n_steps, n_paths=1, seed=seed)
+    return _build_coeffs(_params(), SAM, UNI, DP, g, Measure.Q_TILDE)
 
 
 def test_blocks_and_chunks_draw_disjoint_numbers():
-    c = _coeffs(2 * _STEP_BLOCK)
-    draws = {(chunk, block): _block_increments(c, 31, chunk, block, _CHUNK)
-             for chunk, block in [(0, 0), (0, 1), (1, 0)]}
-    for a, b in [((0, 0), (0, 1)), ((0, 0), (1, 0)), ((0, 1), (1, 0))]:
+    # stream 0 is dW_sigma, stream 1 the joint kernel's independent Z
+    c = _coeffs(2 * _STEP_BLOCK, seed=31)
+    draws = {(chunk, block, stream): _block_normals(c, chunk, block, _CHUNK, stream)
+             for chunk in (0, 1) for block in (0, 1) for stream in (0, 1)}
+    for a, b in itertools.combinations(draws, 2):
         assert np.intersect1d(draws[a], draws[b]).size == 0, (a, b)
 
 
 def test_increments_have_brownian_moments():
-    # three chunks of the blocks a 69-step run draws (the last block is short)
-    rho = -0.3
-    c = _coeffs(2 * _STEP_BLOCK + 5, rho=rho)
-    dw = np.concatenate(
-        [_block_increments(c, 43, chunk, block, _CHUNK)
-         for chunk in range(3) for block in range(3)])
-    dw_f, dw_s = dw[:, 0].ravel() / c.sqdt, dw[:, 1].ravel() / c.sqdt
-    n = dw_f.size
-    assert n == 3 * c.n_steps * _CHUNK
-    for z in (dw_f, dw_s):
-        assert abs(z.mean()) < 5.0 / np.sqrt(n)
-        assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
-    corr = np.corrcoef(dw_f, dw_s)[0, 1]
-    assert abs(corr - rho) < 5.0 * (1.0 - rho * rho) / np.sqrt(n)
+    # three chunks of the blocks a 69-step run draws (the last block is
+    # short), for both streams; the correlation that the joint kernel gives
+    # dW_F and dW_sigma is checked path by path in
+    # test_joint_kernel_is_gaussian_given_the_variance_path
+    c = _coeffs(2 * _STEP_BLOCK + 5, seed=43)
+    for stream in (0, 1):
+        z = np.concatenate(
+            [_block_normals(c, chunk, block, _CHUNK, stream)
+             for chunk in range(3) for block in range(3)]).ravel() / c.sqdt
+        n = z.size
+        assert n == 3 * c.n_steps * _CHUNK
+        assert abs(z.mean()) < 5.0 / np.sqrt(n), stream
+        assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n), stream
 
 
 def test_terminal_memory_holds_one_step_block():
@@ -335,10 +337,62 @@ def test_variance_integrals_with_deterministic_variance():
 
 def test_variance_integrals_reject_lost_positivity():
     # 4 kappa theta = 0.2 < sigma_vv^2 = 1.96: the drift-implicit Milstein
-    # step loses positivity in both kernels
+    # step loses positivity, whichever kernel runs it
     p = _params(kappa=0.5, theta=0.1, sigma_vv=1.4)
     g = GridSpec(t0=0.0, t_end=0.5, n_steps=50, n_paths=1000, seed=1)
     for simulate in (simulate_terminal, simulate_variance_integrals):
         with pytest.raises(SimulationError, match="4 kappa theta"), \
                 pytest.warns(ConditionWarning):
             simulate(p, SAM, UNI, DP, g)
+
+
+@pytest.mark.parametrize("measure", [Measure.Q_TILDE, Measure.Q])
+def test_joint_kernel_is_gaussian_given_the_variance_path(measure):
+    # the premise of conditional Monte-Carlo, path by path: both kernels run
+    # the same variance paths, and given one, X_T = x0 - D + rho J +
+    # rho_bar sqrt(I) z with z ~ N(0, 1) independent of the path
+    p = _params()
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=100, n_paths=20_000, seed=21)
+    term = simulate_terminal(p, SAM, UNI, DP, g, measure=measure, workers=2)
+    v = simulate_variance_integrals(p, SAM, UNI, DP, g, measure=measure, workers=2)
+    rho_bar = np.sqrt(1.0 - p.rho * p.rho)
+    z = (term.x - np.log(p.f0) + v.drift - p.rho * v.vol_dw) / (rho_bar * np.sqrt(v.var))
+    n = g.n_paths
+    assert abs(z.mean()) < 5.0 / np.sqrt(n)
+    assert abs(z.var() - 1.0) < 5.0 * np.sqrt(2.0 / n)
+    for other in (v.vol_dw, v.var):
+        assert abs(np.corrcoef(z, other)[0, 1]) < 5.0 / np.sqrt(n)
+
+
+# (D, I, J) of paths 0, 1, 2 and 4096 (the first of chunk 1), and price_mc_many
+# (call, put, q1, q2, stderr) at K = 27, 30, 33, at seed 7 with 4097 paths and
+# 33 steps, recorded when the variance-only stream was introduced.  The
+# pricer, and so the mc_ladder benchmark, prices from this stream.
+_PINNED_INTEGRALS = {
+    "drift": [0.0070270982006802925, 0.004526965451125071, 0.004846710073670837,
+              0.004865747884980982],
+    "var": [0.014054196401360585, 0.009053930902250143, 0.009693420147341675,
+            0.009731495769961964],
+    "vol_dw": [0.0066505775346097085, -0.0942400579921056, 0.0752098328909134,
+               -0.041072698465535296],
+}
+_PINNED_PRICES = {
+    27.0: (3.2262098597170756, 0.2576814656265151, 0.8562467021756704,
+           0.830770855230719, 0.011811170457199255),
+    30.0: (1.2295962977299564, 1.2461053412174425, 0.5263875807609957,
+           0.4849044677653773, 0.006498007804839407),
+    33.0: (0.30106693613535723, 3.3026134172008907, 0.19188306306713804,
+           0.16517370203199472, 0.0020761098196932113),
+}
+
+
+def test_variance_only_stream_is_pinned():
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=_STEP_BLOCK + 1, n_paths=_CHUNK + 1, seed=7)
+    v = simulate_variance_integrals(_params(), SAM, UNI, DP, g)
+    for name, expected in _PINNED_INTEGRALS.items():
+        np.testing.assert_allclose(getattr(v, name)[[0, 1, 2, _CHUNK]], expected,
+                                   rtol=1e-13, atol=0, err_msg=name)
+    strikes = list(_PINNED_PRICES)
+    for k, res in zip(strikes, price_mc_many(_params(), SAM, UNI, DP, strikes, 0.5, g)):
+        np.testing.assert_allclose((res.call, res.put, res.q1, res.q2, res.stderr),
+                                   _PINNED_PRICES[k], rtol=1e-13, atol=0, err_msg=str(k))
