@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .charfn import PHI_MAX_DEFAULT, RiccatiCoefficients, char_fn, solve_riccati
 from .conditions import _warn_if_failed, check_novikov
@@ -272,6 +271,9 @@ def _black76(f: np.ndarray, k: float, sd: np.ndarray):
     Where sd = 0 the option is intrinsic: d+- = +inf for f >= k and -inf
     below, so f = k pays nothing either way.
     """
+    # local import: scipy.special costs ~0.3 s to load, and Fourier prices never use it
+    from scipy.special import ndtr
+
     m = np.log(f / k)
     spread = sd > 0
     d_plus = np.where(spread, m / np.where(spread, sd, 1.0) + 0.5 * sd,

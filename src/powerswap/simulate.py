@@ -29,7 +29,8 @@ failed Feller and Novikov checks, builds the per-step coefficients once and
 runs a chunk kernel on every chunk, in order or on a thread pool, returning
 the kernels' results in chunk order.  One block stepper, _variance_block,
 draws dW_sigma and takes the drift-implicit Milstein steps of nu for both
-kernels, so one seed gives the same variance paths everywhere.
+kernels, so one seed gives the same variance paths everywhere.  Each kernel
+allocates one _Workspace per chunk and writes every step block into it.
 simulate_paths, simulate_terminal and simulate_summary run the joint kernel,
 _step_chunk, which sets dW_F = rho dW_sigma + sqrt(1 - rho^2) Z and differs
 between front-ends only in what it keeps of each chunk's state.
@@ -211,8 +212,24 @@ def _build_coeffs(p: HestonParams, vol: VolStructure, w: WeightFunction,
     )
 
 
+class _Workspace:
+    """Scratch arrays of one chunk, reused by each of its step blocks in turn.
+
+    The step-major blocks are (_STEP_BLOCK, rows); a short last block uses
+    their first L rows.  Only the joint kernel keeps nu_n, in nus.
+    """
+
+    def __init__(self, rows: int, joint: bool):
+        shape = (_STEP_BLOCK, rows)
+        self.draw = np.empty(rows * _STEP_BLOCK)  # path-major Philox output
+        self.dw, self.dws, self.inflow, self.sq, self.blk = (np.empty(shape) for _ in range(5))
+        self.nus = np.empty(shape) if joint else None
+        self.row, self.acc = np.empty(rows), np.empty(rows)
+
+
 def _block_normals(c: _StepCoeffs, chunk: int, block: int, rows: int,
-                   stream: int) -> np.ndarray:
+                   stream: int, draw: np.ndarray | None = None,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """sqrt(dt) times standard normals of one step block of one chunk, step-major.
 
     Returns shape (L, rows) for steps block * _STEP_BLOCK onwards, L =
@@ -221,37 +238,42 @@ def _block_normals(c: _StepCoeffs, chunk: int, block: int, rows: int,
     as (rows, L) so that row r's draws do not depend on how many rows the
     chunk has, and copied once into step-major order.  They do not depend on
     the model or the measure either, which gives common random numbers across
-    both.
+    both.  draw (at least rows * L) and out (at least L rows), when given,
+    receive the path-major draw and the result.
     """
     length = min(_STEP_BLOCK, c.n_steps - block * _STEP_BLOCK)
+    draw = np.empty(rows * length) if draw is None else draw[:rows * length]
+    out = np.empty((length, rows)) if out is None else out[:length]
     gen = np.random.Generator(np.random.Philox(
         key=np.array([c.seed, chunk], dtype=np.uint64),
         counter=np.array([0, block, stream, 0], dtype=np.uint64)))
-    return np.multiply(gen.standard_normal((rows, length)).T, c.sqdt, order="C")
+    gen.standard_normal(out=draw)
+    return np.multiply(draw.reshape(rows, length).T, c.sqdt, out=out)
 
 
 def _variance_block(c: _StepCoeffs, nu: np.ndarray, chunk: int, block: int,
-                    nus: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                    ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """Drift-implicit Milstein steps of nu over one step block, nu updated in place.
 
-    Returns (dw, sq), each (L, rows): dW_sigma of steps n = n0..n0+L-1
-    (stream 0) and sqrt(nu_n), the left-point state of every step.  nus,
-    when given, receives nu_n as well.
+    Returns (dw, sq), each (L, rows) and held in ws: dW_sigma of steps n =
+    n0..n0+L-1 (stream 0) and sqrt(nu_n), the left-point state of every
+    step.  ws.nus, when the workspace has it, receives nu_n as well.
     """
     n0 = block * _STEP_BLOCK
-    dw = _block_normals(c, chunk, block, nu.size, 0)
-    dws = c.sigma * dw
+    dw = _block_normals(c, chunk, block, nu.size, 0, ws.draw, ws.dw)
+    length = len(dw)
+    dws = np.multiply(dw, c.sigma, out=ws.dws[:length])
     # Milstein correction plus the mean-reversion inflow, ahead of the loop
-    inflow = dws * dws
+    inflow = np.multiply(dws, dws, out=ws.inflow[:length])
     inflow -= c.sigma * c.sigma * c.dt
     inflow *= 0.25
-    inflow += c.kap_theta_dt[n0:n0 + len(dw), None]
-    sq = np.empty_like(dw)
-    for k in range(len(dw)):
-        if nus is not None:
-            nus[k] = nu
+    inflow += c.kap_theta_dt[n0:n0 + length, None]
+    sq = ws.sq[:length]
+    for k in range(length):
+        if ws.nus is not None:
+            ws.nus[k] = nu
         np.sqrt(nu, out=sq[k])
-        nu += sq[k] * dws[k]
+        nu += np.multiply(sq[k], dws[k], out=ws.row)
         nu += inflow[k]
         nu /= c.denom_right[n0 + k]
         if np.signbit(nu).any():
@@ -274,41 +296,43 @@ def _step_chunk(c: _StepCoeffs, chunk: int, rows: int,
     Each step block takes dW_sigma and nu_n from _variance_block and adds one
     independent normal Z per path-step from stream 1, so dW_F = rho dW_sigma
     + rho_bar Z.  observe(n, x, nu), when given, sees the state at every grid
-    time n = 0..n_steps; x is updated in place afterwards, so it must copy
-    what it keeps.
+    time n = 0..n_steps; both arrays are overwritten afterwards, so it must
+    copy what it keeps.
     """
+    ws = _Workspace(rows, joint=True)
     x = np.full(rows, c.x0)
     nu = np.full(rows, c.nu0)
     for block, n0 in enumerate(range(0, c.n_steps, _STEP_BLOCK)):
-        n1 = min(n0 + _STEP_BLOCK, c.n_steps)
-        nus = np.empty((n1 - n0, rows))
-        dw, sq = _variance_block(c, nu, chunk, block, nus)
+        dw, sq = _variance_block(c, nu, chunk, block, ws)
+        n1 = n0 + len(dw)
         # S sqrt(nu_n) dW_F, with dW_F = rho dW_sigma + rho_bar Z
+        z = _block_normals(c, chunk, block, rows, 1, ws.draw, ws.blk)
+        z *= c.rho_bar
         dw *= c.rho
-        dw += c.rho_bar * _block_normals(c, chunk, block, rows, 1)
+        dw += z
         dw *= sq
         dw *= c.s_step[n0:n1, None]
         for k, n in enumerate(range(n0, n1)):
             if observe is not None:
-                observe(n, x, nus[k])
+                observe(n, x, ws.nus[k])
             x += dw[k]
-            x -= c.coef_x_dt[n] * nus[k]
+            x -= np.multiply(ws.nus[k], c.coef_x_dt[n], out=ws.row)
     if observe is not None:
         observe(c.n_steps, x, nu)
     _require_finite(x, nu)
     return x, nu
 
 
-def _step_sum(weights: np.ndarray, blk: np.ndarray) -> np.ndarray:
-    """sum_k weights[k] blk[k] over the steps of a block, added in step order.
+def _step_sum(weights: np.ndarray, blk: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """sum_k weights[k] blk[k] over the steps of a block, added in step order into ws.acc.
 
     A BLAS product (weights @ blk) rounds the last few columns differently
     depending on how many columns there are, so a path's sums would depend
     on n_paths.
     """
-    out = weights[0] * blk[0]
+    out = np.multiply(blk[0], weights[0], out=ws.acc)
     for w, row in zip(weights[1:], blk[1:]):
-        out += w * row
+        out += np.multiply(row, w, out=ws.row)
     return out
 
 
@@ -319,16 +343,17 @@ def _integrate_chunk(c: _StepCoeffs, chunk: int, lo: int,
     Each step block adds to every sum one weighted sum over the block.
     """
     rows = hi - lo
+    ws = _Workspace(rows, joint=False)
     nu = np.full(rows, c.nu0)
     drift, var, vol_dw = np.zeros(rows), np.zeros(rows), np.zeros(rows)
     for block, n0 in enumerate(range(0, c.n_steps, _STEP_BLOCK)):
-        dw, sq = _variance_block(c, nu, chunk, block)
+        dw, sq = _variance_block(c, nu, chunk, block, ws)
         n1 = n0 + len(dw)
-        nu_blk = sq * sq
-        drift += _step_sum(c.coef_x_dt[n0:n1], nu_blk)
-        var += _step_sum(c.s2_dt[n0:n1], nu_blk)
+        nu_blk = np.multiply(sq, sq, out=ws.blk[:len(dw)])
+        drift += _step_sum(c.coef_x_dt[n0:n1], nu_blk, ws)
+        var += _step_sum(c.s2_dt[n0:n1], nu_blk, ws)
         sq *= dw
-        vol_dw += _step_sum(c.s_step[n0:n1], sq)
+        vol_dw += _step_sum(c.s_step[n0:n1], sq, ws)
     _require_finite(nu, drift, var, vol_dw)
     return drift, var, vol_dw
 

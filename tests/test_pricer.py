@@ -408,6 +408,30 @@ def test_fourier_pricing_does_not_load_scipy_integrate():
     assert proc.stdout.strip() == "False"
 
 
+def test_fourier_path_loads_no_scipy_until_mc():
+    # scipy.special alone costs about 0.3 s and 23 MB at import; only the
+    # Monte-Carlo and Black-76 prices need it, and they still price after
+    # a Fourier price and the CLI have run in the same process
+    code = ("import contextlib, io, sys, powerswap\n"
+            "from powerswap import cli\n"
+            "from powerswap.models import *\n"
+            "from powerswap.simulate import GridSpec\n"
+            "p = HestonParams(kappa=3.0, theta=0.6, sigma_vv=0.4, rho=-0.3, nu0=0.6,"
+            " f0=30.0, r=0.01)\n"
+            "args = (p, Samuelson(3.5), UniformWeight(), DeliveryPeriod(0.75, 5 / 6))\n"
+            "powerswap.price_fourier_many(*args, [24.0, 30.0, 36.0], 0.5, ode_tol=1e-6)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['price', '--method', 'fourier']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "res = powerswap.price_mc(*args, OptionSpec(30.0, 0.5),"
+            " GridSpec(0.0, 0.5, 20, 2000, seed=3))\n"
+            "print(res.call > 0 and res.stderr > 0)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+
+
 def test_import_does_not_load_scipy_stats():
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -396,3 +396,19 @@ def test_variance_only_stream_is_pinned():
     for k, res in zip(strikes, price_mc_many(_params(), SAM, UNI, DP, strikes, 0.5, g)):
         np.testing.assert_allclose((res.call, res.put, res.q1, res.q2, res.stderr),
                                    _PINNED_PRICES[k], rtol=1e-13, atol=0, err_msg=str(k))
+
+
+# Terminal (x, nu) of the joint kernel for the same paths, seed, grid and
+# measure, recorded before the kernels reused one workspace per chunk.
+_PINNED_TERMINAL = {
+    "x": [3.362510162135092, 3.204110546437874, 3.3511780941638096, 3.480993129039557],
+    "nu": [0.6270982934816528, 0.484824411389606, 0.6729954823313061, 0.5512469148484731],
+}
+
+
+def test_joint_stream_is_pinned():
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=_STEP_BLOCK + 1, n_paths=_CHUNK + 1, seed=7)
+    term = simulate_terminal(_params(), SAM, UNI, DP, g, measure=Measure.Q_TILDE)
+    for name, expected in _PINNED_TERMINAL.items():
+        np.testing.assert_allclose(getattr(term, name)[[0, 1, 2, _CHUNK]], expected,
+                                   rtol=1e-13, atol=0, err_msg=name)
