@@ -16,9 +16,12 @@ strike, so each strike is then one weighted sum over the same nodes per k.
 Puts follow from put-call parity.
 
 ``price_mc_many`` is conditional ("mixing") Monte-Carlo (Willard 1997,
-Romano & Touzi 1997): it simulates variance paths only, one normal per
-path-step, and averages over them the Black-76 price of the swap given each
-path.  Every strike is priced on the same paths.
+Romano & Touzi 1997) with control variates (Glasserman 2004, section 4.1):
+it simulates variance paths only, one normal per path-step, takes the
+Black-76 price of the swap given each path, and averages it less its
+least-squares fit on two per-path quantities of known mean, J = sum S
+sqrt(nu) dW_sigma (mean 0) and I = sum S^2 nu dt (mean from the scheme).
+Every strike is priced on the same paths.
 """
 
 from __future__ import annotations
@@ -68,10 +71,14 @@ class TruncationError(PricingError):
 
 @dataclass(frozen=True)
 class PriceResult:
-    """One option price.  ``stderr`` is the MC standard error of the call: the
-    sample standard deviation of the per-path conditional (Black-76) calls,
-    discounted, over sqrt(n_paths).  It is None for Fourier prices and for a
-    single MC path, where it is undefined."""
+    """One option price.  ``stderr`` is the MC standard error of the call:
+    the residual standard deviation (ddof = 3) of the per-path conditional
+    (Black-76) calls after their least-squares fit on the controls J and
+    I - E[I], discounted, over sqrt(n_paths).  With 2 or 3 paths there are
+    no controls and it is the plain sample standard error (ddof = 1);
+    ``diagnostics["raw_stderr"]`` always holds that uncontrolled figure.  It
+    is None for Fourier prices and for a single MC path, where it is
+    undefined."""
     call: float
     put: float
     q1: float
@@ -210,10 +217,25 @@ def price_mc(p: HestonParams, vol: VolStructure, w: WeightFunction,
                          measure=measure, workers=workers)[0]
 
 
-def _sample_stderr(values: np.ndarray, scale: float = 1.0) -> float | None:
-    # one path has no sample spread: its standard error is undefined, not 0
+def _sample_stderr(values: np.ndarray, scale: float = 1.0,
+                   ddof: int = 1) -> float | None:
+    # with no more samples than fitted means (one path, for the plain mean)
+    # the standard error is undefined, not 0
     n = values.size
-    return scale * float(values.std(ddof=1)) / np.sqrt(n) if n > 1 else None
+    return scale * float(values.std(ddof=ddof)) / np.sqrt(n) if n > ddof else None
+
+
+def _less_control_fit(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y - c beta per path, for the least-squares fit of y on design = [1, c].
+
+    Its mean is the control-variate estimate of E[y] when the controls c have
+    mean 0, and its spread about that mean is the fit's residual.  lstsq
+    copes with a rank-deficient design (I = E[I] when sigma_vv = 0), and the
+    estimate does not depend on how it then splits the constant between the
+    intercept and a control.
+    """
+    beta = np.linalg.lstsq(design, y, rcond=None)[0]
+    return y - design[:, 1:] @ beta[1:]
 
 
 def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
@@ -228,9 +250,14 @@ def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     on its conditional forward F_c = exp(x0 - D + rho J + (1 - rho^2) I / 2).
     This has the expectation and the discretisation bias of the payoff
     average over the joint scheme, with no more variance (Rao-Blackwell).
-    Under Q_tilde, F_c = f0 exp(rho J - rho^2 I / 2) is an exact discrete
-    martingale.  q2 is the mean of N(d-), q1 is sum F_c N(d+) / sum F_c, and
-    the diagnostics report the mean and standard error of F_c.
+    The call and the put are each averaged less their least-squares fit on
+    the controls J and I - E[I], which have mean 0 under either measure;
+    F_c - f0 would not serve, as F is a martingale under Q_tilde only.  With
+    3 paths or fewer the plain averages are reported and
+    diagnostics["controls"] is [].  Under Q_tilde, F_c = f0 exp(rho J -
+    rho^2 I / 2) is an exact discrete martingale.  q2 is the mean of N(d-),
+    q1 is sum F_c N(d+) / sum F_c, and the diagnostics report the plain mean
+    and standard error of F_c, and the plain standard error of the call.
     """
     specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
     if not exercise < dp.tau1:
@@ -247,20 +274,30 @@ def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     f_total = f_c.sum()
     df = np.exp(-p.r * (g.t_end - g.t0))
     forward_stderr = _sample_stderr(f_c)
+    controls = ["J", "I"] if g.n_paths > 3 else []
+    ddof = 1 + len(controls)
+    if controls:
+        design = np.column_stack([np.ones(g.n_paths), paths.vol_dw,
+                                  paths.var - paths.var_mean])
     out = []
     for spec in specs:
         call_pay, put_pay, n_plus, n_minus = _black76(f_c, spec.strike, sd)
+        raw_stderr = _sample_stderr(call_pay, df)
+        if controls:
+            call_pay = _less_control_fit(design, call_pay)
+            put_pay = _less_control_fit(design, put_pay)
         call = df * float(call_pay.mean())
         put = df * float(put_pay.mean())
         q2 = float(n_minus.mean())
         q1 = float(f_c @ n_plus / f_total) if f_total > 0 else 0.0
         diagnostics = {"n_paths": g.n_paths, "n_steps": g.n_steps, "seed": g.seed,
                        "measure": measure.value, "estimator": "conditional",
-                       "put_stderr": _sample_stderr(put_pay, df),
+                       "controls": list(controls), "raw_stderr": raw_stderr,
+                       "put_stderr": _sample_stderr(put_pay, df, ddof),
                        "forward_mean": float(f_c.mean()),
                        "forward_stderr": forward_stderr}
         out.append(PriceResult(call=call, put=put, q1=q1, q2=q2, method="mc",
-                               stderr=_sample_stderr(call_pay, df),
+                               stderr=_sample_stderr(call_pay, df, ddof),
                                diagnostics=diagnostics))
     return out
 

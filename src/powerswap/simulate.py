@@ -38,8 +38,10 @@ simulate_variance_integrals runs the variance-only kernel, _integrate_chunk,
 which keeps per path the integrals that conditional Monte-Carlo needs
 (D = sum coef_x_dt nu_n, I = sum S^2 nu_n dt and J = sum S sqrt(nu_n)
 dW_sigma): given the variance path, X_T of the joint kernel is Gaussian
-with mean x0 - D + rho J and variance (1 - rho^2) I.  Results are the same
-for any worker count.
+with mean x0 - D + rho J and variance (1 - rho^2) I.  It also returns
+E[I], from one deterministic recursion of the scheme's mean variance, so
+that J (mean 0) and I - E[I] can serve as control variates.  Results are
+the same for any worker count.
 """
 
 from __future__ import annotations
@@ -147,10 +149,13 @@ class VarianceIntegrals:
 
     ``drift`` is D = sum coef_x_dt nu_n, the X drift of the joint scheme;
     ``var`` is I = sum S^2 nu_n dt; ``vol_dw`` is J = sum S sqrt(nu_n) dW_sigma,n,
-    with S the step's root mean square delivery factor."""
+    with S the step's root mean square delivery factor.  ``var_mean`` is the
+    exact expectation of I under the scheme (see _variance_mean); J has
+    expectation 0."""
     drift: np.ndarray
     var: np.ndarray
     vol_dw: np.ndarray
+    var_mean: float
 
 
 @dataclass(frozen=True)
@@ -210,6 +215,19 @@ def _build_coeffs(p: HestonParams, vol: VolStructure, w: WeightFunction,
         sigma=p.sigma_vv, rho=p.rho, rho_bar=np.sqrt(1.0 - p.rho * p.rho),
         x0=float(np.log(p.f0)), nu0=p.nu0, seed=g.seed,
     )
+
+
+def _variance_mean(c: _StepCoeffs) -> float:
+    """E[I] = sum s2_dt[n] m_n, with m_n = E[nu_n] of the drift-implicit Milstein step.
+
+    The step's noise terms sqrt(nu_n) dW and (dW^2 - dt) / 4 have mean 0, so
+    m_0 = nu0 and m_{n+1} = (m_n + kap_theta_dt[n]) / denom_right[n] exactly.
+    """
+    m, total = c.nu0, 0.0
+    for s2_dt, kap_theta_dt, denom in zip(c.s2_dt, c.kap_theta_dt, c.denom_right):
+        total += s2_dt * m
+        m = (m + kap_theta_dt) / denom
+    return float(total)
 
 
 class _Workspace:
@@ -364,11 +382,12 @@ def _n_chunks(g: GridSpec) -> int:
 
 def _simulate(p: HestonParams, vol: VolStructure, w: WeightFunction,
               dp: DeliveryPeriod, g: GridSpec, measure: Measure, workers: int,
-              kernel) -> list:
+              kernel) -> tuple[_StepCoeffs, list]:
     """Validate, warn and run kernel(coeffs, chunk, lo, hi) on every chunk.
 
-    The kernel handles paths lo..hi-1 of chunk number `chunk`; its results
-    are returned in chunk order whatever the worker count.
+    The kernel handles paths lo..hi-1 of chunk number `chunk`.  Returns the
+    coefficients and the kernel's results in chunk order, whatever the
+    worker count.
     """
     if g.t_end > dp.tau1:
         raise ValueError(
@@ -385,9 +404,9 @@ def _simulate(p: HestonParams, vol: VolStructure, w: WeightFunction,
 
     chunks = range(_n_chunks(g))
     if workers <= 1:
-        return list(map(run_chunk, chunks))
+        return coeffs, list(map(run_chunk, chunks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_chunk, chunks))
+        return coeffs, list(pool.map(run_chunk, chunks))
 
 
 def simulate_paths(p: HestonParams, vol: VolStructure, w: WeightFunction,
@@ -416,8 +435,8 @@ def simulate_terminal(p: HestonParams, vol: VolStructure, w: WeightFunction,
                       measure: Measure = Measure.Q_TILDE,
                       workers: int = 1) -> TerminalSample:
     """Terminal (X, nu) only; same paths as simulate_paths for the same seed."""
-    parts = _simulate(p, vol, w, dp, g, measure, workers,
-                      lambda c, chunk, lo, hi: _step_chunk(c, chunk, hi - lo))
+    _, parts = _simulate(p, vol, w, dp, g, measure, workers,
+                         lambda c, chunk, lo, hi: _step_chunk(c, chunk, hi - lo))
     x_t, nu_t = map(np.concatenate, zip(*parts))
     return TerminalSample(t_end=g.t_end, x=x_t, nu=nu_t, seed=g.seed)
 
@@ -440,7 +459,7 @@ def simulate_summary(p: HestonParams, vol: VolStructure, w: WeightFunction,
         _step_chunk(c, chunk, hi - lo, accumulate)
         return sums
 
-    sum_f, sum_f2, sum_nu = sum(_simulate(p, vol, w, dp, g, measure, workers, kernel))
+    sum_f, sum_f2, sum_nu = sum(_simulate(p, vol, w, dp, g, measure, workers, kernel)[1])
     n = g.n_paths
     mean_f = sum_f / n
     stderr_f = None
@@ -455,9 +474,10 @@ def simulate_variance_integrals(p: HestonParams, vol: VolStructure, w: WeightFun
                                 dp: DeliveryPeriod, g: GridSpec,
                                 measure: Measure = Measure.Q_TILDE,
                                 workers: int = 1) -> VarianceIntegrals:
-    """Per-path (D, I, J), one draw per path-step.
+    """Per-path (D, I, J) and E[I], one draw per path-step.
 
     The variance paths are those of simulate_terminal for the same seed.
     """
-    parts = _simulate(p, vol, w, dp, g, measure, workers, _integrate_chunk)
-    return VarianceIntegrals(*map(np.concatenate, zip(*parts)))
+    coeffs, parts = _simulate(p, vol, w, dp, g, measure, workers, _integrate_chunk)
+    return VarianceIntegrals(*map(np.concatenate, zip(*parts)),
+                             var_mean=_variance_mean(coeffs))

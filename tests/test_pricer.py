@@ -539,6 +539,37 @@ def test_mc_conditional_prices_match_fourier():
         assert abs(res.put - fr.put) <= 4.0 * res.diagnostics["put_stderr"]
 
 
+def test_mc_control_variates_match_fourier_and_cut_stderr():
+    # the mc_ladder benchmark grid; the controls J and I - E[I] must leave
+    # the estimate unbiased and cut the ATM variance well beyond 4x
+    p = _params()
+    strikes = [27.0, 30.0, 33.0]
+    g = GridSpec(t0=0.0, t_end=T, n_steps=1000, n_paths=32768, seed=1)
+    mc = price_mc_many(p, SAM, UNI, DP, strikes, T, g, workers=2)
+    for fr, res in zip(price_fourier_many(p, SAM, UNI, DP, strikes, T), mc):
+        assert res.diagnostics["controls"] == ["J", "I"]
+        assert abs(res.call - fr.call) <= 4.0 * res.stderr
+    atm = mc[1]
+    assert atm.stderr <= atm.diagnostics["raw_stderr"] / 4.0
+
+
+def test_mc_few_paths_fall_back_to_the_plain_mean():
+    # an intercept and two controls leave no residual degree of freedom at
+    # 3 paths, so up to 3 paths the pricer averages without controls
+    opt = OptionSpec(strike=30.0, exercise=T)
+    for n_paths, controls in ((1, []), (2, []), (3, []), (4, ["J", "I"])):
+        g = GridSpec(t0=0.0, t_end=T, n_steps=20, n_paths=n_paths, seed=4)
+        res = price_mc(_params(), SAM, UNI, DP, opt, g)
+        assert res.diagnostics["controls"] == controls
+        assert res.diagnostics["estimator"] == "conditional"
+        if n_paths == 1:
+            assert res.stderr is None and res.diagnostics["raw_stderr"] is None
+        elif not controls:
+            assert res.stderr == res.diagnostics["raw_stderr"] > 0
+        else:
+            assert res.stderr > 0 and res.diagnostics["raw_stderr"] > 0
+
+
 def test_mc_zero_conditional_variance_is_intrinsic():
     # nu0 = 5e-324 and one step: I = S^2 nu0 dt rounds to 0, so every path
     # prices at its intrinsic value, with no RuntimeWarning from d+-

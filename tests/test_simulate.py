@@ -12,9 +12,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from powerswap.averaging import decompose
 from powerswap.conditions import ConditionWarning
 from powerswap.models import (
     DeliveryPeriod,
+    DeliverySeasonal,
+    ExponentialWeight,
     GeneralSeparable,
     HestonParams,
     Samuelson,
@@ -347,6 +350,34 @@ def test_variance_integrals_reject_lost_positivity():
 
 
 @pytest.mark.parametrize("measure", [Measure.Q_TILDE, Measure.Q])
+def test_control_means_are_exact(measure):
+    # a delivery-seasonal model with exponential weight has xi != 0, so the
+    # mean reversion of nu differs between the measures; I must average to
+    # var_mean and J to 0 under either
+    vol, weight = DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0)
+    p = _params()
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=50, n_paths=200_000, seed=3)
+    assert decompose(vol, weight, DP).xi(0.0) != 0.0
+    c = _build_coeffs(p, vol, weight, DP, g, measure)
+    # E[nu_{n+1}] = (E[nu_n] + kappa theta_n dt) / (1 + kappa_eff(t_{n+1}) dt)
+    m = [p.nu0]
+    for n in range(g.n_steps - 1):
+        m.append((m[-1] + c.kap_theta_dt[n]) / c.denom_right[n])
+    v = simulate_variance_integrals(p, vol, weight, DP, g, measure=measure, workers=2)
+    assert v.var_mean == pytest.approx(float(np.dot(c.s2_dt, m)), rel=1e-13)
+    n = g.n_paths
+    for sample, mean in ((v.var, v.var_mean), (v.vol_dw, 0.0)):
+        assert abs(sample.mean() - mean) < 4.0 * sample.std(ddof=1) / np.sqrt(n)
+
+
+def test_control_mean_of_deterministic_variance_is_the_path_value():
+    # sigma_vv = 0: every path's I is the mean
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=70, n_paths=3, seed=2)
+    v = simulate_variance_integrals(_params(sigma_vv=0.0, nu0=0.3), SAM, UNI, DP, g)
+    np.testing.assert_allclose(v.var, v.var_mean, rtol=1e-13)
+
+
+@pytest.mark.parametrize("measure", [Measure.Q_TILDE, Measure.Q])
 def test_joint_kernel_is_gaussian_given_the_variance_path(measure):
     # the premise of conditional Monte-Carlo, path by path: both kernels run
     # the same variance paths, and given one, X_T = x0 - D + rho J +
@@ -366,8 +397,11 @@ def test_joint_kernel_is_gaussian_given_the_variance_path(measure):
 
 # (D, I, J) of paths 0, 1, 2 and 4096 (the first of chunk 1), and price_mc_many
 # (call, put, q1, q2, stderr) at K = 27, 30, 33, at seed 7 with 4097 paths and
-# 33 steps, recorded when the variance-only stream was introduced.  The
-# pricer, and so the mc_ladder benchmark, prices from this stream.
+# 33 steps.  The integrals, q1 and q2 were recorded when the variance-only
+# stream was introduced; the call, put and stderr were re-recorded when the
+# pricer took the control variates J and I - E[I], which leave the stream
+# as it was.  The pricer, and so the mc_ladder benchmark, prices from this
+# stream.
 _PINNED_INTEGRALS = {
     "drift": [0.0070270982006802925, 0.004526965451125071, 0.004846710073670837,
               0.004865747884980982],
@@ -377,12 +411,12 @@ _PINNED_INTEGRALS = {
                -0.041072698465535296],
 }
 _PINNED_PRICES = {
-    27.0: (3.2262098597170756, 0.2576814656265151, 0.8562467021756704,
-           0.830770855230719, 0.011811170457199255),
-    30.0: (1.2295962977299564, 1.2461053412174425, 0.5263875807609957,
-           0.4849044677653773, 0.006498007804839407),
-    33.0: (0.30106693613535723, 3.3026134172008907, 0.19188306306713804,
-           0.16517370203199472, 0.0020761098196932113),
+    27.0: (3.2398651874103543, 0.2544092278847476, 0.8562467021756704,
+           0.830770855230719, 0.0013741023889263988),
+    30.0: (1.2371938463875238, 1.236775324439964, 0.5263875807609957,
+           0.4849044677653773, 0.0013901577022843244),
+    33.0: (0.30350007835417236, 3.2881189939846593, 0.19188306306713804,
+           0.16517370203199472, 0.0006192429976526309),
 }
 
 
