@@ -104,7 +104,10 @@ def _require_number(field: str, value: Any) -> float:
     # bool is an int subclass; reject it explicitly so `true` is not 1.0
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer beyond the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(field, "must be finite")
     return v
@@ -123,6 +126,8 @@ def _parse_tau(field: str, value: Any) -> float:
             return float(Fraction(value))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(field, f"not a valid fraction: {value!r}") from None
+        except OverflowError:
+            raise ConfigError(field, "must be finite") from None
     return _require_number(field, value)
 
 
@@ -533,11 +538,10 @@ def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[s
     paths = simulate_paths(cfg.params, cfg.vol, cfg.weight, cfg.delivery, g, workers=workers)
     f = paths.f_paths
     if fmt == "csv":
-        rows = []
-        for i in range(g.n_paths):
-            for j, t in enumerate(paths.times):
-                rows.append([i, float(t), float(paths.x_paths[i, j]), float(paths.nu_paths[i, j]), float(f[i, j])])
-        return _render_csv(["path_id", "t", "X", "nu", "F"], rows), 0
+        columns = {"path_id": np.repeat(np.arange(g.n_paths), paths.times.size),
+                   "t": np.tile(paths.times, g.n_paths), "X": paths.x_paths.ravel(),
+                   "nu": paths.nu_paths.ravel(), "F": f.ravel()}
+        return _render_columns(fmt, columns), 0
     return _render_json(
         {
             "t": list(map(float, paths.times)),
@@ -555,11 +559,10 @@ def _cmd_price(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str,
     if fmt == "json":
         payload = {name: asdict(res) for name, res in results.items()}
         return _render_json(payload if args.method == "both" else payload[args.method]), 0
-    rows = [
-        [res.method, res.call, res.put, res.q1, res.q2, "" if res.stderr is None else res.stderr]
-        for res in results.values()
-    ]
-    return _render_csv(["method", "call", "put", "q1", "q2", "stderr"], rows), 0
+    # a None stderr is an empty CSV cell
+    rows = [{key: getattr(res, key) for key in ("method", "call", "put", "q1", "q2", "stderr")}
+            for res in results.values()]
+    return _render_rows(fmt, rows), 0
 
 
 def _cmd_validate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:

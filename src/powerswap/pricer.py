@@ -10,9 +10,9 @@ fixed-width panels with 32-point Gauss-Legendre nodes, 16 panels per block,
 and solves one stacked k = 2 Riccati system per block on the nodes
 (phi, phi - i): the share-measure identity Q_hat_1(phi) = Q_hat_2(phi - i) / e^x
 (Carr & Madan 1999, Lewis 2001) gives both transforms from that one solve.
-Each k is truncated where max |Q_hat_k| / phi stays below 1e-12 on two
-panels in a row.  Neither that truncation nor the node values depend on the
-strike, so each strike is then one weighted sum over the same nodes per k.
+Both are truncated where max |Q_hat_k| / phi is below 1e-12 for k = 1 and 2
+on the same two panels in a row.  Neither that truncation nor the node values
+depend on the strike, so each strike is then one weighted sum over the nodes.
 Puts follow from put-call parity.
 
 ``price_mc_many`` is conditional ("mixing") Monte-Carlo (Willard 1997,
@@ -78,7 +78,9 @@ class PriceResult:
     no controls and it is the plain sample standard error (ddof = 1);
     ``diagnostics["raw_stderr"]`` always holds that uncontrolled figure.  It
     is None for Fourier prices and for a single MC path, where it is
-    undefined."""
+    undefined.  A Fourier price's diagnostics repeat its one truncation point
+    as panels_k1 == panels_k2 and phi_used_k1 == phi_used_k2, because
+    perfbench/worker.py sums each pair; the keys merge with its next change."""
     call: float
     put: float
     q1: float
@@ -89,17 +91,19 @@ class PriceResult:
 
 
 def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
-                          nu: float, phi_max: float, ode_tol: float) -> dict:
-    """{k: (nodes, qhat, panels, envelope, converged)}, solving block by block.
+                          nu: float, phi_max: float, ode_tol: float) -> tuple:
+    """(nodes, qhat) of shape (n,) and (2, n), Q_hat_k in row k - 1, and the envelope.
 
     Each block is one k = 2 solve on the stacked nodes (phi, phi - i):
-    Q_hat_1(phi) = Q_hat_2(phi - i) / e^x.  Blocks are added until each k
-    has its own two panels in a row below the envelope tolerance.
+    Q_hat_1(phi) = Q_hat_2(phi - i) / e^x.  Blocks are added until both k
+    have max |Q_hat_k| / phi below the envelope tolerance on the same two
+    panels in a row; the arrays end there and the envelope is None.  At
+    phi_max it is the last panel's, inf with no panel.
     """
     n_panels = int(phi_max * (1.0 + 1e-12) // _PANEL_WIDTH)
     nodes = np.empty((0, _GL_NODES.size))
-    qhat = {k: np.empty((0, _GL_NODES.size), complex) for k in (1, 2)}
-    panels = {}
+    qhat = np.empty((2,) + nodes.shape, complex)
+    envelope = np.array([np.inf])
     for start in range(0, n_panels, _BLOCK_PANELS):
         mid = np.arange(start, min(start + _BLOCK_PANELS, n_panels)) + 0.5
         block = _PANEL_WIDTH * (mid[:, None] + 0.5 * _GL_NODES)
@@ -107,20 +111,14 @@ def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
         sol = solve_riccati(rc, t, T, stacked, abs_tol=ode_tol, phi_max=phi_max)
         q2, q1 = char_fn(sol, x, nu).reshape((2,) + block.shape)
         nodes = np.vstack([nodes, block])
-        qhat = {1: np.vstack([qhat[1], q1 / np.exp(x)]), 2: np.vstack([qhat[2], q2])}
-        for k in (1, 2):
-            below = np.max(np.abs(qhat[k]) / nodes, axis=1) < _ENVELOPE_TOL
-            hits = np.flatnonzero(below[:-1] & below[1:])
-            if hits.size:
-                panels.setdefault(k, int(hits[0]) + 2)
-        if len(panels) == 2:
-            break
-    out = {}
-    for k in (1, 2):
-        n, converged = panels.get(k, len(nodes)), k in panels
-        envelope = float(np.max(np.abs(qhat[k][n - 1]) / nodes[n - 1])) if n else np.inf
-        out[k] = nodes[:n].ravel(), qhat[k][:n].ravel(), n, envelope, converged
-    return out
+        qhat = np.concatenate([qhat, [q1 / np.exp(x), q2]], axis=1)
+        envelope = np.max(np.abs(qhat) / nodes, axis=(0, 2))
+        below = envelope < _ENVELOPE_TOL
+        hits = np.flatnonzero(below[:-1] & below[1:])
+        if hits.size:
+            n = int(hits[0]) + 2
+            return nodes[:n].ravel(), qhat[:, :n].reshape(2, -1), None
+    return nodes.ravel(), qhat.reshape(2, -1), float(envelope[-1])
 
 
 def _finalize_prob(raw: float, k: int, diagnostics: dict) -> float:
@@ -163,6 +161,8 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
         raise ValueError(f"exercise {exercise} must precede the delivery start {dp.tau1}")
     if not phi_max < np.inf:
         raise ValueError(f"phi_max must be finite, got {phi_max}")
+    if not phi_max > 0:
+        raise ValueError(f"phi_max must be positive, got {phi_max}")
     # the state is checked here so that a bad one costs no Riccati solve
     for name, value in (("x", x), ("nu", nu)):
         if not np.isfinite(value):
@@ -170,28 +170,34 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     if nu < 0:
         raise ValueError(f"nu must be non-negative, got {nu}")
     specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
+    if not specs:
+        return []
     t, T, x, nu, phi_max = float(t), float(exercise), float(x), float(nu), float(phi_max)
     rc = RiccatiCoefficients.for_model(p, vol, w, dp, 2)
-    transforms = _truncated_transforms(rc, t, T, x, nu, phi_max, ode_tol)
+    nodes, qhat, envelope = _truncated_transforms(rc, t, T, x, nu, phi_max, ode_tol)
+    panels = nodes.size // _GL_NODES.size
+    # 1 - Q_k = 1/2 + Re(terms[k - 1] @ e^{-i phi ln K}), weights and 1 / (pi i phi) folded in
+    terms = qhat * (0.5 * _PANEL_WIDTH / np.pi) * np.tile(_GL_WEIGHTS, panels) / (1j * nodes)
+
+    def exercise_probs(strike: float) -> np.ndarray:
+        return 0.5 + np.real(terms @ np.exp(-1j * nodes * np.log(strike)))
+
+    if envelope is not None:
+        raise TruncationError(
+            f"integrand envelope still {envelope:.3e} at phi_max={phi_max}",
+            partial=float(exercise_probs(specs[0].strike)[0]), envelope=envelope)
+    truncation = {"panels_k1": panels, "phi_used_k1": panels * _PANEL_WIDTH,
+                  "panels_k2": panels, "phi_used_k2": panels * _PANEL_WIDTH}
     df = np.exp(-p.r * (T - t))
     fwd = np.exp(x)
     out = []
     for spec in specs:
         strike = spec.strike
-        diagnostics = {"novikov_ok": nov.ok}
-        q = {}
-        for k, (nodes, qhat, panels, envelope, converged) in transforms.items():
-            integrand = np.real(np.exp(-1j * nodes * np.log(strike)) * qhat / (1j * nodes))
-            total = 0.5 * _PANEL_WIDTH * float(np.dot(np.tile(_GL_WEIGHTS, panels), integrand))
-            raw = 0.5 + total / np.pi
-            if not converged:
-                raise TruncationError(
-                    f"integrand envelope still {envelope:.3e} at phi_max={phi_max}",
-                    partial=raw, envelope=envelope)
-            diagnostics[f"panels_k{k}"] = panels
-            diagnostics[f"phi_used_k{k}"] = panels * _PANEL_WIDTH
-            q[k] = _finalize_prob(raw, k, diagnostics)
-        call = df * (fwd * q[1] - strike * q[2])
+        diagnostics = {"novikov_ok": nov.ok, **truncation}
+        raw1, raw2 = exercise_probs(strike)
+        q1 = _finalize_prob(float(raw1), 1, diagnostics)
+        q2 = _finalize_prob(float(raw2), 2, diagnostics)
+        call = df * (fwd * q1 - strike * q2)
         if call < 0.0:
             if call < -1e-10 * max(1.0, strike):
                 raise PricingError(f"negative call price {call}")
@@ -204,7 +210,7 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
             diagnostics["clamped_put"] = put
             put = 0.0
             call = df * (fwd - strike)
-        out.append(PriceResult(call=float(call), put=float(put), q1=q[1], q2=q[2],
+        out.append(PriceResult(call=float(call), put=float(put), q1=q1, q2=q2,
                                method="fourier", stderr=None, diagnostics=diagnostics))
     return out
 

@@ -389,6 +389,7 @@ def _simulate(p: HestonParams, vol: VolStructure, w: WeightFunction,
     coefficients and the kernel's results in chunk order, whatever the
     worker count.
     """
+    _require_positive_int("workers", workers)
     if g.t_end > dp.tau1:
         raise ValueError(
             f"t_end must not exceed the delivery start {dp.tau1}, got {g.t_end}")

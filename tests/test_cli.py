@@ -45,6 +45,27 @@ def test_fraction_strings_parse_exactly():
     assert cfg.delivery.tau2 == 5.0 / 6.0
 
 
+_HUGE = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("config, field", [
+    ('{"heston": {"kappa": %s}}' % _HUGE, "heston.kappa"),
+    ('{"weight": {"variant": "custom", "u_grid": [0, %s], "values": [1, 1]}}' % _HUGE,
+     "weight.u_grid[1]"),
+    ('{"delivery": {"tau2": "1e400"}}', "delivery.tau2"),
+], ids=["number", "list-entry", "fraction"])
+def test_numbers_beyond_the_float_range_are_config_errors(capsys, tmp_path, config, field):
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: must be finite")):
+        load_config(json.loads(config))
+    path = tmp_path / "huge.json"
+    path.write_text(config)
+    code, out, err = run_cli(capsys, ["check", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {"code": 1, "type": "ConfigError",
+                                        "message": f"{field}: must be finite"}
+
+
 def test_unknown_section_and_field_rejected():
     with pytest.raises(ConfigError, match="bogus: unknown section"):
         load_config({"bogus": {}})

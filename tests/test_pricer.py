@@ -243,6 +243,33 @@ def test_samuelson_prices_match_series_oracle(lam):
         assert res.call == pytest.approx(max(df * (p.f0 * q1 - s * q2), 0.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("vol", [SAM, Samuelson(1.0), DeliverySeasonal(1.0, 0.4, 0.0),
+                                 TradingSeasonal(0.6, 0.7, 0.2)])
+def test_both_transforms_share_one_truncation_point(vol):
+    p = _params(theta=vol.theta) if isinstance(vol, TradingSeasonal) else _params()
+    diagnostics = price_fourier_many(p, vol, UNI, DP, [24.0, 30.0, 36.0], T)[0].diagnostics
+    assert diagnostics["panels_k1"] == diagnostics["panels_k2"]
+    assert diagnostics["phi_used_k1"] == diagnostics["phi_used_k2"]
+
+
+@pytest.mark.parametrize("phi_max", [1.0, 4.0, 40.0])
+def test_truncation_failure_is_raised_once_before_any_strike(monkeypatch, phi_max):
+    # below phi_max = 2 no panel fits, and no block is solved
+    priced = []
+    monkeypatch.setattr(pricer, "_finalize_prob",
+                        lambda raw, k, diagnostics: priced.append(k) or raw)
+    with pytest.raises(TruncationError) as info:
+        price_fourier_many(_params(), SAM, UNI, DP, [24.0, 30.0, 36.0], T, phi_max=phi_max)
+    assert priced == []
+    assert np.isfinite(info.value.partial)
+    assert info.value.envelope > 1e-12
+    if phi_max < 2.0:
+        assert info.value.partial == 0.5
+        assert info.value.envelope == np.inf
+    # with no strike there is no price to fail
+    assert price_fourier_many(_params(), SAM, UNI, DP, [], T, phi_max=phi_max) == []
+
+
 def _per_panel_exercise_probs(p, vol, k, strikes):
     """1 - Q_k panel by panel: one Riccati solve per 32-node panel of width 2,
     stopped after two panels in a row with max |Q_hat| / phi < 1e-12."""
@@ -345,6 +372,8 @@ def test_fourier_at_later_valuation_time(monkeypatch):
         (dict(opt=opt, x=np.inf), "x must be finite, got inf"),
         (dict(opt=opt, x=-np.inf), "x must be finite, got -inf"),
         (dict(opt=opt, phi_max=np.inf), "phi_max must be finite, got inf"),
+        (dict(opt=opt, phi_max=0.0), "phi_max must be positive, got 0.0"),
+        (dict(opt=opt, phi_max=-5.0), "phi_max must be positive, got -5.0"),
         (dict(opt=OptionSpec(strike=30.0, exercise=0.75)),
          "exercise 0.75 must precede the delivery start 0.75"),
     ]:

@@ -195,6 +195,25 @@ def test_horizon_beyond_delivery_start_rejected():
         simulate_paths(_params(), SAM, UNI, DP, g)
 
 
+def test_workers_must_be_a_positive_integer(monkeypatch):
+    # rejected before any work: the condition report is the first step after it
+    import powerswap.simulate as simulate_module
+
+    def no_report(*args, **kwargs):
+        raise AssertionError("work started before the workers check")
+
+    monkeypatch.setattr(simulate_module, "full_report", no_report)
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=10, n_paths=2, seed=1)
+    for workers in (0, -3, True, 2.5):
+        message = f"workers must be a positive integer, got {workers}"
+        for run in (simulate_paths, simulate_terminal, simulate_summary,
+                    simulate_variance_integrals):
+            with pytest.raises(ValueError, match=message):
+                run(_params(), SAM, UNI, DP, g, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            price_mc_many(_params(), SAM, UNI, DP, [30.0], 0.5, g, workers=workers)
+
+
 def test_measure_must_be_enum():
     g = GridSpec(t0=0.0, t_end=0.5, n_steps=10, n_paths=2, seed=1)
     with pytest.raises(TypeError):
