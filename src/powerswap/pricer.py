@@ -92,23 +92,28 @@ class PriceResult:
 
 def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
                           nu: float, phi_max: float, ode_tol: float) -> tuple:
-    """(nodes, qhat) of shape (n,) and (2, n), Q_hat_k in row k - 1, and the envelope.
+    """(nodes, qhat, envelope, work): nodes (n,), Q_hat_k in row k - 1 of qhat (2, n).
 
+    ``work`` holds riccati_steps and riccati_rhs, summed over the solves.
     Each block is one k = 2 solve on the stacked nodes (phi, phi - i):
-    Q_hat_1(phi) = Q_hat_2(phi - i) / e^x.  Blocks are added until both k
-    have max |Q_hat_k| / phi below the envelope tolerance on the same two
-    panels in a row; the arrays end there and the envelope is None.  At
-    phi_max it is the last panel's, inf with no panel.
+    Q_hat_1(phi) = Q_hat_2(phi - i) / e^x.  The solve is told nu, so that it
+    weights each node's error by the size of its transform.  Blocks are
+    added until both k have max |Q_hat_k| / phi below the envelope tolerance
+    on the same two panels in a row; the arrays end there and the envelope
+    is None.  At phi_max it is the last panel's, inf with no panel.
     """
     n_panels = int(phi_max * (1.0 + 1e-12) // _PANEL_WIDTH)
     nodes = np.empty((0, _GL_NODES.size))
     qhat = np.empty((2,) + nodes.shape, complex)
     envelope = np.array([np.inf])
+    work = {"riccati_steps": 0, "riccati_rhs": 0}
     for start in range(0, n_panels, _BLOCK_PANELS):
         mid = np.arange(start, min(start + _BLOCK_PANELS, n_panels)) + 0.5
         block = _PANEL_WIDTH * (mid[:, None] + 0.5 * _GL_NODES)
         stacked = np.concatenate([block.ravel(), block.ravel() - 1j])
-        sol = solve_riccati(rc, t, T, stacked, abs_tol=ode_tol, phi_max=phi_max)
+        sol = solve_riccati(rc, t, T, stacked, abs_tol=ode_tol, phi_max=phi_max, nu=nu)
+        work["riccati_steps"] += sol.n_steps
+        work["riccati_rhs"] += sol.n_rhs
         q2, q1 = char_fn(sol, x, nu).reshape((2,) + block.shape)
         nodes = np.vstack([nodes, block])
         qhat = np.concatenate([qhat, [q1 / np.exp(x), q2]], axis=1)
@@ -117,8 +122,8 @@ def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
         hits = np.flatnonzero(below[:-1] & below[1:])
         if hits.size:
             n = int(hits[0]) + 2
-            return nodes[:n].ravel(), qhat[:, :n].reshape(2, -1), None
-    return nodes.ravel(), qhat.reshape(2, -1), float(envelope[-1])
+            return nodes[:n].ravel(), qhat[:, :n].reshape(2, -1), None, work
+    return nodes.ravel(), qhat.reshape(2, -1), float(envelope[-1]), work
 
 
 def _finalize_prob(raw: float, k: int, diagnostics: dict) -> float:
@@ -150,7 +155,16 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
                        t: float = 0.0, x: float | None = None,
                        nu: float | None = None, phi_max: float = PHI_MAX_DEFAULT,
                        ode_tol: float = 1e-10) -> list[PriceResult]:
-    """Fourier prices for several strikes from one stacked truncated transform."""
+    """Fourier prices for several strikes from one stacked truncated transform.
+
+    ``ode_tol`` is the Riccati abs_tol.  It bounds each step's local error
+    in Psi = (Psi0, Psi1) at the nodes where |Q_hat_k| at the state's nu is
+    at least 1e-2; where the transform is smaller the bound is up to 1e6
+    ode_tol (``charfn.solve_riccati`` with nu), as a price feels an error in
+    Psi there only in proportion to |Q_hat_k|.  The diagnostics add
+    ``riccati_steps`` and ``riccati_rhs``, the accepted steps and
+    right-hand-side evaluations summed over the solved blocks.
+    """
     nov = check_novikov(p, vol, dp)
     _warn_if_failed("Novikov", nov.ok, nov.lhs, nov.rhs)
     x = np.log(p.f0) if x is None else x
@@ -174,7 +188,7 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
         return []
     t, T, x, nu, phi_max = float(t), float(exercise), float(x), float(nu), float(phi_max)
     rc = RiccatiCoefficients.for_model(p, vol, w, dp, 2)
-    nodes, qhat, envelope = _truncated_transforms(rc, t, T, x, nu, phi_max, ode_tol)
+    nodes, qhat, envelope, work = _truncated_transforms(rc, t, T, x, nu, phi_max, ode_tol)
     panels = nodes.size // _GL_NODES.size
     # 1 - Q_k = 1/2 + Re(terms[k - 1] @ e^{-i phi ln K}), weights and 1 / (pi i phi) folded in
     terms = qhat * (0.5 * _PANEL_WIDTH / np.pi) * np.tile(_GL_WEIGHTS, panels) / (1j * nodes)
@@ -187,7 +201,7 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
             f"integrand envelope still {envelope:.3e} at phi_max={phi_max}",
             partial=float(exercise_probs(specs[0].strike)[0]), envelope=envelope)
     truncation = {"panels_k1": panels, "phi_used_k1": panels * _PANEL_WIDTH,
-                  "panels_k2": panels, "phi_used_k2": panels * _PANEL_WIDTH}
+                  "panels_k2": panels, "phi_used_k2": panels * _PANEL_WIDTH, **work}
     df = np.exp(-p.r * (T - t))
     fwd = np.exp(x)
     out = []

@@ -69,6 +69,8 @@ __all__ = ["GridSpec", "Measure", "PathSet", "TerminalSample", "SummaryStats",
 _CHUNK = 4096        # paths per chunk; part of the random-stream layout
 _STEP_BLOCK = 32     # time steps drawn per generator; part of the layout too
 _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
+# the largest array numpy can index: one entry per path, or per grid time
+_MAX_ARRAY_SIZE = int(np.iinfo(np.intp).max)
 
 
 class SimulationError(RuntimeError):
@@ -96,6 +98,13 @@ class GridSpec:
             raise ValueError(f"t_end must be finite and exceed t0, got ({self.t0}, {self.t_end})")
         _require_positive_int("n_steps", self.n_steps)
         _require_positive_int("n_paths", self.n_paths)
+        # the values are not printed, as str() of a huge int can itself fail
+        if self.n_paths > _MAX_ARRAY_SIZE:
+            raise ValueError(f"n_paths must be at most {_MAX_ARRAY_SIZE}, the largest "
+                             f"array size")
+        if self.n_steps >= _MAX_ARRAY_SIZE:
+            raise ValueError(f"n_steps must be below {_MAX_ARRAY_SIZE}, the largest array "
+                             f"size, as the grid has n_steps + 1 times")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 

@@ -160,6 +160,37 @@ def test_tighter_tolerance_takes_more_steps():
     assert (tight.n_rhs - 1) % 6 == 0 and tight.n_rhs >= 6 * tight.n_steps + 1
 
 
+def test_transform_weighted_control_saves_steps_where_q_hat_is_small():
+    # the pricer's third block, phi in [64, 96] stacked with phi - i, where
+    # |Q_hat| at nu = 0.6 is below 4e-8: told nu, the solve stops holding
+    # these nodes' Psi to abs_tol, and Q_hat itself stays as accurate
+    rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
+    gl_nodes, _ = np.polynomial.legendre.leggauss(32)
+    phi = (2.0 * (np.arange(32, 48)[:, None] + 0.5 + 0.5 * gl_nodes)).ravel()
+    stacked = np.concatenate([phi, phi - 1j])
+    x, nu = np.log(30.0), 0.6
+    weighted = solve_riccati(rc, 0.0, 0.5, stacked, nu=nu)
+    plain = solve_riccati(rc, 0.0, 0.5, stacked)
+    tight = solve_riccati(rc, 0.0, 0.5, stacked, abs_tol=1e-12)
+    assert weighted.n_steps < plain.n_steps
+    np.testing.assert_allclose(char_fn(weighted, x, nu), char_fn(tight, x, nu),
+                               rtol=0.0, atol=1e-10)
+    # one block further, |Q_hat| falls to 1e-20, where the pricer's envelope
+    # test reads it: the weight's floor still keeps it to 1% relative error
+    stacked = np.concatenate([phi + 32.0, phi + 32.0 - 1j])
+    weighted = solve_riccati(rc, 0.0, 0.5, stacked, nu=nu)
+    tight = solve_riccati(rc, 0.0, 0.5, stacked, abs_tol=1e-12)
+    np.testing.assert_allclose(char_fn(weighted, x, nu), char_fn(tight, x, nu),
+                               rtol=1e-2, atol=0.0)
+
+
+@pytest.mark.parametrize("nu", [-0.1, np.inf, np.nan])
+def test_weighted_control_rejects_a_bad_nu(nu):
+    rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
+    with pytest.raises(ValueError, match="nu must be finite and non-negative"):
+        solve_riccati(rc, 0.0, 0.5, np.array([1.0]), nu=nu)
+
+
 @pytest.mark.parametrize("lam,T", [(3.5, 0.5), (1.0, 0.7)])
 def test_samuelson_matches_series_oracle(lam, T):
     # |1 - e^{-lam T}| is 0.83 and 0.50, inside the series' radius

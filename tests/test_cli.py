@@ -460,12 +460,18 @@ def test_grid_end_past_delivery_start_rejected(capsys, tmp_path):
     (["validate"], {"grid": {"t_end": 0.6}}, "grid.t_end"),
     (["price"], {"option": {"exercise": 0.75}}, "option.exercise"),
     (["price"], {"grid": {"t0": 0.6}}, "grid.t0"),
+    # counts beyond the largest numpy array
+    (["check"], {"grid": {"n_paths": 10 ** 400, "n_steps": 2}}, "grid.n_paths"),
+    (["decompose"], {"grid": {"n_steps": 10 ** 400}}, "grid.n_steps"),
+    (["check"], {"grid": {"n_steps": 2 ** 63 - 1}}, "grid.n_steps"),
 ], ids=["decompose-t0", "simulate-t0", "mc-t0", "validate-t0", "mc-t_end", "both-t_end",
-        "validate-t_end", "price-exercise", "fourier-t0"])
+        "validate-t_end", "price-exercise", "fourier-t0", "check-huge-n_paths",
+        "decompose-huge-n_steps", "check-n_steps-grid-overflow"])
 def test_grid_and_exercise_errors_name_the_field(capsys, tmp_path, argv, config, field):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    code, out, err = run_cli(capsys, [*argv, "--config", str(path), "--paths", "10"])
+    paths = [] if "n_paths" in config.get("grid", {}) else ["--paths", "10"]
+    code, out, err = run_cli(capsys, [*argv, "--config", str(path), *paths])
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["message"].startswith(f"{field}: ")

@@ -186,11 +186,13 @@ def test_fourier_context_decomposes_once(monkeypatch):
 
 def test_fourier_diagnostics_and_truncation(monkeypatch):
     p = _params()
-    solves = []
+    solves, work = [], []
 
     def counting_solve(*args, **kwargs):
         solves.append(np.size(args[3]))
-        return solve_riccati(*args, **kwargs)
+        sol = solve_riccati(*args, **kwargs)
+        work.append((sol.n_steps, sol.n_rhs))
+        return sol
 
     monkeypatch.setattr(pricer, "solve_riccati", counting_solve)
     res = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
@@ -199,6 +201,10 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
     # however many strikes it prices
     panels = res.diagnostics["panels_k1"], res.diagnostics["panels_k2"]
     assert len(solves) == -(-max(panels) // 16)
+    # the Riccati work is summed over those solves
+    steps, rhs = map(sum, zip(*work))
+    assert (res.diagnostics["riccati_steps"], res.diagnostics["riccati_rhs"]) == (steps, rhs)
+    assert 0 < steps and 6 * steps < rhs
     one_strike = len(solves)
     solves.clear()
     price_fourier_many(p, SAM, UNI, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T)
@@ -270,35 +276,43 @@ def test_truncation_failure_is_raised_once_before_any_strike(monkeypatch, phi_ma
     assert price_fourier_many(_params(), SAM, UNI, DP, [], T, phi_max=phi_max) == []
 
 
-def _per_panel_exercise_probs(p, vol, k, strikes):
-    """1 - Q_k panel by panel: one Riccati solve per 32-node panel of width 2,
-    stopped after two panels in a row with max |Q_hat| / phi < 1e-12."""
-    rc = RiccatiCoefficients.for_model(p, vol, UNI, DP, k)
+def _per_panel_exercise_probs(p, vol, strikes, t, nu):
+    """1 - Q_k in row k - 1, panel by panel: one Riccati solve per k and per
+    32-node panel of width 2, stopped after two panels in a row on which
+    max |Q_hat_k| / phi < 1e-12 for both k.  The solves are not told nu, so
+    they control every node to the full tolerance."""
+    rcs = [RiccatiCoefficients.for_model(p, vol, UNI, DP, k) for k in (1, 2)]
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
-    totals = np.zeros(len(strikes))
+    totals = np.zeros((2, len(strikes)))
     lo, below = 0.0, 0
     while below < 2:
         nodes = lo + 1.0 + gl_nodes
-        qhat = char_fn(solve_riccati(rc, 0.0, T, nodes), np.log(p.f0), p.nu0)
-        for i, strike in enumerate(strikes):
-            integrand = np.real(np.exp(-1j * nodes * np.log(strike)) * qhat / (1j * nodes))
-            totals[i] += np.dot(gl_weights, integrand)
-        below = below + 1 if np.max(np.abs(qhat) / nodes) < 1e-12 else 0
+        qhat = [char_fn(solve_riccati(rc, t, T, nodes), np.log(p.f0), nu) for rc in rcs]
+        for k, q in enumerate(qhat):
+            for i, strike in enumerate(strikes):
+                integrand = np.real(np.exp(-1j * nodes * np.log(strike)) * q / (1j * nodes))
+                totals[k, i] += np.dot(gl_weights, integrand)
+        both = all(np.max(np.abs(q) / nodes) < 1e-12 for q in qhat)
+        below = below + 1 if both else 0
         lo += 2.0
     return 0.5 + totals / np.pi, lo / 2.0
 
 
 @pytest.mark.parametrize("vol", [DeliverySeasonal(1.0, 0.4, 0.0),
-                                 TradingSeasonal(0.6, 0.7, 0.2)])
+                                 TradingSeasonal(0.6, 0.7, 0.2), SAM])
 def test_block_solves_match_per_panel_solves(vol):
+    # the pricer's block solves weight each node's error by |Q_hat| at the
+    # state's nu; at the initial state, mid-life at a low variance, and at
+    # nu = 0 (Psi1 unseen) they must match solves that weight nothing
     p = _params(theta=vol.theta) if isinstance(vol, TradingSeasonal) else _params()
     strikes = [26.0, 30.0, 34.0]
-    results = price_fourier_many(p, vol, UNI, DP, strikes, T)
-    for k in (1, 2):
-        probs, panels = _per_panel_exercise_probs(p, vol, k, strikes)
-        assert results[0].diagnostics[f"panels_k{k}"] == panels
-        got = [getattr(r, f"q{k}") for r in results]
-        np.testing.assert_allclose(got, probs, rtol=0.0, atol=1e-10)
+    for t, nu in ((0.0, p.nu0), (0.25, 0.3), (0.0, 0.0)):
+        results = price_fourier_many(p, vol, UNI, DP, strikes, T, t=t, nu=nu)
+        probs, panels = _per_panel_exercise_probs(p, vol, strikes, t, nu)
+        for k in (1, 2):
+            assert results[0].diagnostics[f"panels_k{k}"] == panels
+            got = [getattr(r, f"q{k}") for r in results]
+            np.testing.assert_allclose(got, probs[k - 1], rtol=0.0, atol=1e-10)
 
 
 def test_novikov_warning_points_at_the_caller():

@@ -72,6 +72,14 @@ def test_grid_spec_validation():
                         field: True})
     with pytest.raises(ValueError):
         GridSpec(t0=0.0, t_end=0.5, n_steps=10, n_paths=3, seed=-1)
+    # one array entry per path and per grid time (n_steps + 1) must be indexable
+    big = np.iinfo(np.intp).max
+    GridSpec(t0=0.0, t_end=0.5, n_steps=big - 1, n_paths=big, seed=1)
+    for field, value in (("n_paths", big + 1), ("n_paths", 10 ** 400),
+                         ("n_steps", big), ("n_steps", np.int64(big))):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            GridSpec(**{"t0": 0.0, "t_end": 0.5, "n_steps": 10, "n_paths": 3, "seed": 1,
+                        field: value})
 
 
 def test_same_seed_same_paths():
