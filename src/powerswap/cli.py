@@ -347,7 +347,7 @@ def _read_config_file(path: Any) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal beyond the digit limit
             raise ConfigError("<config>", f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be a JSON object")

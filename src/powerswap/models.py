@@ -162,7 +162,11 @@ class OptionSpec:
 def _require_positive_int(name: str, value) -> None:
     """Reject a count that is not an integer >= 1; a bool is not a count."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+        try:
+            got = f", got {value}"
+        except ValueError:  # str() of an int beyond Python's digit limit fails
+            got = ""
+        raise ValueError(f"{name} must be a positive integer{got}")
 
 
 def _require_finite(**tables: np.ndarray) -> None:

@@ -7,11 +7,12 @@ only -S^2 nu / 2 while the variance mean-reversion speed becomes
 kappa + rho sigma_vv xi(t); under the futures measure Q the extra -S xi nu
 drift sits on X and the variance keeps speed kappa.  X is stepped by
 Euler-Maruyama on the log (so F = e^X stays positive and is a discrete
-martingale under Q_tilde); nu by a drift-implicit Milstein step that preserves
-non-negativity.  The X step uses the root mean square of S(t) over the step
-(3-point Gauss-Legendre), so the integrated variance of S^2 nu carries no
-left-point bias where S varies in time; the Q-measure S xi drift stays at the
-left point.
+martingale under Q_tilde); nu by a drift-implicit Milstein step, written as
+a perfect square so that nu stays non-negative wherever 4 kappa theta(t) >=
+sigma_vv^2 (see _nu_steps).  The X step uses the root mean square of S(t)
+over the step (3-point Gauss-Legendre), so the integrated variance of S^2 nu
+carries no left-point bias where S varies in time; the Q-measure S xi drift
+stays at the left point.
 
 Random numbers: paths run in chunks of _CHUNK rows, and each chunk steps
 through the grid in blocks of _STEP_BLOCK time steps.  Block b of chunk c
@@ -27,13 +28,13 @@ stream.
 One driver, _simulate, serves every front-end: it validates the run, reports
 failed Feller and Novikov checks, builds the per-step coefficients once and
 runs a chunk kernel on every chunk, in order or on a thread pool, returning
-the kernels' results in chunk order.  One block stepper, _variance_block,
-draws dW_sigma and takes the drift-implicit Milstein steps of nu for both
-kernels, so one seed gives the same variance paths everywhere.  Each kernel
-allocates one _Workspace per chunk and writes every step block into it.
-simulate_paths, simulate_terminal and simulate_summary run the joint kernel,
-_step_chunk, which sets dW_F = rho dW_sigma + sqrt(1 - rho^2) Z and differs
-between front-ends only in what it keeps of each chunk's state.
+the kernels' results in chunk order.  One stepper, _nu_steps, draws the
+normals and takes the drift-implicit Milstein steps of nu for both kernels,
+one step at a time on vectors of one chunk's rows, so one seed gives the same
+variance paths everywhere; each kernel adds its per-step sums in the same
+loop.  simulate_paths, simulate_terminal and simulate_summary run the joint
+kernel, _step_chunk, which sets dW_F = rho dW_sigma + sqrt(1 - rho^2) Z and
+differs between front-ends only in what it keeps of each chunk's state.
 simulate_variance_integrals runs the variance-only kernel, _integrate_chunk,
 which keeps per path the integrals that conditional Monte-Carlo needs
 (D = sum coef_x_dt nu_n, I = sum S^2 nu_n dt and J = sum S sqrt(nu_n)
@@ -68,6 +69,7 @@ __all__ = ["GridSpec", "Measure", "PathSet", "TerminalSample", "SummaryStats",
 
 _CHUNK = 4096        # paths per chunk; part of the random-stream layout
 _STEP_BLOCK = 32     # time steps drawn per generator; part of the layout too
+_SUB_BLOCK = 8       # steps scaled at a time into scratch; not part of the layout
 _GL3_NODES, _GL3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 # the largest array numpy can index: one entry per path, or per grid time
 _MAX_ARRAY_SIZE = int(np.iinfo(np.intp).max)
@@ -174,11 +176,14 @@ class _StepCoeffs:
     n_steps: int
     dt: float
     sqdt: float
-    s_step: np.ndarray        # root mean square of S over [t_n, t_{n+1}]
-    s2_dt: np.ndarray         # s_step^2 dt
-    coef_x_dt: np.ndarray     # (s_step^2/2 + S xi_drift(t_n)) dt
+    s_sqdt: np.ndarray        # root mean square of S over [t_n, t_{n+1}], times sqrt(dt)
+    s2_dt: np.ndarray         # that root mean square squared, times dt
+    coef_x_dt: np.ndarray     # (s2_dt/2 + xi_x_dt), the X drift per unit nu
+    xi_x_dt: np.ndarray       # S xi_drift(t_n) dt, 0 under Q_tilde
     kap_theta_dt: np.ndarray  # kappa theta(t_n) dt
     denom_right: np.ndarray   # 1 + kappa_eff(t_{n+1}) dt
+    inflow: np.ndarray        # c_n = kappa theta(t_n) dt - sigma_vv^2 dt / 4
+    inv_denom: np.ndarray     # 1 / denom_right
     sigma: float
     rho: float
     rho_bar: float
@@ -208,7 +213,7 @@ def _build_coeffs(p: HestonParams, vol: VolStructure, w: WeightFunction,
     zeros = np.zeros_like(xi_all)
     xi_drift = xi_all if measure is Measure.Q else zeros
     xi_kappa = xi_all if measure is Measure.Q_TILDE else zeros
-    coef_x = 0.5 * s2_step + s_all[:-1] * xi_drift[:-1]
+    xi_x_dt = s_all[:-1] * xi_drift[:-1] * dt
     kappa_eff = p.kappa + p.rho * p.sigma_vv * xi_kappa
 
     denom = 1.0 + kappa_eff * dt
@@ -216,11 +221,14 @@ def _build_coeffs(p: HestonParams, vol: VolStructure, w: WeightFunction,
         raise SimulationError(
             "implicit variance step requires 1 + kappa_eff dt > 0; "
             "reduce the step size")
+    kap_theta_dt = p.kappa * theta_all[:-1] * dt
     return _StepCoeffs(
         n_steps=g.n_steps, dt=dt, sqdt=np.sqrt(dt),
-        s_step=np.sqrt(s2_step), s2_dt=s2_step * dt, coef_x_dt=coef_x * dt,
-        kap_theta_dt=p.kappa * theta_all[:-1] * dt,
-        denom_right=denom[1:],
+        s_sqdt=np.sqrt(s2_step * dt), s2_dt=s2_step * dt,
+        coef_x_dt=0.5 * s2_step * dt + xi_x_dt, xi_x_dt=xi_x_dt,
+        kap_theta_dt=kap_theta_dt, denom_right=denom[1:],
+        inflow=kap_theta_dt - 0.25 * p.sigma_vv * p.sigma_vv * dt,
+        inv_denom=1.0 / denom[1:],
         sigma=p.sigma_vv, rho=p.rho, rho_bar=np.sqrt(1.0 - p.rho * p.rho),
         x0=float(np.log(p.f0)), nu0=p.nu0, seed=g.seed,
     )
@@ -239,75 +247,74 @@ def _variance_mean(c: _StepCoeffs) -> float:
     return float(total)
 
 
-class _Workspace:
-    """Scratch arrays of one chunk, reused by each of its step blocks in turn.
-
-    The step-major blocks are (_STEP_BLOCK, rows); a short last block uses
-    their first L rows.  Only the joint kernel keeps nu_n, in nus.
-    """
-
-    def __init__(self, rows: int, joint: bool):
-        shape = (_STEP_BLOCK, rows)
-        self.draw = np.empty(rows * _STEP_BLOCK)  # path-major Philox output
-        self.dw, self.dws, self.inflow, self.sq, self.blk = (np.empty(shape) for _ in range(5))
-        self.nus = np.empty(shape) if joint else None
-        self.row, self.acc = np.empty(rows), np.empty(rows)
-
-
 def _block_normals(c: _StepCoeffs, chunk: int, block: int, rows: int,
-                   stream: int, draw: np.ndarray | None = None,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(dt) times standard normals of one step block of one chunk, step-major.
+                   stream: int, draw: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals of one step block of one chunk, as a step-major (L, rows) view.
 
-    Returns shape (L, rows) for steps block * _STEP_BLOCK onwards, L =
-    _STEP_BLOCK except in the last block.  The normals come from
-    Philox(key=(seed, chunk), counter=(0, block, stream, 0)), drawn path-major
-    as (rows, L) so that row r's draws do not depend on how many rows the
-    chunk has, and copied once into step-major order.  They do not depend on
-    the model or the measure either, which gives common random numbers across
-    both.  draw (at least rows * L) and out (at least L rows), when given,
-    receive the path-major draw and the result.
+    The block covers steps block * _STEP_BLOCK onwards, L = _STEP_BLOCK
+    except in the last block.  The normals come from Philox(key=(seed,
+    chunk), counter=(0, block, stream, 0)), drawn path-major as (rows, L)
+    into draw (at least rows * L, when given) so that row r's draws do not
+    depend on how many rows the chunk has.  They do not depend on the model
+    or the measure either, which gives common random numbers across both.
     """
     length = min(_STEP_BLOCK, c.n_steps - block * _STEP_BLOCK)
     draw = np.empty(rows * length) if draw is None else draw[:rows * length]
-    out = np.empty((length, rows)) if out is None else out[:length]
     gen = np.random.Generator(np.random.Philox(
         key=np.array([c.seed, chunk], dtype=np.uint64),
         counter=np.array([0, block, stream, 0], dtype=np.uint64)))
     gen.standard_normal(out=draw)
-    return np.multiply(draw.reshape(rows, length).T, c.sqdt, out=out)
+    return draw.reshape(rows, length).T
 
 
-def _variance_block(c: _StepCoeffs, nu: np.ndarray, chunk: int, block: int,
-                    ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """Drift-implicit Milstein steps of nu over one step block, nu updated in place.
+def _nu_steps(c: _StepCoeffs, chunk: int, nu: np.ndarray, joint: bool):
+    """Drift-implicit Milstein steps of nu over the whole grid, nu updated in place.
 
-    Returns (dw, sq), each (L, rows) and held in ws: dW_sigma of steps n =
-    n0..n0+L-1 (stream 0) and sqrt(nu_n), the left-point state of every
-    step.  ws.nus, when the workspace has it, receives nu_n as well.
+    Yields (n, nu, sq, sdw) for n = 0..n_steps-1: nu holds nu_n, sq is
+    sqrt(nu_n) and sdw is S dW_n with S the step's root mean square delivery
+    factor.  dW is dW_sigma (stream 0) or, if joint, dW_F = rho dW_sigma +
+    rho_bar Z with Z from stream 1.  All three are overwritten once the
+    consumer resumes; after the last step nu holds nu_{n_steps}.
+
+    The step nu_{n+1} (1 + kappa_eff dt) = nu_n + kappa theta dt + sigma
+    sqrt(nu_n) dW + sigma^2 (dW^2 - dt) / 4 is taken as the perfect square
+    nu_{n+1} = ((sqrt(nu_n) + sigma dW / 2)^2 + c_n) inv_n, with c_n =
+    (kappa theta(t_n) - sigma^2 / 4) dt and inv_n = 1 / (1 + kappa_eff dt) > 0.
+    Where 4 kappa theta(t_n) >= sigma^2, c_n >= 0 and nu_{n+1} >= 0 by
+    construction, so only steps with c_n < 0 are checked for lost positivity.
+    Each step block's draws are scaled into step-major scratch _SUB_BLOCK
+    steps at a time, and all per-step work is on rows-long vectors, so the
+    working set stays in cache.
     """
-    n0 = block * _STEP_BLOCK
-    dw = _block_normals(c, chunk, block, nu.size, 0, ws.draw, ws.dw)
-    length = len(dw)
-    dws = np.multiply(dw, c.sigma, out=ws.dws[:length])
-    # Milstein correction plus the mean-reversion inflow, ahead of the loop
-    inflow = np.multiply(dws, dws, out=ws.inflow[:length])
-    inflow -= c.sigma * c.sigma * c.dt
-    inflow *= 0.25
-    inflow += c.kap_theta_dt[n0:n0 + length, None]
-    sq = ws.sq[:length]
-    for k in range(length):
-        if ws.nus is not None:
-            ws.nus[k] = nu
-        np.sqrt(nu, out=sq[k])
-        nu += np.multiply(sq[k], dws[k], out=ws.row)
-        nu += inflow[k]
-        nu /= c.denom_right[n0 + k]
-        if np.signbit(nu).any():
-            raise SimulationError(
-                f"variance went negative at step {n0 + k + 1}; the drift-implicit "
-                "Milstein step requires 4 kappa theta >= sigma_vv^2")
-    return dw, sq
+    rows = nu.size
+    draws = np.empty((1 + joint, rows * _STEP_BLOCK))
+    half_dw, sdw, tmp = (np.empty((_SUB_BLOCK, rows)) for _ in range(3))
+    sq = np.empty(rows)
+    half_sigma = 0.5 * c.sigma * c.sqdt
+    inflow, inv_denom = c.inflow.tolist(), c.inv_denom.tolist()
+    check = (c.inflow < 0).tolist()
+    for block, n0 in enumerate(range(0, c.n_steps, _STEP_BLOCK)):
+        dw = _block_normals(c, chunk, block, rows, 0, draws[0])
+        z = _block_normals(c, chunk, block, rows, 1, draws[1]) if joint else None
+        for k0 in range(0, len(dw), _SUB_BLOCK):
+            n1 = n0 + k0
+            m = min(_SUB_BLOCK, len(dw) - k0)
+            s = c.s_sqdt[n1:n1 + m, None]
+            h = np.multiply(dw[k0:k0 + m], half_sigma, out=half_dw[:m])
+            w = np.multiply(dw[k0:k0 + m], s * c.rho if joint else s, out=sdw[:m])
+            if joint:
+                w += np.multiply(z[k0:k0 + m], s * c.rho_bar, out=tmp[:m])
+            for k, n in enumerate(range(n1, n1 + m)):
+                np.sqrt(nu, out=sq)
+                yield n, nu, sq, w[k]
+                np.add(sq, h[k], out=nu)
+                np.square(nu, out=nu)
+                nu += inflow[n]
+                nu *= inv_denom[n]
+                if check[n] and np.signbit(nu).any():
+                    raise SimulationError(
+                        f"variance went negative at step {n + 1}; the drift-implicit "
+                        "Milstein step requires 4 kappa theta >= sigma_vv^2")
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
@@ -320,67 +327,44 @@ def _step_chunk(c: _StepCoeffs, chunk: int, rows: int,
                 observe=None) -> tuple[np.ndarray, np.ndarray]:
     """Joint kernel: advance (x, nu) of one chunk over the whole grid; returns terminal (x, nu).
 
-    Each step block takes dW_sigma and nu_n from _variance_block and adds one
-    independent normal Z per path-step from stream 1, so dW_F = rho dW_sigma
-    + rho_bar Z.  observe(n, x, nu), when given, sees the state at every grid
-    time n = 0..n_steps; both arrays are overwritten afterwards, so it must
-    copy what it keeps.
+    Takes nu_n and S dW_F from _nu_steps.  observe(n, x, nu), when given,
+    sees the state at every grid time n = 0..n_steps; both arrays are
+    overwritten afterwards, so it must copy what it keeps.
     """
-    ws = _Workspace(rows, joint=True)
     x = np.full(rows, c.x0)
     nu = np.full(rows, c.nu0)
-    for block, n0 in enumerate(range(0, c.n_steps, _STEP_BLOCK)):
-        dw, sq = _variance_block(c, nu, chunk, block, ws)
-        n1 = n0 + len(dw)
-        # S sqrt(nu_n) dW_F, with dW_F = rho dW_sigma + rho_bar Z
-        z = _block_normals(c, chunk, block, rows, 1, ws.draw, ws.blk)
-        z *= c.rho_bar
-        dw *= c.rho
-        dw += z
-        dw *= sq
-        dw *= c.s_step[n0:n1, None]
-        for k, n in enumerate(range(n0, n1)):
-            if observe is not None:
-                observe(n, x, ws.nus[k])
-            x += dw[k]
-            x -= np.multiply(ws.nus[k], c.coef_x_dt[n], out=ws.row)
+    tmp = np.empty(rows)
+    coef_x_dt = c.coef_x_dt.tolist()
+    for n, nu_n, sq, sdw in _nu_steps(c, chunk, nu, joint=True):
+        if observe is not None:
+            observe(n, x, nu_n)
+        x += np.multiply(sq, sdw, out=tmp)
+        x -= np.multiply(nu_n, coef_x_dt[n], out=tmp)
     if observe is not None:
         observe(c.n_steps, x, nu)
     _require_finite(x, nu)
     return x, nu
 
 
-def _step_sum(weights: np.ndarray, blk: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """sum_k weights[k] blk[k] over the steps of a block, added in step order into ws.acc.
-
-    A BLAS product (weights @ blk) rounds the last few columns differently
-    depending on how many columns there are, so a path's sums would depend
-    on n_paths.
-    """
-    out = np.multiply(blk[0], weights[0], out=ws.acc)
-    for w, row in zip(weights[1:], blk[1:]):
-        out += np.multiply(row, w, out=ws.row)
-    return out
-
-
 def _integrate_chunk(c: _StepCoeffs, chunk: int, lo: int,
                      hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Variance-only kernel: per-path (D, I, J) of paths lo..hi-1, see VarianceIntegrals.
 
-    Each step block adds to every sum one weighted sum over the block.
+    The sums are added in step order, one step at a time: a BLAS product
+    over steps would round differently depending on the number of paths.
+    D = I / 2 plus, under Q, sum xi_x_dt nu_n.
     """
     rows = hi - lo
-    ws = _Workspace(rows, joint=False)
     nu = np.full(rows, c.nu0)
-    drift, var, vol_dw = np.zeros(rows), np.zeros(rows), np.zeros(rows)
-    for block, n0 in enumerate(range(0, c.n_steps, _STEP_BLOCK)):
-        dw, sq = _variance_block(c, nu, chunk, block, ws)
-        n1 = n0 + len(dw)
-        nu_blk = np.multiply(sq, sq, out=ws.blk[:len(dw)])
-        drift += _step_sum(c.coef_x_dt[n0:n1], nu_blk, ws)
-        var += _step_sum(c.s2_dt[n0:n1], nu_blk, ws)
-        sq *= dw
-        vol_dw += _step_sum(c.s_step[n0:n1], sq, ws)
+    var, vol_dw, tmp = np.zeros(rows), np.zeros(rows), np.empty(rows)
+    s2_dt, xi_x_dt = c.s2_dt.tolist(), c.xi_x_dt.tolist()
+    xi_drift = np.zeros(rows) if any(xi_x_dt) else None
+    for n, nu_n, sq, sdw in _nu_steps(c, chunk, nu, joint=False):
+        var += np.multiply(nu_n, s2_dt[n], out=tmp)
+        vol_dw += np.multiply(sq, sdw, out=tmp)
+        if xi_drift is not None:
+            xi_drift += np.multiply(nu_n, xi_x_dt[n], out=tmp)
+    drift = 0.5 * var if xi_drift is None else 0.5 * var + xi_drift
     _require_finite(nu, drift, var, vol_dw)
     return drift, var, vol_dw
 

@@ -66,6 +66,21 @@ def test_numbers_beyond_the_float_range_are_config_errors(capsys, tmp_path, conf
                                         "message": f"{field}: must be finite"}
 
 
+def test_integers_beyond_the_digit_limit_are_config_errors(capsys, tmp_path):
+    # str() of an int with more than 4300 digits raises, so neither the
+    # message nor the JSON reader may format one
+    with pytest.raises(ConfigError, match=r"^grid\.n_paths: must be a positive integer$"):
+        load_config({"grid": {"n_paths": -10 ** 5000}})
+    path = tmp_path / "digits.json"
+    path.write_text('{"grid": {"n_paths": %s}}' % ("1" * 5000))
+    code, out, err = run_cli(capsys, ["check", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith("<config>: invalid JSON: ")
+
+
 def test_unknown_section_and_field_rejected():
     with pytest.raises(ConfigError, match="bogus: unknown section"):
         load_config({"bogus": {}})

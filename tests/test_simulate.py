@@ -7,6 +7,7 @@ paths run alongside.
 """
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -307,7 +308,7 @@ def test_increments_have_brownian_moments():
     for stream in (0, 1):
         z = np.concatenate(
             [_block_normals(c, chunk, block, _CHUNK, stream)
-             for chunk in range(3) for block in range(3)]).ravel() / c.sqdt
+             for chunk in range(3) for block in range(3)]).ravel()
         n = z.size
         assert n == 3 * c.n_steps * _CHUNK
         assert abs(z.mean()) < 5.0 / np.sqrt(n), stream
@@ -374,6 +375,59 @@ def test_variance_integrals_reject_lost_positivity():
         with pytest.raises(SimulationError, match="4 kappa theta"), \
                 pytest.warns(ConditionWarning):
             simulate(p, SAM, UNI, DP, g)
+
+
+def test_positivity_is_checked_where_theta_falls_below_the_milstein_bound():
+    # 4 kappa theta(t) = 2.4 >= sigma_vv^2 = 1.96 before t = 0.2 and 0.2
+    # after: the step can go negative only where c_n < 0, and both kernels
+    # report the same such step
+    p = _params(kappa=0.5, theta=lambda t: np.where(np.asarray(t) < 0.2, 1.2, 0.1),
+                sigma_vv=1.4, nu0=0.1)
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=50, n_paths=1000, seed=1)
+    c = _build_coeffs(p, SAM, UNI, DP, g, Measure.Q_TILDE)
+    assert (c.inflow[:20] >= 0).all() and (c.inflow[20:] < 0).all()
+    messages = set()
+    for simulate in (simulate_terminal, simulate_variance_integrals):
+        with pytest.raises(SimulationError, match="4 kappa theta") as info, \
+                pytest.warns(ConditionWarning):
+            simulate(p, SAM, UNI, DP, g)
+        messages.add(str(info.value))
+    (message,) = messages
+    step = int(re.search(r"at step (\d+)", message).group(1))
+    assert c.inflow[step - 1] < 0
+
+
+@pytest.mark.parametrize("measure", [Measure.Q_TILDE, Measure.Q])
+def test_perfect_square_step_is_the_milstein_step(measure):
+    # nu_{n+1} (1 + kappa_eff dt) = nu_n + kappa theta dt + sigma sqrt(nu_n) dW
+    # + sigma^2 (dW^2 - dt) / 4, recomputed from the draws of one chunk
+    vol, weight = DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0)
+    p = _params()
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=_STEP_BLOCK + 5, n_paths=500, seed=19)
+    c = _build_coeffs(p, vol, weight, DP, g, measure)
+    nu = simulate_paths(p, vol, weight, DP, g, measure=measure).nu_paths
+    dw = c.sqdt * np.concatenate([_block_normals(c, 0, block, g.n_paths, 0)
+                                  for block in range(2)]).T
+    sig = p.sigma_vv
+    expected = (nu[:, :-1] + c.kap_theta_dt + sig * np.sqrt(nu[:, :-1]) * dw
+                + 0.25 * sig * sig * (dw * dw - c.dt)) / c.denom_right
+    np.testing.assert_allclose(nu[:, 1:], expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("measure", [Measure.Q_TILDE, Measure.Q])
+def test_both_kernels_run_one_variance_stepper(measure):
+    # I and D of the variance-only kernel, recomputed path by path from the
+    # nu_n of the joint kernel; xi != 0, so the two measures step nu apart
+    vol, weight = DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0)
+    p = _params()
+    g = GridSpec(t0=0.0, t_end=0.5, n_steps=2 * _STEP_BLOCK + 5, n_paths=_CHUNK + 7, seed=13)
+    c = _build_coeffs(p, vol, weight, DP, g, measure)
+    nu = simulate_paths(p, vol, weight, DP, g, measure=measure).nu_paths[:, :-1]
+    v = simulate_variance_integrals(p, vol, weight, DP, g, measure=measure)
+    np.testing.assert_allclose(v.var, nu @ c.s2_dt, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(v.drift, nu @ c.coef_x_dt, rtol=1e-13, atol=0)
+    if measure is Measure.Q_TILDE:
+        np.testing.assert_array_equal(v.drift, 0.5 * v.var)
 
 
 @pytest.mark.parametrize("measure", [Measure.Q_TILDE, Measure.Q])
