@@ -10,9 +10,12 @@ requires, backward in time with zero terminal data,
 with alpha_1 = 1/2, alpha_2 = -1/2, beta_1 = kappa + sigma rho (xi(t) - S(t)),
 beta_2 = kappa + sigma rho xi(t).  Time dependence of S and xi rules out the
 textbook log-linear solution, so the system is integrated numerically in
-s = T - t with the Dormand-Prince 5(4) pair (Dormand & Prince 1980; Hairer,
-Norsett & Wanner, Solving ODEs I, sec. II.5), the whole node batch in one
-solve with one step size.  One step routine serves every entry point:
+s = T - t with the explicit 12-stage, 8th-order Dormand-Prince pair DOP853
+(Prince & Dormand 1981; Hairer, Norsett & Wanner, Solving ODEs I,
+sec. II.10), the whole node batch in one solve with one step size.  Its last
+stage's slope is the next step's first (first same as last), so a step
+costs 12 right-hand-side evaluations.  One step routine serves every entry
+point:
 ``solve_riccati`` adapts the step size to a tolerance, while
 ``solve_riccati_fixed`` and ``riccati_path`` take equal steps on a fixed grid
 for convergence and residual studies.  Psi0 is advanced inside the same
@@ -20,7 +23,8 @@ stages as Psi1, which avoids any complex-logarithm branch tracking.  phi may
 be complex: the k = 2 system at phi - i is the k = 1 system at phi, which
 lets the pricer solve one system for both transforms.
 
-The adaptive tolerance abs_tol bounds each step's local error in every
+The adaptive tolerance abs_tol bounds each step's local error estimate, the
+5th-order one corrected by the 3rd-order one as in Hairer's DOP853, in every
 component of Psi, relative to 1 + |Psi|.  Given the variance nu at which
 Q_hat will be read, ``solve_riccati`` instead weights each node's bound by
 the size of its transform (a component-weighted norm, Hairer, Norsett &
@@ -72,21 +76,53 @@ _MIN_ABS_TOL = 100 * np.finfo(float).eps
 _QHAT_FULL_CONTROL = 1e-2
 _WEIGHT_FLOOR = 1e-6
 
-# Dormand-Prince 5(4): stage times, stage weights (row 6 is the 5th-order
-# solution, so its last stage is the next step's first) and the weights of
-# the embedded error estimate, 5th minus 4th order
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = tuple(np.array(row) for row in (
+# Dormand-Prince 8(5,3), DOP853 (Prince & Dormand 1981; Hairer, Norsett &
+# Wanner, Solving ODEs I, sec. II.10): stage times, the stage matrix (row i
+# holds the weights of stages 0 .. i-1), the 8th-order solution weights and
+# the weights of the two embedded error estimates, 8th minus 5th and 8th
+# minus 3rd order.  Stages 1-11 fall at 11 distinct times, the last at c = 1.
+_DOP_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+_DOP_A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)
+_DOP_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_DOP_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294])
+_DOP_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082])
+# rows 1-11 of the stage matrix and the solution weights, zero-padded to 12
+# columns, so that one product per step scales them all by h
+_DOP_AB = np.array([row + (0.0,) * (12 - len(row)) for row in _DOP_A[1:]] + [_DOP_B])
 
 
 class RiccatiError(RuntimeError):
@@ -150,6 +186,9 @@ class CharFnSolution:
 def _check_phi(phi_arr: np.ndarray, phi_max: float) -> None:
     if not 0 < phi_max <= _PHI_HARD_CAP:
         raise ValueError(f"phi_max must lie in (0, {_PHI_HARD_CAP}]")
+    bad = phi_arr[~np.isfinite(phi_arr)]
+    if bad.size:
+        raise ValueError(f"phi must be finite, got {bad[0]}")
     if np.any(np.abs(phi_arr.real) > phi_max):
         raise ValueError(
             f"|Re phi| exceeds the configured maximum {phi_max}")
@@ -172,100 +211,156 @@ def _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, n_rhs) -> CharFnSo
                           n_steps=int(n_steps), n_rhs=int(n_rhs))
 
 
-def _dp_system(rc: RiccatiCoefficients, T: float, phi: np.ndarray):
-    """Dormand-Prince steps in s = T - t' on the state y = (Psi1 nodes, Psi0 nodes).
+def _dop853_system(rc: RiccatiCoefficients, T: float, phi: np.ndarray):
+    """DOP853 steps in s = T - t' on the state y = (Psi1 nodes, Psi0 nodes).
 
-    phi is flat.  Returns (y, stages, step): the zero terminal state, the
-    stage array with row 0 holding the slope there, and step(y, s, h), which
-    fills rows 1-6 for the step from s to s + h and returns the 5th-order
-    solution.  Row 6 is then the slope at that solution; a caller that takes
-    the step copies it to row 0 (first same as last).
+    phi is flat.  Returns (rows, step).  Row 0 of ``rows`` holds the state y,
+    zero at s = 0, and rows 1-13 the stage slopes k_0 .. k_12; k_0 is the
+    slope at y.  step(s, h, y_new) fills k_1 .. k_11 for the step from s to
+    s + h, writes the 8th-order solution into y_new and its slope into k_12.
+    A caller that takes the step copies y_new to row 0 and k_12 to k_0
+    (first same as last).  With y beside the slopes, each stage argument
+    y + h sum_j a_ij k_j is one real matrix product over a float view of the
+    complex rows, into a preallocated buffer.
     """
     half_sig2 = 0.5 * rc.sigma_vv * rc.sigma_vv
     n = phi.size
     rot = 1j * rc.rho * rc.sigma_vv * phi
     const_phi = 0.5 * phi * phi - 1j * rc.alpha * phi   # multiplies S(t)^2
     kappa = rc.kappa
+    rows = np.zeros((14, 2 * n), dtype=complex)
+    flat = rows.view(float)
+    # the slopes depend on Psi1 alone, so a stage argument needs only its
+    # Psi1 half: the first 2n floats of each row
+    arg = np.empty(n, dtype=complex)
+    arg_flat = arg.view(float)
+    # S, beta_k and kappa theta at the 11 stage times of a step
+    coef = np.empty((3, 11))
+    tmp, tmp2 = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+    # row i: 1 and h a_i against rows 0 .. i; row 12: 1 and h b
+    weights = np.zeros((13, 13))
+    weights[:, 0] = 1.0
 
     def coefficients(s):
-        """(S, beta_k, kappa theta) at t' = T - s, one row per time in s."""
+        """Fill column j of coef for t' = T - s[j]."""
         t_here = T - s
-        return np.stack([rc.big_s(t_here), rc.beta(t_here),
-                         kappa * np.asarray(rc.theta(t_here))], axis=-1)
+        m = np.size(s)
+        coef[0, :m] = rc.big_s(t_here)
+        coef[1, :m] = rc.beta(t_here)
+        coef[2, :m] = rc.theta(t_here)
+        coef[2, :m] *= kappa
 
-    def rhs(y, coef, out):
-        """(dPsi1/ds, dPsi0/ds) at state y, written into out."""
-        s_here, beta, kappa_theta = coef
-        p1 = y[:n]
-        out[:n] = (half_sig2 * p1 - beta + s_here * rot) * p1 - (s_here * s_here) * const_phi
-        np.multiply(kappa_theta, p1, out=out[n:])
+    def rhs(p1, j, out):
+        """(dPsi1/ds, dPsi0/ds) at Psi1 = p1 and stage time j, written into out."""
+        s_here, beta, kappa_theta = coef[:, j]
+        d1 = out[:n]
+        # (sigma^2/2 Psi1 - beta + S rot) Psi1 - S^2 const_phi
+        np.multiply(rot, s_here, out=tmp)
+        np.subtract(tmp, beta, out=tmp)
+        np.multiply(p1, half_sig2, out=tmp2)
+        np.add(tmp, tmp2, out=tmp)
+        np.multiply(tmp, p1, out=d1)
+        np.multiply(const_phi, s_here * s_here, out=tmp)
+        np.subtract(d1, tmp, out=d1)
+        np.multiply(p1, kappa_theta, out=out[n:])
 
-    def step(y, s, h):
-        # stages 5 and 6 share the time s + h
-        coef = coefficients(s + h * _DP_C[1:6])
-        for i in range(1, 7):
-            y_stage = y + h * (_DP_A[i] @ stages[:i])
-            rhs(y_stage, coef[min(i, 5) - 1], stages[i])
-        return y_stage
+    def step(s, h, y_new):
+        coefficients(s + h * _DOP_C[1:])
+        np.multiply(_DOP_AB, h, out=weights[1:, 1:])
+        for i in range(1, 12):
+            np.matmul(weights[i, :i + 1], flat[:i + 1, :2 * n], out=arg_flat)
+            rhs(arg, i - 1, rows[i + 1])
+        np.matmul(weights[12], flat[:13], out=y_new.view(float))
+        rhs(y_new[:n], 10, rows[13])
 
-    y = np.zeros(2 * n, dtype=complex)
-    stages = np.empty((7, 2 * n), dtype=complex)
-    rhs(y, coefficients(0.0), stages[0])
-    return y, stages, step
+    coefficients(np.zeros(1))
+    rhs(rows[0, :n], 0, rows[1])
+    return rows, step
 
 
-def _transform_weight(y: np.ndarray, y_new: np.ndarray, nu: float) -> np.ndarray:
-    """clip(|Q_hat| / _QHAT_FULL_CONTROL, _WEIGHT_FLOOR, 1) per node.
+def _log_qhat(y: np.ndarray, nu: float) -> np.ndarray:
+    """log |Q_hat| = Re(Psi0 + nu Psi1) per node of the state y.
 
-    |Q_hat| is the larger of its values at y and y_new, and
-    |Q_hat| = e^{Re(Psi0 + nu Psi1)}: the i phi x term has modulus 1 for
-    real phi, and on a stacked row phi - i it only adds the factor e^x that
-    Q_hat_1(phi) = Q_hat_2(phi - i) / e^x removes again.  Taken in logs, so
-    that no |Q_hat| overflows.
+    The i phi x term has modulus 1 for real phi, and on a stacked row phi - i
+    it only adds the factor e^x that Q_hat_1(phi) = Q_hat_2(phi - i) / e^x
+    removes again.  Taken in logs, so that no |Q_hat| overflows.
     """
     n = y.size // 2
-    log_q = np.maximum((y[n:] + nu * y[:n]).real, (y_new[n:] + nu * y_new[:n]).real)
-    return np.exp(np.clip(log_q - np.log(_QHAT_FULL_CONTROL), np.log(_WEIGHT_FLOOR), 0.0))
+    return y[n:].real + nu * y[:n].real
 
 
-def _dormand_prince(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
-                    abs_tol: float, nu: float | None = None):
-    """Adaptive steps from s = 0 to s = T - t.
+def _transform_weight(log_q: np.ndarray, log_q_new: np.ndarray) -> np.ndarray:
+    """clip(|Q_hat| / _QHAT_FULL_CONTROL, _WEIGHT_FLOOR, 1) per node, with
+    |Q_hat| the larger of its values before and after the step."""
+    return np.exp(np.clip(np.maximum(log_q, log_q_new) - np.log(_QHAT_FULL_CONTROL),
+                          np.log(_WEIGHT_FLOOR), 0.0))
 
-    A step is accepted when every component's error estimate is at most
-    abs_tol (1 + max(|y|, |y_new|)); with nu given, both components of a node
-    divide that scale by the node's ``_transform_weight``.  A non-finite
-    trial step is rejected.  Returns (psi0, psi1, accepted steps, rhs
-    evaluations).
+
+def _dop853(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
+            abs_tol: float, nu: float | None = None):
+    """Adaptive DOP853 steps from s = 0 to s = T - t.
+
+    Each component's scale is abs_tol (1 + max(|y|, |y_new|)); with nu given,
+    both components of a node divide it by the node's ``_transform_weight``.
+    e5 and e3 are the largest scaled 5th- and 3rd-order error estimates over
+    the components, and a step is accepted when Hairer's DOP853 estimate
+    h e5^2 / sqrt(e5^2 + 0.01 e3^2) is at most 1.  A non-finite trial step
+    is rejected.  Returns (psi0, psi1, accepted steps, rhs evaluations).
     """
     span = T - t
     shape, phi = phi.shape, phi.ravel()
     n = phi.size
-    y, stages, step = _dp_system(rc, T, phi)
+    rows, step = _dop853_system(rc, T, phi)
+    slopes = rows[1:13].view(float)
+    y_new = np.empty(2 * n, dtype=complex)
+    abs_y, abs_new = np.zeros(2 * n), np.empty(2 * n)
+    scale = np.empty(2 * n)
+    scale_nodes = scale.reshape(2, n)   # a view: row 0 Psi1, row 1 Psi0
+    est, mag = np.empty(2 * n, dtype=complex), np.empty(2 * n)
+    log_q = None if nu is None else _log_qhat(rows[0], nu)
     s, h, n_rhs, accepted = 0.0, span / 16.0, 1, 0
     for _ in range(_MAX_STEPS):
         h = min(h, span - s)
-        y_new = step(y, s, h)
-        n_rhs += 6
-        scale = abs_tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
+        step(s, h, y_new)
+        n_rhs += 12
+        np.abs(y_new, out=abs_new)
+        np.maximum(abs_y, abs_new, out=scale)
+        scale += 1.0
+        scale *= abs_tol
         if nu is not None:
-            scale = (scale.reshape(2, n) / _transform_weight(y, y_new, nu)).ravel()
-        err = float(np.max(np.abs(h * (_DP_E @ stages)) / scale))
+            log_q_new = _log_qhat(y_new, nu)
+            scale_nodes /= _transform_weight(log_q, log_q_new)
+        e5, e3 = (_scaled_max(weights, slopes, scale, est, mag)
+                  for weights in (_DOP_E5, _DOP_E3))
+        denom = e5 * e5 + 0.01 * e3 * e3
+        err = h * e5 * e5 / np.sqrt(denom) if denom != 0.0 else 0.0
         if not (np.isfinite(err) and np.isfinite(y_new).all()):
             err = np.inf
         if err <= 1.0:
             s = span if h == span - s else s + h
-            y, accepted = y_new, accepted + 1
-            stages[0] = stages[6]
+            rows[0], rows[1] = y_new, rows[13]
+            abs_y, abs_new = abs_new, abs_y
+            accepted += 1
+            if nu is not None:
+                log_q = log_q_new
             if s == span:
-                return y[n:].reshape(shape), y[:n].reshape(shape), accepted, n_rhs
-        h *= min(max(0.9 * err ** -0.2, 0.2), 5.0) if err > 0 else 5.0
+                return y_new[n:].reshape(shape), y_new[:n].reshape(shape), accepted, n_rhs
+        h *= min(max(0.9 * err ** -0.125, 0.2), 5.0) if err > 0 else 5.0
         if s + h == s:
             raise RiccatiError(
                 f"Riccati step size underflow near t = {T - s:.6g}", t_fail=T - s)
     raise RiccatiError(
         f"Riccati solve stopped after {_MAX_STEPS} steps near t = {T - s:.6g}",
         t_fail=T - s)
+
+
+def _scaled_max(weights: np.ndarray, slopes: np.ndarray, scale: np.ndarray,
+                est: np.ndarray, mag: np.ndarray) -> float:
+    """max over components of |sum_i weights_i k_i| / scale; slopes is the
+    float view of k_0 .. k_11, est and mag are scratch."""
+    np.matmul(weights, slopes, out=est.view(float))
+    np.divide(np.abs(est, out=mag), scale, out=mag)
+    return float(mag.max())
 
 
 def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
@@ -283,37 +378,39 @@ def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
     h = (T - t) / n_steps
     n = phi_arr.size
     with np.errstate(over="ignore", invalid="ignore"):
-        y, stages, step = _dp_system(rc, T, phi_arr.ravel())
-        path = np.empty((n_steps + 1, 2 * n), dtype=complex)
-        path[0] = y
+        rows, step = _dop853_system(rc, T, phi_arr.ravel())
+        path = np.zeros((n_steps + 1, 2 * n), dtype=complex)
         for j in range(n_steps):
-            y = path[j + 1] = step(y, j * h, h)
-            if not np.isfinite(y).all():
+            step(j * h, h, path[j + 1])
+            if not np.isfinite(path[j + 1]).all():
                 t_fail = T - (j + 1) * h
                 raise RiccatiError(
                     f"Riccati solution blew up near t = {t_fail:.6g}", t_fail=t_fail)
-            stages[0] = stages[6]
-    rows = (n_steps + 1,) + phi_arr.shape
-    return phi_arr, scalar, path[:, n:].reshape(rows), path[:, :n].reshape(rows)
+            rows[0], rows[1] = path[j + 1], rows[13]
+    shape = (n_steps + 1,) + phi_arr.shape
+    return phi_arr, scalar, path[:, n:].reshape(shape), path[:, :n].reshape(shape)
 
 
 def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
                   abs_tol: float = 1e-10,
                   phi_max: float = PHI_MAX_DEFAULT,
                   nu: float | None = None) -> CharFnSolution:
-    """Solve for Psi0, Psi1 at time t with adaptive Dormand-Prince 5(4).
+    """Solve for Psi0, Psi1 at time t with adaptive DOP853 steps.
 
     phi may be a real or complex scalar or array, solved as one vectorized
     batch with one step size.  Without ``nu``, abs_tol bounds every step's
     local error estimate in each component of Psi0 and Psi1, relative to
-    1 + |Psi|.  With ``nu``, the variance at which the caller will read
-    Q_hat = exp(Psi0 + nu Psi1 + i phi x), a node's bound is divided by
+    1 + |Psi|: with e5 and e3 the largest scaled 5th- and 3rd-order
+    estimates, a step is accepted when h e5^2 / sqrt(e5^2 + 0.01 e3^2) <= 1.
+    With ``nu``, the variance at which the caller will read Q_hat = exp(Psi0 + nu Psi1 + i phi x), a node's bound is divided by
     clip(|Q_hat| / 1e-2, 1e-6, 1): nodes whose transform is at least 1e-2
     are held to abs_tol as without ``nu``, and smaller ones, which a price
     feels proportionally less, to at most 1e6 abs_tol.  Step-size underflow,
     a blow-up that no step size avoids, or more than ``_MAX_STEPS``
     attempted steps raise RiccatiError with the time reached as ``t_fail``;
-    so does an abs_tol below ``_MIN_ABS_TOL``, before any step.
+    so does an abs_tol that is not finite or below ``_MIN_ABS_TOL``, before
+    any step, and a phi that is not finite raises ValueError.  ``n_rhs`` is
+    1 + 12 per attempted step, accepted or rejected.
     """
     phi_arr, scalar = _as_phi_array(phi)
     _check_phi(phi_arr, phi_max)
@@ -321,6 +418,8 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
         raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
     if nu is not None and not 0 <= nu < np.inf:
         raise ValueError(f"nu must be finite and non-negative, got {nu}")
+    if not np.isfinite(abs_tol):
+        raise RiccatiError(f"abs_tol must be finite, got {abs_tol}", t_fail=T)
     if not abs_tol >= _MIN_ABS_TOL:
         raise RiccatiError(f"abs_tol {abs_tol:.1e} is below {_MIN_ABS_TOL:.1e}, which "
                            f"double-precision error control cannot reach", t_fail=T)
@@ -328,19 +427,20 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
         z = np.zeros(phi_arr.shape, dtype=complex)
         return _solution(rc, t, T, phi_arr, scalar, z, z.copy(), 0, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        psi0, psi1, n_steps, n_rhs = _dormand_prince(rc, t, T, phi_arr, abs_tol, nu)
+        psi0, psi1, n_steps, n_rhs = _dop853(rc, t, T, phi_arr, abs_tol, nu)
     return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, n_rhs)
 
 
 def solve_riccati_fixed(rc: RiccatiCoefficients, t: float, T: float, phi,
                         n_steps: int) -> CharFnSolution:
-    """Psi0, Psi1 at time t after n_steps equal Dormand-Prince steps.
+    """Psi0, Psi1 at time t after n_steps equal DOP853 steps.
 
-    The endpoint of ``riccati_path`` on the same grid, bit for bit.
+    The endpoint of ``riccati_path`` on the same grid, bit for bit;
+    ``n_rhs`` is 12 n_steps + 1.
     """
     phi_arr, scalar, path0, path1 = _fixed_grid(rc, t, T, phi, n_steps)
     return _solution(rc, t, T, phi_arr, scalar, path0[-1], path1[-1], n_steps,
-                     6 * n_steps + 1)
+                     12 * n_steps + 1)
 
 
 def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
@@ -352,7 +452,7 @@ def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int)
     phi_arr, scalar, path0, path1 = _fixed_grid(rc, t, T, phi, n_steps)
     times = np.linspace(t, T, n_steps + 1)
     path = _solution(rc, t, T, phi_arr, scalar, path0[::-1], path1[::-1], n_steps,
-                     6 * n_steps + 1)
+                     12 * n_steps + 1)
     return times, path.psi0, path.psi1
 
 

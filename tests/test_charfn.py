@@ -5,7 +5,7 @@ established by (a) the constant-coefficient case where the classical
 square-root-model transform is available, (b) the integrator-free series
 solution for the Samuelson shape, (c) direct residual checks of the ODE
 system on the solver output, and (d) the observed convergence order of the
-Dormand-Prince step on a fixed grid, the step the adaptive solver takes.
+DOP853 step on a fixed grid, the step the adaptive solver takes.
 """
 
 from dataclasses import replace
@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from powerswap import charfn
 from powerswap.charfn import (
     CharFnSolution,
     RiccatiCoefficients,
@@ -118,8 +119,8 @@ def test_path_endpoints():
     sol = solve_riccati_fixed(rc, 0.0, 0.5, np.array([2.0]), n_steps=128)
     assert psi0[0] == sol.psi0[0]
     assert psi1[0] == sol.psi1[0]
-    # first same as last: one rhs at s = 0, then six per step
-    assert sol.n_steps == 128 and sol.n_rhs == 6 * 128 + 1
+    # first same as last: one rhs at s = 0, then twelve per step
+    assert sol.n_steps == 128 and sol.n_rhs == 12 * 128 + 1
 
 
 @pytest.mark.parametrize("bad", [0, -3, 2.7, True])
@@ -138,14 +139,41 @@ def test_runge_kutta_convergence_order():
     phi = np.array([5.0])
     ref = solve_riccati_fixed(rc, 0.0, 0.5, phi, n_steps=4096).psi1[0]
     errs = []
-    for n in (8, 16, 32):
+    # from n = 16 on the error nears the roundoff floor of the reference
+    # (3e-16 at n = 32), which would hide the order
+    for n in (2, 4, 8):
         approx = solve_riccati_fixed(rc, 0.0, 0.5, phi, n_steps=n).psi1[0]
         errs.append(abs(approx - ref))
     rate1 = np.log2(errs[0] / errs[1])
     rate2 = np.log2(errs[1] / errs[2])
-    # the Dormand-Prince solution is 5th order
-    assert rate1 >= 4.5
-    assert rate2 >= 4.5
+    # the DOP853 solution is 8th order
+    assert rate1 >= 7.5
+    assert rate2 >= 7.5
+
+
+def test_tableau_is_dop853():
+    # the literal tableau against scipy's copy of Hairer's coefficients;
+    # scipy is imported here only, so that the solver never loads it
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    a = np.zeros((12, 12))
+    for i, row in enumerate(charfn._DOP_A):
+        a[i, :i] = row
+    np.testing.assert_array_equal(a, ref.A[:12, :12])
+    np.testing.assert_array_equal(charfn._DOP_B, ref.B)
+    np.testing.assert_array_equal(charfn._DOP_C, ref.C[:12])
+    np.testing.assert_array_equal(charfn._DOP_E3, ref.E3[:12])
+    np.testing.assert_array_equal(charfn._DOP_E5, ref.E5[:12])
+
+
+def test_tableau_is_consistent():
+    # each stage sits at the time its row reaches, the solution weights sum
+    # to 1 and both error estimates vanish on a constant slope
+    for c, row in zip(charfn._DOP_C, charfn._DOP_A):
+        assert np.sum(row) == pytest.approx(c, abs=1e-14)
+    assert np.sum(charfn._DOP_B) == pytest.approx(1.0, abs=1e-14)
+    assert np.sum(charfn._DOP_E3) == pytest.approx(0.0, abs=1e-14)
+    assert np.sum(charfn._DOP_E5) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_tighter_tolerance_takes_more_steps():
@@ -156,8 +184,8 @@ def test_tighter_tolerance_takes_more_steps():
     np.testing.assert_allclose(loose.psi1, tight.psi1, atol=1e-9)
     np.testing.assert_allclose(loose.psi0, tight.psi0, atol=1e-9)
     assert tight.n_steps > loose.n_steps
-    # FSAL Dormand-Prince: one rhs at s = 0, then six per attempted step
-    assert (tight.n_rhs - 1) % 6 == 0 and tight.n_rhs >= 6 * tight.n_steps + 1
+    # FSAL DOP853: one rhs at s = 0, then twelve per attempted step
+    assert (tight.n_rhs - 1) % 12 == 0 and tight.n_rhs >= 12 * tight.n_steps + 1
 
 
 def test_transform_weighted_control_saves_steps_where_q_hat_is_small():
@@ -244,6 +272,30 @@ def test_unreachable_tolerance_raises():
     for tol in (1e-16, 0.0, -1e-10, np.nan):
         with pytest.raises(RiccatiError):
             solve_riccati(rc, 0.0, 0.5, np.array([25.0]), abs_tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.inf, -np.inf, np.nan])
+def test_non_finite_tolerance_raises_before_any_step(tol):
+    def never(t):
+        raise AssertionError("coefficient evaluated before abs_tol was checked")
+
+    rc = replace(RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1), big_s=never)
+    with pytest.raises(RiccatiError, match="abs_tol must be finite"):
+        solve_riccati(rc, 0.0, 0.5, np.array([25.0]), abs_tol=tol)
+
+
+@pytest.mark.parametrize("phi", [np.nan, 1.0 + np.nan * 1j, np.inf, -np.inf - 1j])
+def test_non_finite_phi_raises_before_any_step(phi):
+    def never(t):
+        raise AssertionError("coefficient evaluated before phi was checked")
+
+    rc = replace(RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1), big_s=never)
+    nodes = np.array([1.0, phi, 3.0])
+    with pytest.raises(ValueError, match="phi must be finite"):
+        solve_riccati(rc, 0.0, 0.5, nodes)
+    for solve in (solve_riccati_fixed, riccati_path):
+        with pytest.raises(ValueError, match="phi must be finite"):
+            solve(rc, 0.0, 0.5, nodes, n_steps=8)
 
 
 def test_moment_explosion_raises_at_blow_up_time():

@@ -435,6 +435,26 @@ def test_mc_single_path_has_undefined_stderr():
     assert np.isfinite(res.call) and np.isfinite(res.put)
 
 
+def test_bench_ladder_holds_its_prices_at_a_loose_tolerance():
+    # the benchmark's Samuelson ladder: at ode_tol 1e-6 the 8th-order step
+    # keeps every call within 1e-9 of an ode_tol 1e-12 solve (1.5e-10; a
+    # Dormand-Prince 5(4) step lands 5.7e-9 off), and at the default
+    # tolerance the whole pass costs at most 500 right-hand sides (423; 987
+    # with the 5(4) step), a count that repeats exactly from run to run
+    strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
+    loose, default, tight = (price_fourier_many(_params(), SAM, UNI, DP, strikes, T,
+                                                **tol)
+                             for tol in ({"ode_tol": 1e-6}, {}, {"ode_tol": 1e-12}))
+    for a, b in zip(loose, tight):
+        assert abs(a.call - b.call) <= 1e-9
+    assert default[0].diagnostics["riccati_rhs"] <= 500
+
+
+def test_non_finite_ode_tol_is_refused():
+    with pytest.raises(charfn.RiccatiError, match="abs_tol must be finite"):
+        price_fourier_many(_params(), SAM, UNI, DP, [30.0], T, ode_tol=np.inf)
+
+
 def test_fourier_pricing_does_not_load_scipy_integrate():
     # scipy.integrate costs about 0.4 s and 25 MB at import; the Riccati
     # solver is written in numpy so that pricing never loads it
