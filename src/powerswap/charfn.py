@@ -13,8 +13,10 @@ textbook log-linear solution, so the system is integrated numerically in
 s = T - t with the explicit 12-stage, 8th-order Dormand-Prince pair DOP853
 (Prince & Dormand 1981; Hairer, Norsett & Wanner, Solving ODEs I,
 sec. II.10), the whole node batch in one solve with one step size.  Its last
-stage's slope is the next step's first (first same as last), so a step
-costs 12 right-hand-side evaluations.  One step routine serves every entry
+stage's slope is the next step's first (first same as last) and is taken
+only once a step is accepted, so an accepted step costs 12 right-hand-side
+evaluations and a rejected one 11; the adaptive solve skips it after its
+last step.  One step routine serves every entry
 point:
 ``solve_riccati`` adapts the step size to a tolerance, while
 ``solve_riccati_fixed`` and ``riccati_path`` take equal steps on a fixed grid
@@ -214,21 +216,23 @@ def _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, n_rhs) -> CharFnSo
 def _dop853_system(rc: RiccatiCoefficients, T: float, phi: np.ndarray):
     """DOP853 steps in s = T - t' on the state y = (Psi1 nodes, Psi0 nodes).
 
-    phi is flat.  Returns (rows, step).  Row 0 of ``rows`` holds the state y,
-    zero at s = 0, and rows 1-13 the stage slopes k_0 .. k_12; k_0 is the
-    slope at y.  step(s, h, y_new) fills k_1 .. k_11 for the step from s to
-    s + h, writes the 8th-order solution into y_new and its slope into k_12.
-    A caller that takes the step copies y_new to row 0 and k_12 to k_0
-    (first same as last).  With y beside the slopes, each stage argument
-    y + h sum_j a_ij k_j is one real matrix product over a float view of the
-    complex rows, into a preallocated buffer.
+    phi is flat.  Returns (rows, step, accept).  Row 0 of ``rows`` holds the
+    state y, zero at s = 0, and rows 1-12 the stage slopes k_0 .. k_11; k_0
+    is the slope at y.  step(s, h, y_new) fills k_1 .. k_11 for the step
+    from s to s + h and writes the 8th-order solution into y_new.
+    accept(y_new) takes the step: it copies y_new to row 0 and writes its
+    slope, the last stage of DOP853, into k_0 (first same as last).  No
+    error estimate reads that slope, so a rejected step never evaluates it.
+    With y beside the slopes, each stage argument y + h sum_j a_ij k_j is
+    one real matrix product over a float view of the complex rows, into a
+    preallocated buffer.
     """
     half_sig2 = 0.5 * rc.sigma_vv * rc.sigma_vv
     n = phi.size
     rot = 1j * rc.rho * rc.sigma_vv * phi
     const_phi = 0.5 * phi * phi - 1j * rc.alpha * phi   # multiplies S(t)^2
     kappa = rc.kappa
-    rows = np.zeros((14, 2 * n), dtype=complex)
+    rows = np.zeros((13, 2 * n), dtype=complex)
     flat = rows.view(float)
     # the slopes depend on Psi1 alone, so a stage argument needs only its
     # Psi1 half: the first 2n floats of each row
@@ -270,12 +274,16 @@ def _dop853_system(rc: RiccatiCoefficients, T: float, phi: np.ndarray):
         for i in range(1, 12):
             np.matmul(weights[i, :i + 1], flat[:i + 1, :2 * n], out=arg_flat)
             rhs(arg, i - 1, rows[i + 1])
-        np.matmul(weights[12], flat[:13], out=y_new.view(float))
-        rhs(y_new[:n], 10, rows[13])
+        np.matmul(weights[12], flat, out=y_new.view(float))
+
+    def accept(y_new):
+        # the last stage time, c = 1, is column 10 of the step's coefficients
+        rows[0] = y_new
+        rhs(rows[0, :n], 10, rows[1])
 
     coefficients(np.zeros(1))
     rhs(rows[0, :n], 0, rows[1])
-    return rows, step
+    return rows, step, accept
 
 
 def _log_qhat(y: np.ndarray, nu: float) -> np.ndarray:
@@ -310,8 +318,8 @@ def _dop853(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
     span = T - t
     shape, phi = phi.shape, phi.ravel()
     n = phi.size
-    rows, step = _dop853_system(rc, T, phi)
-    slopes = rows[1:13].view(float)
+    rows, step, accept = _dop853_system(rc, T, phi)
+    slopes = rows[1:].view(float)
     y_new = np.empty(2 * n, dtype=complex)
     abs_y, abs_new = np.zeros(2 * n), np.empty(2 * n)
     scale = np.empty(2 * n)
@@ -322,7 +330,7 @@ def _dop853(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
     for _ in range(_MAX_STEPS):
         h = min(h, span - s)
         step(s, h, y_new)
-        n_rhs += 12
+        n_rhs += 11
         np.abs(y_new, out=abs_new)
         np.maximum(abs_y, abs_new, out=scale)
         scale += 1.0
@@ -338,13 +346,14 @@ def _dop853(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
             err = np.inf
         if err <= 1.0:
             s = span if h == span - s else s + h
-            rows[0], rows[1] = y_new, rows[13]
-            abs_y, abs_new = abs_new, abs_y
             accepted += 1
-            if nu is not None:
-                log_q = log_q_new
             if s == span:
                 return y_new[n:].reshape(shape), y_new[:n].reshape(shape), accepted, n_rhs
+            accept(y_new)
+            n_rhs += 1
+            abs_y, abs_new = abs_new, abs_y
+            if nu is not None:
+                log_q = log_q_new
         h *= min(max(0.9 * err ** -0.125, 0.2), 5.0) if err > 0 else 5.0
         if s + h == s:
             raise RiccatiError(
@@ -378,7 +387,7 @@ def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
     h = (T - t) / n_steps
     n = phi_arr.size
     with np.errstate(over="ignore", invalid="ignore"):
-        rows, step = _dop853_system(rc, T, phi_arr.ravel())
+        _, step, accept = _dop853_system(rc, T, phi_arr.ravel())
         path = np.zeros((n_steps + 1, 2 * n), dtype=complex)
         for j in range(n_steps):
             step(j * h, h, path[j + 1])
@@ -386,7 +395,7 @@ def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
                 t_fail = T - (j + 1) * h
                 raise RiccatiError(
                     f"Riccati solution blew up near t = {t_fail:.6g}", t_fail=t_fail)
-            rows[0], rows[1] = path[j + 1], rows[13]
+            accept(path[j + 1])
     shape = (n_steps + 1,) + phi_arr.shape
     return phi_arr, scalar, path[:, n:].reshape(shape), path[:, :n].reshape(shape)
 
@@ -410,7 +419,8 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
     attempted steps raise RiccatiError with the time reached as ``t_fail``;
     so does an abs_tol that is not finite or below ``_MIN_ABS_TOL``, before
     any step, and a phi that is not finite raises ValueError.  ``n_rhs`` is
-    1 + 12 per attempted step, accepted or rejected.
+    11 per attempted step, accepted or rejected, + 1 per accepted step: the
+    slope at s = 0 and after each accepted step but the last.
     """
     phi_arr, scalar = _as_phi_array(phi)
     _check_phi(phi_arr, phi_max)

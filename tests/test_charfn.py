@@ -184,12 +184,17 @@ def test_tighter_tolerance_takes_more_steps():
     np.testing.assert_allclose(loose.psi1, tight.psi1, atol=1e-9)
     np.testing.assert_allclose(loose.psi0, tight.psi0, atol=1e-9)
     assert tight.n_steps > loose.n_steps
-    # FSAL DOP853: one rhs at s = 0, then twelve per attempted step
-    assert (tight.n_rhs - 1) % 12 == 0 and tight.n_rhs >= 12 * tight.n_steps + 1
+    # FSAL DOP853: one rhs at s = 0, eleven per attempted step and one more
+    # per accepted step but the last, so a rejected step costs eleven; at
+    # phi = 200 the first trial step is rejected
+    for sol in (loose, tight, solve_riccati(rc, 0.0, 0.5, 200.0)):
+        rejected, rest = divmod(sol.n_rhs - 12 * sol.n_steps, 11)
+        assert rest == 0 and rejected >= 0
+    assert rejected >= 1
 
 
 def test_transform_weighted_control_saves_steps_where_q_hat_is_small():
-    # the pricer's third block, phi in [64, 96] stacked with phi - i, where
+    # 16 panels of 32 nodes, phi in [64, 96], stacked with phi - i, where
     # |Q_hat| at nu = 0.6 is below 4e-8: told nu, the solve stops holding
     # these nodes' Psi to abs_tol, and Q_hat itself stays as accurate
     rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)

@@ -13,6 +13,7 @@ from powerswap.conditions import ConditionWarning
 from powerswap.models import (
     DeliveryPeriod,
     DeliverySeasonal,
+    ExponentialWeight,
     GeneralSeparable,
     HestonParams,
     OptionSpec,
@@ -196,20 +197,36 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
 
     monkeypatch.setattr(pricer, "solve_riccati", counting_solve)
     res = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
-    # one stacked k = 2 solve per block of at most 16 panels of 32 nodes,
-    # (phi, phi - i), until both k are truncated, once per pricing call
-    # however many strikes it prices
-    panels = res.diagnostics["panels_k1"], res.diagnostics["panels_k2"]
-    assert len(solves) == -(-max(panels) // 16)
+    # one stacked k = 2 solve, (phi, phi - i), per block of 16, 32, 64, ...
+    # panels, until both k are truncated, once per pricing call however many
+    # strikes it prices: at the money 8 nodes per panel, and 42 panels take
+    # blocks of 16 and 32
+    assert res.diagnostics["nodes_per_panel"] == 8
+    assert res.diagnostics["panels_k1"] == res.diagnostics["panels_k2"] == 42
+    assert solves == [2 * 8 * 16, 2 * 8 * 32]
+    assert res.diagnostics["riccati_solves"] == len(solves)
     # the Riccati work is summed over those solves
     steps, rhs = map(sum, zip(*work))
     assert (res.diagnostics["riccati_steps"], res.diagnostics["riccati_rhs"]) == (steps, rhs)
     assert 0 < steps and 6 * steps < rhs
-    one_strike = len(solves)
     solves.clear()
-    price_fourier_many(p, SAM, UNI, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T)
-    assert len(solves) == one_strike
-    assert max(solves) <= 2 * 16 * 32
+    ladder = price_fourier_many(p, SAM, UNI, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T)
+    assert solves == [2 * 8 * 16, 2 * 8 * 32]
+    assert ladder[0].diagnostics["nodes_per_panel"] == 8
+    # the nodes per panel follow the largest |ln(f0 / K)| priced, 32 for a
+    # deep strike, and no block holds more than 16 panels of 32 nodes: deep
+    # strikes keep 16-panel blocks, and a slow decay at 8 nodes grows them
+    # to 64
+    solves.clear()
+    deep = price_fourier_many(p, SAM, UNI, DP, [30.0, 3e7], T)
+    assert deep[0].diagnostics["nodes_per_panel"] == 32
+    assert solves == [2 * 32 * 16] * 3
+    solves.clear()
+    feller = _params(kappa=1.5, theta=0.3, sigma_vv=1.5, rho=-0.5, nu0=0.3)
+    with pytest.warns(ConditionWarning):
+        slow = price_fourier_many(feller, SAM, UNI, DP, [30.0], T, phi_max=1000.0)
+    assert slow[0].diagnostics["panels_k1"] > 16 + 32 + 64 + 64
+    assert solves[:5] == [2 * 8 * 16, 2 * 8 * 32, 2 * 8 * 64, 2 * 8 * 64, 2 * 8 * 64]
     assert res.diagnostics["panels_k1"] >= 1
     assert res.diagnostics["phi_used_k1"] <= 400.0
     assert res.diagnostics["novikov_ok"] is True
@@ -229,7 +246,8 @@ def test_samuelson_prices_match_series_oracle(lam):
     results = price_fourier_many(p, Samuelson(lam), UNI, DP, strikes, T)
     d1, d2 = samuelson_d1_d2(lam * (DP.tau2 - DP.tau1))
     decay = np.exp(-lam * (DP.tau1 - T))
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(
+        results[0].diagnostics["nodes_per_panel"])
     x = np.log(p.f0)
     q = {}
     for k in (1, 2):
@@ -276,26 +294,29 @@ def test_truncation_failure_is_raised_once_before_any_strike(monkeypatch, phi_ma
     assert price_fourier_many(_params(), SAM, UNI, DP, [], T, phi_max=phi_max) == []
 
 
-def _per_panel_exercise_probs(p, vol, strikes, t, nu):
-    """1 - Q_k in row k - 1, panel by panel: one Riccati solve per k and per
-    32-node panel of width 2, stopped after two panels in a row on which
-    max |Q_hat_k| / phi < 1e-12 for both k.  The solves are not told nu, so
-    they control every node to the full tolerance."""
-    rcs = [RiccatiCoefficients.for_model(p, vol, UNI, DP, k) for k in (1, 2)]
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(32)
+def _per_panel_exercise_probs(p, vol, strikes, t, nu, w=UNI, n_nodes=32, panels=None,
+                              exercise=T):
+    """(1 - Q_k in row k - 1, panels) on width-2 panels of ``n_nodes``
+    Gauss-Legendre nodes, with one Riccati solve per k: on the first
+    ``panels`` panels at once or, if None, panel by panel until two panels
+    in a row on which max |Q_hat_k| / phi < 1e-12 for both k.  The solves
+    are not told nu, so they control every node to the full tolerance."""
+    rcs = [RiccatiCoefficients.for_model(p, vol, w, DP, k) for k in (1, 2)]
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(n_nodes)
+    count = 1 if panels is None else panels
     totals = np.zeros((2, len(strikes)))
-    lo, below = 0.0, 0
-    while below < 2:
-        nodes = lo + 1.0 + gl_nodes
-        qhat = [char_fn(solve_riccati(rc, t, T, nodes), np.log(p.f0), nu) for rc in rcs]
+    done, below = 0, 0
+    while (below < 2) if panels is None else (done < panels):
+        nodes = (2.0 * (done + np.arange(count))[:, None] + 1.0 + gl_nodes).ravel()
+        qhat = [char_fn(solve_riccati(rc, t, exercise, nodes), np.log(p.f0), nu)
+                for rc in rcs]
+        turns = np.exp(-1j * np.outer(np.log(strikes), nodes))
         for k, q in enumerate(qhat):
-            for i, strike in enumerate(strikes):
-                integrand = np.real(np.exp(-1j * nodes * np.log(strike)) * q / (1j * nodes))
-                totals[k, i] += np.dot(gl_weights, integrand)
+            totals[k] += np.real(turns * (q / (1j * nodes))) @ np.tile(gl_weights, count)
         both = all(np.max(np.abs(q) / nodes) < 1e-12 for q in qhat)
         below = below + 1 if both else 0
-        lo += 2.0
-    return 0.5 + totals / np.pi, lo / 2.0
+        done += count
+    return 0.5 + totals / np.pi, done
 
 
 @pytest.mark.parametrize("vol", [DeliverySeasonal(1.0, 0.4, 0.0),
@@ -313,6 +334,50 @@ def test_block_solves_match_per_panel_solves(vol):
             assert results[0].diagnostics[f"panels_k{k}"] == panels
             got = [getattr(r, f"q{k}") for r in results]
             np.testing.assert_allclose(got, probs[k - 1], rtol=0.0, atol=1e-10)
+
+
+# log-moneyness m = ln(f0 / K) of each strike set: near the money, where
+# the variance to exercise decides between 8 and 32 nodes per panel, at the
+# edge |m| = 1, and deep, where 32 always serve
+MONEYNESS_SETS = ([-0.5, -0.25, 0.0, 0.25, 0.5], [-1.0, 1.0], [-14.0, -4.0, 4.0, 14.0])
+
+
+@pytest.mark.parametrize("vol, w, near_nu0, near_nu9", [
+    (SAM, UNI, 8, 8), (Samuelson(1.0), UNI, 8, 32),
+    (DeliverySeasonal(1.0, 0.4, 0.0), UNI, 32, 32),
+    (DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0), 32, 32),
+    (TradingSeasonal(0.6, 0.7, 0.2), UNI, 32, 32),
+    (GeneralSeparable(lambda t, u: np.exp(-3.5 * (np.asarray(u, float) - t)), bound_r=1.0),
+     UNI, 8, 8),
+])
+def test_node_rule_holds_across_log_moneyness(vol, w, near_nu0, near_nu9):
+    # each strike set is priced with the nodes per panel the rule picks; its
+    # probabilities must match 48 nodes per panel on the same truncation at
+    # the initial state, mid-life at a low variance, at nu = 0, at the high
+    # variances nu = 4 and 9, and at a later exercise
+    p = _params(theta=vol.theta) if isinstance(vol, TradingSeasonal) else _params()
+    chosen = {}
+    for t, nu, exercise in ((0.0, p.nu0, T), (0.25, 0.3, T), (0.0, 0.0, T),
+                            (0.0, 4.0, T), (0.0, 9.0, T), (0.0, p.nu0, 0.74)):
+        for i, moneyness in enumerate(MONEYNESS_SETS):
+            strikes = p.f0 * np.exp(-np.array(moneyness))
+            results = price_fourier_many(p, vol, w, DP, strikes, exercise, t=t, nu=nu)
+            diagnostics = results[0].diagnostics
+            chosen[t, nu, exercise, i] = diagnostics["nodes_per_panel"]
+            ref, _ = _per_panel_exercise_probs(p, vol, strikes, t, nu, w, n_nodes=48,
+                                               panels=diagnostics["panels_k1"],
+                                               exercise=exercise)
+            for k in (1, 2):
+                got = [getattr(r, f"q{k}") for r in results]
+                np.testing.assert_allclose(got, np.clip(ref[k - 1], 0.0, 1.0),
+                                           rtol=0.0, atol=1e-10)
+    # 8 nodes only within |m| < 1, where the variance to exercise leaves
+    # room: |m| = 0.5 with the initial variance takes 8 under a decay of 1
+    # or more, 32 where the variance does not decay, and nu = 9 takes 32
+    # unless a decay of 3.5 damps it
+    assert set(chosen.values()) <= {8, 32}
+    assert all(n == 32 for (*_, i), n in chosen.items() if i > 0)
+    assert (chosen[0.0, p.nu0, T, 0], chosen[0.0, 9.0, T, 0]) == (near_nu0, near_nu9)
 
 
 def test_novikov_warning_points_at_the_caller():
@@ -439,15 +504,16 @@ def test_bench_ladder_holds_its_prices_at_a_loose_tolerance():
     # the benchmark's Samuelson ladder: at ode_tol 1e-6 the 8th-order step
     # keeps every call within 1e-9 of an ode_tol 1e-12 solve (1.5e-10; a
     # Dormand-Prince 5(4) step lands 5.7e-9 off), and at the default
-    # tolerance the whole pass costs at most 500 right-hand sides (423; 987
-    # with the 5(4) step), a count that repeats exactly from run to run
+    # tolerance the whole pass, two solves on 8-node panels, costs at most
+    # 320 right-hand sides (299; 423 with three 16-panel blocks of 32-node
+    # panels), a count that repeats exactly from run to run
     strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
     loose, default, tight = (price_fourier_many(_params(), SAM, UNI, DP, strikes, T,
                                                 **tol)
                              for tol in ({"ode_tol": 1e-6}, {}, {"ode_tol": 1e-12}))
     for a, b in zip(loose, tight):
         assert abs(a.call - b.call) <= 1e-9
-    assert default[0].diagnostics["riccati_rhs"] <= 500
+    assert default[0].diagnostics["riccati_rhs"] <= 320
 
 
 def test_non_finite_ode_tol_is_refused():
