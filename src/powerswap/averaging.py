@@ -9,11 +9,11 @@ xi(t) sqrt(nu(t)).
 Every built-in shape factors as s(t, u) = e^{-lam (tau1 - t)} h(u), with
 lam = 0 except for the Samuelson variant, so S(t) = S(tau1) e^{-lam (tau1 - t)}
 and xi(t) = xi(tau1) e^{-lam (tau1 - t)}.  The pair (S(tau1), xi(tau1)) is
-computed once: in closed form for the trading-seasonal variant and for the
-Samuelson and delivery-seasonal variants under the uniform weight, otherwise
-by one adaptive Gauss-Legendre quadrature of the weighted moments.  Only
-``GeneralSeparable`` has no such factoring; its moments are integrated once
-per distinct time and kept for the life of its decomposition.
+computed once: by the paper's d1 and d2 for Samuelson under the uniform
+weight, otherwise by one adaptive Gauss-Legendre quadrature of the weighted
+moments, exact where the shape is constant.  Only ``GeneralSeparable`` has
+no such factoring; its moments are integrated once per distinct time and
+kept for the life of its decomposition.
 
 ``decompose`` is the one implementation of S and xi: the pointwise factors
 below are single calls into it, and both pricing engines evaluate its curves.
@@ -30,17 +30,14 @@ import numpy as np
 
 from .models import (
     DeliveryPeriod,
-    DeliverySeasonal,
     GeneralSeparable,
     Samuelson,
-    TradingSeasonal,
-    TWO_PI,
     UniformWeight,
     VolStructure,
     WeightFunction,
+    _period_weight,
     eval_s,
     integrate_over_delivery,
-    weight_hat,
     weight_normalizer,
 )
 
@@ -92,30 +89,14 @@ def samuelson_variance(lam: float, dp: DeliveryPeriod) -> float:
     return 2.0 * d1 * d2
 
 
-def _clamp_variance(var: float) -> float:
-    if var < 0.0:
-        if var > -1e-14:
-            return 0.0
-        raise RuntimeError(f"averaged variance must be non-negative, got {var}")
-    return var
-
-
-def _cos_means(vol: DeliverySeasonal, dp: DeliveryPeriod) -> tuple[float, float]:
-    """Means of cos(2 pi (u + c)) and cos^2 over the delivery period."""
-    a1 = TWO_PI * (dp.tau1 + vol.c)
-    a2 = TWO_PI * (dp.tau2 + vol.c)
-    c1 = (np.sin(a2) - np.sin(a1)) / (TWO_PI * dp.delta)
-    c2 = 0.5 + (np.sin(2.0 * a2) - np.sin(2.0 * a1)) / (4.0 * TWO_PI * dp.delta)
-    return c1, c2
-
-
-def _weighted_moments(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
+def _weighted_factors(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
                       t: float, den: float) -> tuple[float, float]:
-    """Mean and variance of s(t, U) by adaptive quadrature.
+    """(S(t), xi(t)) from the mean and variance of s(t, U) by adaptive quadrature.
 
     ``den`` is ``weight_normalizer(w, dp)``, computed once by the caller.
     When every sampled node value coincides, s is constant as far as the
-    quadrature can see and the exact result (value, 0) is returned.
+    quadrature can see and the exact result (value, 0) is returned.  A
+    variance that rounding leaves within 1e-14 below 0 counts as 0.
     """
     seen_lo = [np.inf]
     seen_hi = [-np.inf]
@@ -126,31 +107,24 @@ def _weighted_moments(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
         seen_hi[0] = max(seen_hi[0], float(vals.max()))
         return vals
 
-    num = integrate_over_delivery(lambda u: weight_hat(w, u) * s_vals(u), w, dp)
+    num = integrate_over_delivery(lambda u: _period_weight(w, dp, u) * s_vals(u), w, dp)
     mean = num / den
     if seen_lo[0] == seen_hi[0]:
         return seen_lo[0], 0.0
     var = integrate_over_delivery(
-        lambda u: weight_hat(w, u) * (s_vals(u) - mean) ** 2, w, dp) / den
-    return mean, var
-
-
-def _moment_factors(mean: float, var: float) -> tuple[float, float]:
-    """(S, xi) from the mean and variance of s(t, U)."""
-    return float(mean), float(0.5 * _clamp_variance(var) / mean)
+        lambda u: _period_weight(w, dp, u) * (s_vals(u) - mean) ** 2, w, dp) / den
+    if var <= -1e-14:
+        raise RuntimeError(f"averaged variance must be non-negative, got {var}")
+    return float(mean), float(0.5 * max(var, 0.0) / mean)
 
 
 def _delivery_factors(vol: VolStructure, w: WeightFunction,
                       dp: DeliveryPeriod) -> tuple[float, float]:
-    """(S(tau1), xi(tau1)) for every variant except ``GeneralSeparable``."""
-    if isinstance(vol, TradingSeasonal):
-        return 1.0, 0.0
+    """(S(tau1), xi(tau1)) for every variant except ``GeneralSeparable``: d1 and
+    d2 for Samuelson under the uniform weight, else the weighted moments at tau1."""
     if isinstance(vol, Samuelson) and isinstance(w, UniformWeight):
         return d1_d2(vol.lam, dp.delta)
-    if isinstance(vol, DeliverySeasonal) and isinstance(w, UniformWeight):
-        c1, c2 = _cos_means(vol, dp)
-        return _moment_factors(vol.a + vol.b * c1, vol.b * vol.b * (c2 - c1 * c1))
-    return _moment_factors(*_weighted_moments(vol, w, dp, dp.tau1, weight_normalizer(w, dp)))
+    return _weighted_factors(vol, w, dp, dp.tau1, weight_normalizer(w, dp))
 
 
 def swap_vol_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
@@ -226,7 +200,7 @@ def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapV
 
         @functools.lru_cache(maxsize=None)
         def factors(t: float) -> tuple[float, float]:
-            return _moment_factors(*_weighted_moments(vol, w, dp, t, den))
+            return _weighted_factors(vol, w, dp, t, den)
 
         big_s = np.vectorize(lambda t: factors(float(t))[0], otypes=[float])
         xi = np.vectorize(lambda t: factors(float(t))[1], otypes=[float])

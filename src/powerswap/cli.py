@@ -20,8 +20,9 @@ The valid ranges belong to the library's dataclasses in ``models``: the CLI
 checks JSON types and unknown keys, builds each dataclass from a table of
 fields and defaults, and reports its ValueError under the field that the
 message names.  It adds only the rules that span sections: the
-trading-seasonal variant owns theta, the exercise precedes ``delivery.tau1``,
-and the grid starts before and ends by ``delivery.tau1``.
+trading-seasonal variant owns theta, a custom weight table covers the
+delivery period, the exercise precedes ``delivery.tau1``, and the grid starts
+before and ends by ``delivery.tau1``.
 
 ``price`` and ``validate`` value the option at ``grid.t0`` with the state
 (``heston.f0``, ``heston.nu0``) there, in both engines; ``grid.t0`` must
@@ -383,6 +384,12 @@ def load_config(source: Any = None) -> RunConfig:
     params, heston_norm = _parse_heston(raw, vol)
     dp, delivery_norm = _parse_delivery(raw)
     weight, weight_norm = _parse_variant(raw, "weight", _WEIGHTS)
+    if weight_norm["variant"] == "custom":
+        u_grid = weight_norm["u_grid"]
+        if not (u_grid[0] <= dp.tau1 and dp.tau2 <= u_grid[-1]):
+            raise ConfigError("weight.u_grid",
+                              f"must cover the delivery period [{dp.tau1}, {dp.tau2}], "
+                              f"got [{u_grid[0]}, {u_grid[-1]}]")
     option, option_norm = _parse_option(raw, dp)
     grid, grid_norm = _parse_grid(raw, dp)
     fmt, path, output_norm = _parse_output(raw)
@@ -415,6 +422,10 @@ def load_config(source: Any = None) -> RunConfig:
 
 
 def _g17(x: float) -> str:
+    # an artifact never needs NaN or Infinity (undefined values are null), so
+    # one is a numerical failure: exit 2, and nothing is written
+    if not math.isfinite(x):
+        raise FloatingPointError(f"non-finite number in the artifact: {x}")
     return format(float(x), ".17g")
 
 
@@ -428,7 +439,10 @@ def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
 
 
 def _render_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError:  # NaN or Infinity, as in _g17
+        raise FloatingPointError("non-finite number in the artifact") from None
 
 
 def _render_rows(fmt: str, rows: list[dict], **meta: Any) -> str:

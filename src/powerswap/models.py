@@ -268,19 +268,23 @@ def integrate_over_delivery(fn, w: WeightFunction, dp: DeliveryPeriod) -> float:
     ))
 
 
+def _period_weight(w: WeightFunction, dp: DeliveryPeriod, u) -> np.ndarray | float:
+    """w_hat(u) on the delivery period up to a constant factor, at most 1 there.
+
+    e^{-rate u} itself under- or overflows once |rate| u passes about 709, and
+    its integrals sink below the quadrature's absolute tolerance well before.
+    """
+    if isinstance(w, ExponentialWeight):
+        anchor = dp.tau1 if w.rate >= 0 else dp.tau2
+        return np.exp(-w.rate * (np.asarray(u, dtype=float) - anchor))
+    return weight_hat(w, u)
+
+
 def weight_normalizer(w: WeightFunction, dp: DeliveryPeriod) -> float:
-    """Integral of w_hat over the delivery period."""
+    """Integral of ``_period_weight`` over the delivery period (delta for the uniform weight)."""
     if isinstance(w, UniformWeight):
         return dp.delta
-    if isinstance(w, ExponentialWeight):
-        y = w.rate * dp.delta
-        if abs(y) < 1e-8:
-            # series of (1 - e^{-y}) / y: exact at rate 0, no underflow at subnormal rates
-            return float(dp.delta * np.exp(-w.rate * dp.tau1) * (1.0 - 0.5 * y))
-        # expm1 keeps the difference of the two exponentials from
-        # cancelling when rate * delta is tiny
-        return float(np.exp(-w.rate * dp.tau1) * (-np.expm1(-w.rate * dp.delta)) / w.rate)
-    return integrate_over_delivery(lambda v: weight_hat(w, v), w, dp)
+    return integrate_over_delivery(lambda v: _period_weight(w, dp, v), w, dp)
 
 
 def weight_density(w: WeightFunction, dp: DeliveryPeriod, u) -> np.ndarray | float:
@@ -293,7 +297,7 @@ def weight_density(w: WeightFunction, dp: DeliveryPeriod, u) -> np.ndarray | flo
     if np.any(u_arr < dp.tau1) or np.any(u_arr > dp.tau2):
         raise ValueError(
             f"u must lie in the delivery period [{dp.tau1}, {dp.tau2}]")
-    vals = np.asarray(weight_hat(w, u_arr), dtype=float) / weight_normalizer(w, dp)
+    vals = np.asarray(_period_weight(w, dp, u_arr), dtype=float) / weight_normalizer(w, dp)
     if u_arr.ndim == 0:
         return float(vals)
     return vals

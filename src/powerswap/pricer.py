@@ -359,6 +359,8 @@ def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     if g.t_end != exercise:
         raise ValueError(
             f"grid must end at the exercise time {exercise}, got {g.t_end}")
+    if not specs:
+        return []
     paths = simulate_variance_integrals(p, vol, w, dp, g, measure=measure,
                                         workers=workers)
     rho_bar2 = 1.0 - p.rho * p.rho

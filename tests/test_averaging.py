@@ -166,9 +166,41 @@ def test_exponential_weight_moments_match_quadrature():
 
 def test_trading_seasonal_factors_are_degenerate():
     ts = TradingSeasonal(0.6, 0.7, 0.2)
-    for t in (0.0, 0.4, 0.75):
-        assert swap_vol_factor(ts, UNI, DP, t) == 1.0
-        assert market_price_factor(ts, UNI, DP, t) == 0.0
+    for w, _ in WEIGHTS:
+        for t in (0.0, 0.4, 0.75):
+            assert swap_vol_factor(ts, w, DP, t) == 1.0
+            assert market_price_factor(ts, w, DP, t) == 0.0
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.5, 3.5, 12.0, 50.0])
+def test_samuelson_quadrature_matches_closed_form(lam):
+    # a flat exponential weight takes the quadrature path, the uniform one d1_d2
+    d1, d2 = d1_d2(lam, DP.delta)
+    dec = decompose(Samuelson(lam), ExponentialWeight(0.0), DP)
+    assert dec.big_s(DP.tau1) == pytest.approx(d1, rel=1e-14, abs=0.0)
+    assert dec.xi(DP.tau1) == pytest.approx(d2, rel=1e-12, abs=0.0)
+
+
+def _g(y):
+    return -np.expm1(-y) / y
+
+
+@pytest.mark.parametrize("tau1", [0.75, 10.0])
+@pytest.mark.parametrize("rate", [300.0, -300.0, 600.0, -600.0, 2000.0, -2000.0])
+def test_steep_exponential_weight_matches_closed_form(tau1, rate):
+    # with x = u - tau1 on [0, delta], E[e^{-lam x}] = g((r + lam) delta) / g(r delta)
+    # and E[e^{-2 lam x}] = g((r + 2 lam) delta) / g(r delta); e^{-rate u} itself
+    # under- or overflows here
+    lam = 3.5
+    dp = DeliveryPeriod(tau1, tau1 + 1.0 / 12.0)
+    mean = _g((rate + lam) * dp.delta) / _g(rate * dp.delta)
+    second = _g((rate + 2.0 * lam) * dp.delta) / _g(rate * dp.delta)
+    dec = decompose(Samuelson(lam), ExponentialWeight(rate), dp)
+    assert dec.big_s(tau1) == pytest.approx(mean, rel=1e-12, abs=0.0)
+    xi = dec.xi(tau1)
+    assert np.isfinite(xi) and xi >= 0.0
+    if abs(rate) <= 600.0:
+        assert xi == pytest.approx(0.5 * (second - mean * mean) / mean, rel=1e-6, abs=0.0)
 
 
 def test_constant_general_separable_is_exact():

@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from powerswap import cli
+from powerswap.averaging import SwapVolDecomposition
 from powerswap.cli import ConfigError, load_config, main
 
 
@@ -244,6 +246,35 @@ def test_decompose_json(capsys):
     assert payload["big_s"][-1] == pytest.approx(0.86736857036423121, rel=1e-12)
 
 
+@pytest.mark.parametrize("rate", [-1000.0, 1000.0])
+def test_decompose_steep_exponential_weight(capsys, tmp_path, rate):
+    # e^{-rate u} under- or overflows on this delivery period; its density does not
+    cfg = tmp_path / "steep.json"
+    cfg.write_text(json.dumps({"weight": {"variant": "exponential", "rate": rate}}))
+    code, out, err = run_cli(capsys, ["decompose", "--steps", "4", "--format", "json",
+                                      "--config", str(cfg)])
+    assert code == 0, err
+    payload = _strict_json(out)
+    assert all(np.isfinite(payload["big_s"])) and all(np.isfinite(payload["xi"]))
+    assert min(payload["xi"]) >= 0.0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_artifact_is_a_numerical_failure(capsys, monkeypatch, tmp_path, fmt):
+    nan_curves = SwapVolDecomposition(big_s=lambda t: np.full(np.shape(t), np.nan),
+                                      xi=lambda t: np.zeros(np.shape(t)))
+    monkeypatch.setattr(cli, "decompose", lambda *args: nan_curves)
+    target = tmp_path / "out.txt"
+    for out_args in ([], ["--out", str(target)]):
+        code, out, err = run_cli(capsys, ["decompose", "--steps", "4", "--format", fmt,
+                                          *out_args])
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == 2 and "non-finite" in error["message"]
+    assert not target.exists()
+
+
 def test_price_json_fields(capsys):
     code, out, _ = run_cli(capsys, ["price"])
     payload = json.loads(out)
@@ -465,6 +496,9 @@ def test_grid_end_past_delivery_start_rejected(capsys, tmp_path):
     assert "grid.t_end" in json.loads(err)["error"]["message"]
 
 
+_SHORT_TABLE = {"weight": {"variant": "custom", "u_grid": [0.76, 0.8], "values": [1, 2]}}
+
+
 @pytest.mark.parametrize("argv, config, field", [
     (["decompose"], {"grid": {"t0": 0.8}}, "grid.t0"),
     (["simulate"], {"grid": {"t0": 0.5}}, "grid.t0"),
@@ -479,9 +513,13 @@ def test_grid_end_past_delivery_start_rejected(capsys, tmp_path):
     (["check"], {"grid": {"n_paths": 10 ** 400, "n_steps": 2}}, "grid.n_paths"),
     (["decompose"], {"grid": {"n_steps": 10 ** 400}}, "grid.n_steps"),
     (["check"], {"grid": {"n_steps": 2 ** 63 - 1}}, "grid.n_steps"),
+    # a weight table that starts inside the delivery period [0.75, 5/6]
+    (["check"], _SHORT_TABLE, "weight.u_grid"),
+    (["price"], _SHORT_TABLE, "weight.u_grid"),
 ], ids=["decompose-t0", "simulate-t0", "mc-t0", "validate-t0", "mc-t_end", "both-t_end",
         "validate-t_end", "price-exercise", "fourier-t0", "check-huge-n_paths",
-        "decompose-huge-n_steps", "check-n_steps-grid-overflow"])
+        "decompose-huge-n_steps", "check-n_steps-grid-overflow", "check-short-weight-table",
+        "price-short-weight-table"])
 def test_grid_and_exercise_errors_name_the_field(capsys, tmp_path, argv, config, field):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

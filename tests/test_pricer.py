@@ -587,6 +587,21 @@ def test_mc_grid_must_end_at_exercise():
         price_mc(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), g)
 
 
+def test_mc_without_strikes_simulates_nothing(monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated paths for no strike")
+
+    monkeypatch.setattr(pricer, "simulate_variance_integrals", no_simulation)
+    p = _params()
+    g = GridSpec(t0=0.0, t_end=T, n_steps=1000, n_paths=32768, seed=1)
+    assert price_mc_many(p, SAM, UNI, DP, [], T, g) == []
+    # the input checks still hold without a strike
+    with pytest.raises(ValueError, match="must precede the delivery start"):
+        price_mc_many(p, SAM, UNI, DP, [], 0.75, g)
+    with pytest.raises(ValueError, match="grid must end at the exercise"):
+        price_mc_many(p, SAM, UNI, DP, [], 0.4, g)
+
+
 def test_mc_rejects_exercise_at_delivery_start(monkeypatch):
     # the paper needs T < tau1; the Fourier engine rejects T = tau1 with the
     # same message, and the MC engine must do so before simulating
