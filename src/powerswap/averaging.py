@@ -95,8 +95,7 @@ def _weighted_factors(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
 
     ``den`` is ``weight_normalizer(w, dp)``, computed once by the caller.
     When every sampled node value coincides, s is constant as far as the
-    quadrature can see and the exact result (value, 0) is returned.  A
-    variance that rounding leaves within 1e-14 below 0 counts as 0.
+    quadrature can see and the exact result (value, 0) is returned.
     """
     seen_lo = [np.inf]
     seen_hi = [-np.inf]
@@ -111,11 +110,10 @@ def _weighted_factors(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
     mean = num / den
     if seen_lo[0] == seen_hi[0]:
         return seen_lo[0], 0.0
-    var = integrate_over_delivery(
-        lambda u: _period_weight(w, dp, u) * (s_vals(u) - mean) ** 2, w, dp) / den
-    if var <= -1e-14:
-        raise RuntimeError(f"averaged variance must be non-negative, got {var}")
-    return float(mean), float(0.5 * max(var, 0.0) / mean)
+    # scaled to order 1, or the absolute tolerance swamps the tiny variance of a steep weight
+    var = mean * mean * integrate_over_delivery(
+        lambda u: _period_weight(w, dp, u) / den * (s_vals(u) / mean - 1.0) ** 2, w, dp)
+    return float(mean), float(0.5 * var / mean)
 
 
 def _delivery_factors(vol: VolStructure, w: WeightFunction,

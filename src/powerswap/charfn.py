@@ -23,7 +23,8 @@ point:
 for convergence and residual studies.  Psi0 is advanced inside the same
 stages as Psi1, which avoids any complex-logarithm branch tracking.  phi may
 be complex: the k = 2 system at phi - i is the k = 1 system at phi, which
-lets the pricer solve one system for both transforms.
+lets the pricer solve one system for both transforms.  |Re phi| may not
+pass one fixed ceiling, 1e4, which also bounds the pricer's integral.
 
 The adaptive tolerance abs_tol bounds each step's local error estimate, the
 5th-order one corrected by the 3rd-order one as in Hairer's DOP853, in every
@@ -54,10 +55,9 @@ from .models import (
 )
 
 __all__ = ["RiccatiCoefficients", "CharFnSolution", "RiccatiError",
-           "solve_riccati", "solve_riccati_fixed", "riccati_path", "char_fn",
-           "PHI_MAX_DEFAULT"]
+           "solve_riccati", "solve_riccati_fixed", "riccati_path", "char_fn"]
 
-PHI_MAX_DEFAULT = 400.0
+# the ceiling on |Re phi| of every solve, and so on the pricer's integral
 _PHI_HARD_CAP = 1e4
 # attempted steps (accepted or rejected) before an adaptive solve gives up
 _MAX_STEPS = 10_000
@@ -185,15 +185,12 @@ class CharFnSolution:
     n_rhs: int
 
 
-def _check_phi(phi_arr: np.ndarray, phi_max: float) -> None:
-    if not 0 < phi_max <= _PHI_HARD_CAP:
-        raise ValueError(f"phi_max must lie in (0, {_PHI_HARD_CAP}]")
+def _check_phi(phi_arr: np.ndarray) -> None:
     bad = phi_arr[~np.isfinite(phi_arr)]
     if bad.size:
         raise ValueError(f"phi must be finite, got {bad[0]}")
-    if np.any(np.abs(phi_arr.real) > phi_max):
-        raise ValueError(
-            f"|Re phi| exceeds the configured maximum {phi_max}")
+    if np.any(np.abs(phi_arr.real) > _PHI_HARD_CAP):
+        raise ValueError(f"|Re phi| exceeds the ceiling {_PHI_HARD_CAP:g}")
 
 
 def _as_phi_array(phi) -> tuple[np.ndarray, bool]:
@@ -380,7 +377,7 @@ def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
     RiccatiError with the time reached as ``t_fail``.
     """
     phi_arr, scalar = _as_phi_array(phi)
-    _check_phi(phi_arr, PHI_MAX_DEFAULT)
+    _check_phi(phi_arr)
     if not 0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
     _require_positive_int("n_steps", n_steps)
@@ -402,7 +399,6 @@ def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
 
 def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
                   abs_tol: float = 1e-10,
-                  phi_max: float = PHI_MAX_DEFAULT,
                   nu: float | None = None) -> CharFnSolution:
     """Solve for Psi0, Psi1 at time t with adaptive DOP853 steps.
 
@@ -418,12 +414,13 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
     a blow-up that no step size avoids, or more than ``_MAX_STEPS``
     attempted steps raise RiccatiError with the time reached as ``t_fail``;
     so does an abs_tol that is not finite or below ``_MIN_ABS_TOL``, before
-    any step, and a phi that is not finite raises ValueError.  ``n_rhs`` is
-    11 per attempted step, accepted or rejected, + 1 per accepted step: the
-    slope at s = 0 and after each accepted step but the last.
+    any step, and a phi that is not finite or whose |Re phi| exceeds
+    ``_PHI_HARD_CAP`` raises ValueError.  ``n_rhs`` is 11 per attempted
+    step, accepted or rejected, + 1 per accepted step: the slope at s = 0
+    and after each accepted step but the last.
     """
     phi_arr, scalar = _as_phi_array(phi)
-    _check_phi(phi_arr, phi_max)
+    _check_phi(phi_arr)
     if not 0 <= t <= T:
         raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
     if nu is not None and not 0 <= nu < np.inf:

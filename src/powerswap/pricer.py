@@ -12,8 +12,9 @@ block on the nodes (phi, phi - i): the share-measure identity
 Q_hat_1(phi) = Q_hat_2(phi - i) / e^x (Carr & Madan 1999, Lewis 2001) gives
 both transforms from that one solve.
 Both are truncated where max |Q_hat_k| / phi is below 1e-12 for k = 1 and 2
-on the same two panels in a row.  The integrand of a strike K turns about
-as e^{i phi (m -/+ v / 2)}, m = x - ln K and v the variance of ln F(T), and
+on the same two panels in a row, or raise TruncationError at the solver's
+fixed ceiling phi = 1e4.  The integrand of a strike K turns about as
+e^{i phi (m -/+ v / 2)}, m = x - ln K and v the variance of ln F(T), and
 falls off as e^{-phi^2 v / 2}, so a panel takes 8 nodes where the largest |m|
 priced and a bound on v leave it smooth, and 32 elsewhere (Lord & Kahl
 2007); neither the nodes nor the truncation depend on the strike otherwise,
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import PHI_MAX_DEFAULT, RiccatiCoefficients, char_fn, solve_riccati
+from .charfn import _PHI_HARD_CAP, RiccatiCoefficients, char_fn, solve_riccati
 from .conditions import _warn_if_failed, check_novikov
 from .models import (
     DeliveryPeriod,
@@ -75,11 +76,10 @@ class PricingError(RuntimeError):
 
 
 class TruncationError(PricingError):
-    """The Fourier integrand had not decayed below tolerance by phi_max."""
+    """The Fourier integrand had not decayed below tolerance by the ceiling on phi."""
 
     def __init__(self, message: str, partial: float, envelope: float):
-        super().__init__(f"{message} (partial value {partial:.10g}, "
-                         f"last envelope {envelope:.3e})")
+        super().__init__(f"{message} (partial value {partial:.10g})")
         self.partial = partial
         self.envelope = envelope
 
@@ -149,8 +149,7 @@ def _nodes_per_panel(rc: RiccatiCoefficients, t: float, T: float, nu: float,
 
 
 def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
-                          nu: float, phi_max: float, ode_tol: float,
-                          gl_nodes: np.ndarray) -> tuple:
+                          nu: float, ode_tol: float, gl_nodes: np.ndarray) -> tuple:
     """(nodes, qhat, envelope, work): nodes (n,), Q_hat_k in row k - 1 of qhat (2, n).
 
     Each width-2 panel carries the Gauss-Legendre nodes ``gl_nodes`` of
@@ -161,13 +160,13 @@ def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
     transform.  Blocks of 16, 32, 64, ... panels, each of at most
     ``_MAX_BLOCK_NODES`` nodes per transform, are added until both k have
     max |Q_hat_k| / phi below the envelope tolerance on the same two panels
-    in a row; the arrays end there and the envelope is None.  At phi_max it
-    is the last panel's, inf with no panel.
+    in a row; the arrays end there and the envelope is None.  At the ceiling
+    ``_PHI_HARD_CAP`` it is the last panel's, inf with no panel.
     """
-    n_panels = int(phi_max * (1.0 + 1e-12) // _PANEL_WIDTH)
-    nodes = np.empty((0, gl_nodes.size))
-    qhat = np.empty((2,) + nodes.shape, complex)
-    envelope = np.array([np.inf])
+    n_panels = int(_PHI_HARD_CAP // _PANEL_WIDTH)
+    nodes = [np.empty((0, gl_nodes.size))]
+    qhat = [np.empty((2,) + nodes[0].shape, complex)]
+    envelope = np.inf
     work = {"riccati_solves": 0, "riccati_steps": 0, "riccati_rhs": 0}
     max_size = _MAX_BLOCK_NODES // gl_nodes.size
     start, size = 0, _FIRST_BLOCK_PANELS
@@ -176,20 +175,24 @@ def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
         start, size = start + size, min(2 * size, max_size)
         block = _PANEL_WIDTH * (mid[:, None] + 0.5 * gl_nodes)
         stacked = np.concatenate([block.ravel(), block.ravel() - 1j])
-        sol = solve_riccati(rc, t, T, stacked, abs_tol=ode_tol, phi_max=phi_max, nu=nu)
+        sol = solve_riccati(rc, t, T, stacked, abs_tol=ode_tol, nu=nu)
         work["riccati_solves"] += 1
         work["riccati_steps"] += sol.n_steps
         work["riccati_rhs"] += sol.n_rhs
         q2, q1 = char_fn(sol, x, nu).reshape((2,) + block.shape)
-        nodes = np.vstack([nodes, block])
-        qhat = np.concatenate([qhat, [q1 / np.exp(x), q2]], axis=1)
-        envelope = np.max(np.abs(qhat) / nodes, axis=(0, 2))
-        below = envelope < _ENVELOPE_TOL
+        q = np.stack([q1 / np.exp(x), q2])
+        # led by the previous block's last panel, for a pair across the seam
+        panel_envelope = np.append(envelope, np.max(np.abs(q) / block, axis=(0, 2)))
+        below = panel_envelope < _ENVELOPE_TOL
         hits = np.flatnonzero(below[:-1] & below[1:])
-        if hits.size:
-            n = int(hits[0]) + 2
-            return nodes[:n].ravel(), qhat[:, :n].reshape(2, -1), None, work
-    return nodes.ravel(), qhat.reshape(2, -1), float(envelope[-1]), work
+        n = int(hits[0]) + 1 if hits.size else len(block)
+        nodes.append(block[:n])
+        qhat.append(q[:, :n])
+        envelope = None if hits.size else float(panel_envelope[-1])
+        if envelope is None:
+            break
+    return (np.concatenate(nodes).ravel(), np.concatenate(qhat, axis=1).reshape(2, -1),
+            envelope, work)
 
 
 def _finalize_prob(raw: float, k: int, diagnostics: dict) -> float:
@@ -206,20 +209,19 @@ def _finalize_prob(raw: float, k: int, diagnostics: dict) -> float:
 def price_fourier(p: HestonParams, vol: VolStructure, w: WeightFunction,
                   dp: DeliveryPeriod, opt: OptionSpec, t: float = 0.0,
                   x: float | None = None, nu: float | None = None,
-                  phi_max: float = PHI_MAX_DEFAULT,
                   ode_tol: float = 1e-10) -> PriceResult:
     """Semi-analytic call/put price at state (t, x, nu); defaults to (0, ln f0, nu0).
 
     The put is filled from put-call parity, so parity holds by construction.
     """
     return price_fourier_many(p, vol, w, dp, [opt.strike], opt.exercise, t=t, x=x,
-                              nu=nu, phi_max=phi_max, ode_tol=ode_tol)[0]
+                              nu=nu, ode_tol=ode_tol)[0]
 
 
 def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
                        dp: DeliveryPeriod, strikes, exercise: float,
                        t: float = 0.0, x: float | None = None,
-                       nu: float | None = None, phi_max: float = PHI_MAX_DEFAULT,
+                       nu: float | None = None,
                        ode_tol: float = 1e-10) -> list[PriceResult]:
     """Fourier prices for several strikes from one stacked truncated transform.
 
@@ -242,10 +244,6 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
         raise ValueError(f"valuation time {t} must precede exercise {exercise}")
     if not exercise < dp.tau1:
         raise ValueError(f"exercise {exercise} must precede the delivery start {dp.tau1}")
-    if not phi_max < np.inf:
-        raise ValueError(f"phi_max must be finite, got {phi_max}")
-    if not phi_max > 0:
-        raise ValueError(f"phi_max must be positive, got {phi_max}")
     # the state is checked here so that a bad one costs no Riccati solve
     for name, value in (("x", x), ("nu", nu)):
         if not np.isfinite(value):
@@ -255,13 +253,12 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
     if not specs:
         return []
-    t, T, x, nu, phi_max = float(t), float(exercise), float(x), float(nu), float(phi_max)
+    t, T, x, nu = float(t), float(exercise), float(x), float(nu)
     rc = RiccatiCoefficients.for_model(p, vol, w, dp, 2)
     moneyness = max(abs(x - np.log(spec.strike)) for spec in specs)
     n_nodes = _nodes_per_panel(rc, t, T, nu, moneyness)
     gl_nodes, gl_weights = _gauss_legendre(n_nodes)
-    nodes, qhat, envelope, work = _truncated_transforms(rc, t, T, x, nu, phi_max, ode_tol,
-                                                        gl_nodes)
+    nodes, qhat, envelope, work = _truncated_transforms(rc, t, T, x, nu, ode_tol, gl_nodes)
     panels = nodes.size // n_nodes
     # 1 - Q_k = 1/2 + Re(terms[k - 1] @ e^{-i phi ln K}), weights and 1 / (pi i phi) folded in
     terms = qhat * (0.5 * _PANEL_WIDTH / np.pi) * np.tile(gl_weights, panels) / (1j * nodes)
@@ -271,7 +268,7 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
 
     if envelope is not None:
         raise TruncationError(
-            f"integrand envelope still {envelope:.3e} at phi_max={phi_max}",
+            f"integrand envelope still {envelope:.3e} at the ceiling phi = {_PHI_HARD_CAP:g}",
             partial=float(exercise_probs(specs[0].strike)[0]), envelope=envelope)
     truncation = {"panels_k1": panels, "phi_used_k1": panels * _PANEL_WIDTH,
                   "panels_k2": panels, "phi_used_k2": panels * _PANEL_WIDTH,

@@ -186,7 +186,7 @@ def _g(y):
 
 
 @pytest.mark.parametrize("tau1", [0.75, 10.0])
-@pytest.mark.parametrize("rate", [300.0, -300.0, 600.0, -600.0, 2000.0, -2000.0])
+@pytest.mark.parametrize("rate", [300.0, -300.0, 600.0, -600.0, 2000.0, -2000.0, 1e4])
 def test_steep_exponential_weight_matches_closed_form(tau1, rate):
     # with x = u - tau1 on [0, delta], E[e^{-lam x}] = g((r + lam) delta) / g(r delta)
     # and E[e^{-2 lam x}] = g((r + 2 lam) delta) / g(r delta); e^{-rate u} itself
@@ -197,10 +197,10 @@ def test_steep_exponential_weight_matches_closed_form(tau1, rate):
     second = _g((rate + 2.0 * lam) * dp.delta) / _g(rate * dp.delta)
     dec = decompose(Samuelson(lam), ExponentialWeight(rate), dp)
     assert dec.big_s(tau1) == pytest.approx(mean, rel=1e-12, abs=0.0)
-    xi = dec.xi(tau1)
-    assert np.isfinite(xi) and xi >= 0.0
-    if abs(rate) <= 600.0:
-        assert xi == pytest.approx(0.5 * (second - mean * mean) / mean, rel=1e-6, abs=0.0)
+    # the variance is integrated on the normalized weight and relative to
+    # mean^2, so the quadrature's absolute tolerance does not swamp it
+    # however steep the weight
+    assert dec.xi(tau1) == pytest.approx(0.5 * (second - mean * mean) / mean, rel=1e-6, abs=0.0)
 
 
 def test_constant_general_separable_is_exact():

@@ -263,13 +263,18 @@ def test_stacked_k2_at_shifted_phi_is_k1():
 
 
 def test_phi_beyond_cap_rejected():
+    # one fixed ceiling on |Re phi| holds for every entry point
     rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=1)
-    with pytest.raises(ValueError):
-        solve_riccati(rc, 0.0, 0.5, np.array([500.0]), phi_max=400.0)
-    # the cap bounds Re phi; the shifted nodes phi - i of the pricer pass
-    with pytest.raises(ValueError):
-        solve_riccati(rc, 0.0, 0.5, np.array([500.0 - 1j]), phi_max=400.0)
-    solve_riccati(rc, 0.0, 0.5, np.array([400.0 - 1j]), phi_max=400.0)
+    cap = charfn._PHI_HARD_CAP
+    assert cap == 1e4
+    for phi in (cap + 1.0, cap + 1.0 - 1j, -cap - 1.0):
+        with pytest.raises(ValueError, match="exceeds the ceiling 10000"):
+            solve_riccati(rc, 0.0, 0.5, np.array([phi]))
+        with pytest.raises(ValueError, match="exceeds the ceiling 10000"):
+            solve_riccati_fixed(rc, 0.0, 0.5, np.array([phi]), 4)
+    # it bounds Re phi; the shifted nodes phi - i of the pricer pass
+    assert np.isfinite(solve_riccati(rc, 0.499, 0.5, np.array([cap - 1j])).psi1).all()
+    assert np.isfinite(riccati_path(rc, 0.0, 0.5, np.array([500.0]), 200)[2]).all()
 
 
 def test_unreachable_tolerance_raises():

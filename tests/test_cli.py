@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -425,6 +426,27 @@ def test_price_fourier_values_at_grid_t0(capsys, tmp_path):
     c = load_config(str(cfg))
     expected = price_fourier(c.params, c.vol, c.weight, c.delivery, c.option, t=0.2)
     assert json.loads(out)["call"] == expected.call
+
+
+@pytest.mark.parametrize("config, warns", [
+    ('{"grid": {"t0": 0.4995}}', []),
+    ('{"heston": {"kappa": 1.5, "theta": 0.3, "sigma_vv": 1.5, "rho": -0.5, "nu0": 0.3}}',
+     ["Novikov condition fails (18 <= 26.449); the measure change is not guaranteed"]),
+], ids=["near-exercise", "feller"])
+def test_price_fourier_slow_decay(capsys, tmp_path, config, warns):
+    # the Fourier integrand decays slowly here: it truncates at phi = 1034
+    # and 640
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(config)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        code, out, _ = run_cli(capsys, ["price", "--config", str(cfg), "--method", "fourier",
+                                        "--format", "json"])
+    assert [str(w.message) for w in record] == warns
+    assert code == 0
+    payload = json.loads(out)
+    assert np.isfinite([payload["call"], payload["put"]]).all()
+    assert payload["diagnostics"]["phi_used_k1"] > 600.0
 
 
 def _strict_json(text):

@@ -148,6 +148,31 @@ def test_degenerate_heston_matches_lognormal():
         assert res.put == pytest.approx(ref_put, abs=1e-7)
 
 
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
+def test_near_exercise_matches_lognormal(gap):
+    # a short time to exercise leaves little variance, so the integrand
+    # decays slowly: phi reaches about 900, 2750 and 8440
+    p = _params(sigma_vv=0.0, rho=0.0, nu0=0.4)
+    t = T - gap
+    total_var = quad(
+        lambda u: swap_vol_factor(SAM, UNI, DP, u) ** 2 * (0.6 - 0.2 * np.exp(-3.0 * (u - t))),
+        t, T, epsabs=1e-15, epsrel=1e-13)[0]
+    strikes = [29.0, 30.0, 31.0]
+    for k, res in zip(strikes, price_fourier_many(p, SAM, UNI, DP, strikes, T, t=t)):
+        ref_call, ref_put = lognormal_call_put(30.0, k, total_var, np.exp(-0.01 * gap))
+        assert res.call == pytest.approx(ref_call, abs=1e-9)
+        assert res.put == pytest.approx(ref_put, abs=1e-9)
+
+
+def test_non_decaying_price_fails_at_the_ceiling():
+    # 1e-8 before exercise the integrand is still about 1e-4 at phi = 1e4
+    with pytest.raises(TruncationError, match=r"at the ceiling phi = 10000 ") as info:
+        price_fourier(_params(), SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T),
+                      t=T - 1e-8)
+    assert info.value.envelope > 1e-12
+    assert np.isfinite(info.value.partial)
+
+
 def test_fourier_rejects_theta_negative_before_exercise():
     # theta(t) = 0.6 - 2 t turns negative at t = 0.3 < T; the simulator
     # rejects it too, on its grid
@@ -224,17 +249,21 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
     solves.clear()
     feller = _params(kappa=1.5, theta=0.3, sigma_vv=1.5, rho=-0.5, nu0=0.3)
     with pytest.warns(ConditionWarning):
-        slow = price_fourier_many(feller, SAM, UNI, DP, [30.0], T, phi_max=1000.0)
+        slow = price_fourier_many(feller, SAM, UNI, DP, [30.0], T)
     assert slow[0].diagnostics["panels_k1"] > 16 + 32 + 64 + 64
     assert solves[:5] == [2 * 8 * 16, 2 * 8 * 32, 2 * 8 * 64, 2 * 8 * 64, 2 * 8 * 64]
-    assert res.diagnostics["panels_k1"] >= 1
-    assert res.diagnostics["phi_used_k1"] <= 400.0
+    assert res.diagnostics["phi_used_k1"] == 42 * 2.0
     assert res.diagnostics["novikov_ok"] is True
-    # an absurdly small cap cannot fit the envelope criterion
+    # an absurdly low ceiling cannot fit the envelope criterion, and the
+    # error names it and the envelope once
+    monkeypatch.setattr(pricer, "_PHI_HARD_CAP", 4.0)
     with pytest.raises(TruncationError) as exc_info:
-        price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T), phi_max=4.0)
+        price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
     assert exc_info.value.envelope > 1e-12
     assert np.isfinite(exc_info.value.partial)
+    assert str(exc_info.value) == (
+        f"integrand envelope still {exc_info.value.envelope:.3e} at the ceiling "
+        f"phi = 4 (partial value {exc_info.value.partial:.10g})")
 
 
 @pytest.mark.parametrize("lam", [3.5, 1.0])
@@ -276,22 +305,23 @@ def test_both_transforms_share_one_truncation_point(vol):
     assert diagnostics["phi_used_k1"] == diagnostics["phi_used_k2"]
 
 
-@pytest.mark.parametrize("phi_max", [1.0, 4.0, 40.0])
-def test_truncation_failure_is_raised_once_before_any_strike(monkeypatch, phi_max):
-    # below phi_max = 2 no panel fits, and no block is solved
+@pytest.mark.parametrize("ceiling", [1.0, 4.0, 40.0])
+def test_truncation_failure_is_raised_once_before_any_strike(monkeypatch, ceiling):
+    # below a ceiling of 2 no panel fits, and no block is solved
     priced = []
     monkeypatch.setattr(pricer, "_finalize_prob",
                         lambda raw, k, diagnostics: priced.append(k) or raw)
+    monkeypatch.setattr(pricer, "_PHI_HARD_CAP", ceiling)
     with pytest.raises(TruncationError) as info:
-        price_fourier_many(_params(), SAM, UNI, DP, [24.0, 30.0, 36.0], T, phi_max=phi_max)
+        price_fourier_many(_params(), SAM, UNI, DP, [24.0, 30.0, 36.0], T)
     assert priced == []
     assert np.isfinite(info.value.partial)
     assert info.value.envelope > 1e-12
-    if phi_max < 2.0:
+    if ceiling < 2.0:
         assert info.value.partial == 0.5
         assert info.value.envelope == np.inf
     # with no strike there is no price to fail
-    assert price_fourier_many(_params(), SAM, UNI, DP, [], T, phi_max=phi_max) == []
+    assert price_fourier_many(_params(), SAM, UNI, DP, [], T) == []
 
 
 def _per_panel_exercise_probs(p, vol, strikes, t, nu, w=UNI, n_nodes=32, panels=None,
@@ -334,6 +364,21 @@ def test_block_solves_match_per_panel_solves(vol):
             assert results[0].diagnostics[f"panels_k{k}"] == panels
             got = [getattr(r, f"q{k}") for r in results]
             np.testing.assert_allclose(got, probs[k - 1], rtol=0.0, atol=1e-10)
+
+
+def test_feller_set_prices_by_default():
+    # sigma_vv^2 = 2.25 > 2 kappa theta = 0.9: the integrand decays slowly,
+    # to phi = 640 at 8 nodes per panel
+    p = _params(kappa=1.5, theta=0.3, sigma_vv=1.5, rho=-0.5, nu0=0.3)
+    strikes = [30.0, 36.0, 42.0]
+    with pytest.warns(ConditionWarning):
+        results = price_fourier_many(p, SAM, UNI, DP, strikes, T)
+    panels = results[0].diagnostics["panels_k1"]
+    assert panels == 320
+    probs, _ = _per_panel_exercise_probs(p, SAM, strikes, 0.0, p.nu0, panels=panels)
+    for k in (1, 2):
+        got = [getattr(r, f"q{k}") for r in results]
+        np.testing.assert_allclose(got, probs[k - 1], rtol=0.0, atol=1e-10)
 
 
 # log-moneyness m = ln(f0 / K) of each strike set: near the money, where
@@ -380,9 +425,9 @@ def test_node_rule_holds_across_log_moneyness(vol, w, near_nu0, near_nu9):
     assert (chosen[0.0, p.nu0, T, 0], chosen[0.0, 9.0, T, 0]) == (near_nu0, near_nu9)
 
 
-def test_novikov_warning_points_at_the_caller():
-    # kappa = 0.1 fails 8 kappa^2 > sigma_vv^2 / (lam delta)^2; the tiny
-    # phi_max stops the Fourier pricing right after the check.  It fails
+def test_novikov_warning_points_at_the_caller(monkeypatch):
+    # kappa = 0.1 fails 8 kappa^2 > sigma_vv^2 / (lam delta)^2; a tiny
+    # ceiling stops the Fourier pricing right after the check.  It fails
     # Feller too (2 kappa theta = 0.12 <= 0.16), which only the simulator checks.
     p = _params(kappa=0.1)
     opt = OptionSpec(strike=30.0, exercise=T)
@@ -390,9 +435,10 @@ def test_novikov_warning_points_at_the_caller():
     feller = "Feller condition fails (0.12 <= 0.16); the variance process may hit zero"
     novikov = ("Novikov condition fails (0.08 <= 1.88082); "
                "the measure change is not guaranteed")
+    monkeypatch.setattr(pricer, "_PHI_HARD_CAP", 4.0)
     for price in (
-        lambda: price_fourier(p, SAM, UNI, DP, opt, phi_max=4.0),
-        lambda: price_fourier_many(p, SAM, UNI, DP, [30.0], T, phi_max=4.0),
+        lambda: price_fourier(p, SAM, UNI, DP, opt),
+        lambda: price_fourier_many(p, SAM, UNI, DP, [30.0], T),
     ):
         with pytest.warns(ConditionWarning) as record, pytest.raises(TruncationError):
             price()
@@ -450,9 +496,6 @@ def test_fourier_at_later_valuation_time(monkeypatch):
         (dict(opt=opt, x=np.nan), "x must be finite, got nan"),
         (dict(opt=opt, x=np.inf), "x must be finite, got inf"),
         (dict(opt=opt, x=-np.inf), "x must be finite, got -inf"),
-        (dict(opt=opt, phi_max=np.inf), "phi_max must be finite, got inf"),
-        (dict(opt=opt, phi_max=0.0), "phi_max must be positive, got 0.0"),
-        (dict(opt=opt, phi_max=-5.0), "phi_max must be positive, got -5.0"),
         (dict(opt=OptionSpec(strike=30.0, exercise=0.75)),
          "exercise 0.75 must precede the delivery start 0.75"),
     ]:
