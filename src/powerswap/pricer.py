@@ -5,21 +5,16 @@ exercise probabilities recovered from the characteristic functions by
 
     1 - Q_k = 1/2 + (1/pi) Integral_0^inf Re(e^{-i phi ln K} Q_hat_k / (i phi)) dphi.
 
-``price_fourier_many`` does all Fourier pricing in one pass.  It lays
-width-2 panels of Gauss-Legendre nodes in blocks of 16, 32, 64, ... panels,
-each of at most 512 nodes, and solves one stacked k = 2 Riccati system per
-block on the nodes (phi, phi - i): the share-measure identity
-Q_hat_1(phi) = Q_hat_2(phi - i) / e^x (Carr & Madan 1999, Lewis 2001) gives
-both transforms from that one solve.
-Both are truncated where max |Q_hat_k| / phi is below 1e-12 for k = 1 and 2
-on the same two panels in a row, or raise TruncationError at the solver's
-fixed ceiling phi = 1e4.  The integrand of a strike K turns about as
-e^{i phi (m -/+ v / 2)}, m = x - ln K and v the variance of ln F(T), and
-falls off as e^{-phi^2 v / 2}, so a panel takes 8 nodes where the largest |m|
-priced and a bound on v leave it smooth, and 32 elsewhere (Lord & Kahl
-2007); neither the nodes nor the truncation depend on the strike otherwise,
-so each strike is then one weighted sum over the nodes.  Puts follow from
-put-call parity.
+``price_fourier_many`` does all Fourier pricing in one pass, on nodes
+mapped from u in (0, 1] by phi = -ln(u) / C (Kahl & Jaeckel 2005; Lord &
+Kahl 2007), with C read from the model before any solve.  All nodes of
+Fejer's second rule in u go into one stacked k = 2 Riccati solve on (phi,
+phi - i): the share-measure identity Q_hat_1(phi) = Q_hat_2(phi - i) / e^x
+(Carr & Madan 1999, Lewis 2001) gives both transforms from it.  The rule
+is nested, so its every second node gives each price an error estimate,
+and the rule doubles, solving only its new nodes, until that is below
+1e-10.  Each strike is then one weighted sum over the nodes, and puts
+follow from put-call parity.
 
 ``price_mc_many`` is conditional ("mixing") Monte-Carlo (Willard 1997,
 Romano & Touzi 1997) with control variates (Glasserman 2004, section 4.1):
@@ -55,18 +50,14 @@ from .simulate import simulate_terminal  # noqa: F401
 __all__ = ["PriceResult", "PricingError", "TruncationError", "price_fourier",
            "price_fourier_many", "price_mc", "price_mc_many", "black76_oracle"]
 
-_PANEL_WIDTH = 2.0
-# Gauss-Legendre nodes per width-2 panel: few where the integrand turns and
-# bends slowly over a panel, many elsewhere (see _nodes_per_panel)
-_FEW_NODES, _MANY_NODES = 8, 32
-# Panels in the first block.  Each further block doubles until it holds
-# _MAX_BLOCK_NODES nodes per transform, one 16-panel block of 32-node panels.
-# A right-hand side costs about 20 us per solve plus 30 ns per stacked node:
-# larger blocks save that fixed cost while it dominates, and past this size
-# they mostly add nodes beyond the truncation point: 32-node panels price
-# slower in blocks of 32 or 64 panels than in blocks of 16.
-_FIRST_BLOCK_PANELS = 16
-_MAX_BLOCK_NODES = 16 * 32
+_MIN_NODES, _MAX_NODES = 128, 2 ** 16   # per Fejer rule
+# a solve takes the step count of its highest nodes, so past this many
+# nodes the lower ones are solved apart
+_SOLVE_NODES = 2048
+# ln of the fall of |Q_hat| at phi_est, about ln(1e12 phi); the map puts
+# phi_est at u = e^{-_MAP_DEPTH}
+_DECAY_LOG, _MAP_DEPTH = 33.0, 3.0
+_QUADRATURE_TOL = 1e-10
 _ENVELOPE_TOL = 1e-12
 _PROB_SLACK = 1e-6
 
@@ -93,9 +84,9 @@ class PriceResult:
     no controls and it is the plain sample standard error (ddof = 1);
     ``diagnostics["raw_stderr"]`` always holds that uncontrolled figure.  It
     is None for Fourier prices and for a single MC path, where it is
-    undefined.  A Fourier price's diagnostics repeat its one truncation point
-    as panels_k1 == panels_k2 and phi_used_k1 == phi_used_k2, because
-    perfbench/worker.py sums each pair; the keys merge with its next change."""
+    undefined.  A Fourier price's diagnostics repeat its largest node as
+    phi_used_k1 == phi_used_k2, because perfbench/worker.py reads each; the
+    keys merge with its next change."""
     call: float
     put: float
     q1: float
@@ -106,93 +97,116 @@ class PriceResult:
 
 
 @functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], read-only, built
-    on first use."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+def _fejer2(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fejer's second rule on (0, 1), read-only, built on first use: nodes
+    u_k = (1 + cos(k pi / n)) / 2, k = 1 .. n - 1, and weights by one inverse
+    FFT (Waldvogel 2006).  For even n the rule of n / 2 is the odd indices."""
+    odd = np.arange(1, n, 2)
+    moments = np.concatenate([2.0 / (odd * (odd - 2.0)), [1.0 / odd[-1]], np.zeros(n // 2)])
+    weights = 0.5 * np.fft.ifft(-moments[:-1] - moments[:0:-1]).real[1:]
+    nodes = 0.5 * (1.0 + np.cos(np.arange(1, n) * np.pi / n))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _nodes_per_panel(rc: RiccatiCoefficients, t: float, T: float, nu: float,
-                     moneyness: float) -> int:
-    """Gauss-Legendre nodes per width-2 panel for the largest |m| = |x - ln K|
-    priced from the state (t, nu).
+def _decay_point(rc: RiccatiCoefficients, t: float, T: float, nu: float) -> float:
+    """phi_est, about where |Q_hat_k| from the state (t, nu) has fallen by e^-L.
 
-    Under measure k the integrand turns about as e^{i phi (m -/+ v / 2)} and
-    falls off as e^{-phi^2 v / 2}, v the variance of ln F(T) (Lord & Kahl
-    2007: the grid follows the integrand's oscillation).  E_k[v] is at most
-    v_bar = nu_bar Integral_t^T S^2, nu_bar = max(nu, max kappa theta /
-    beta_k) over both k, and the square-root process spreads v about its
-    mean by d = sigma^2 max S^2 min((T - t)^2 / 3, 1 / min beta_k^2), its
-    variance over its mean.  A panel takes _FEW_NODES where
-    |m| + 1.5 v_bar (1 + 4 d) <= 1, and _MANY_NODES elsewhere or where some
-    beta_k is not positive.  The constants were fitted on a scan of 624
-    states (Samuelson, delivery- and trading-seasonal models, nu up to 9,
-    exercise up to 2.9, sigma up to 2, Feller ratios down to 0.1) and
-    checked on 382 more: where the rule takes 8 nodes, q1 and q2 stay
-    within 2.4e-11 of 32 nodes per panel.
+    log |Q_hat| falls as -phi^2 v / 2 for small phi, v = Integral_t^T S^2 m
+    on the mean variance path m(u) = nu e^{-beta_2 (u - t)} + kappa theta (1
+    - e^{-beta_2 (u - t)}) / beta_2 (beta_2 clipped above 0), and as -C_inf phi
+    for large phi: Psi1 at t tends to -sqrt(1 - rho^2) S(t) phi / sigma
+    (Kahl & Jaeckel 2005), so C_inf = sqrt(1 - rho^2) (nu S(t) + Integral_t^T
+    kappa theta S) / sigma, infinite at sigma = 0.  phi_est = max(sqrt(2 L /
+    v), L / C_inf), the integrals on the Fejer rule of 16.
     """
-    u, w = _gauss_legendre(8)
-    u = t + 0.5 * (T - t) * (u + 1.0)
+    u, w = _fejer2(16)
+    u, w = t + (T - t) * u, (T - t) * w
     s = np.broadcast_to(rc.big_s(u), u.shape)
-    beta_2 = rc.kappa + rc.sigma_vv * rc.rho * np.broadcast_to(rc.xi(u), u.shape)
-    beta_1 = beta_2 - rc.sigma_vv * rc.rho * s
-    beta_min = min(beta_1.min(), beta_2.min())
-    if not beta_min > 0:
-        return _MANY_NODES
+    beta = np.maximum(rc.kappa + rc.sigma_vv * rc.rho * np.broadcast_to(rc.xi(u), u.shape),
+                      1e-12)
     kappa_theta = rc.kappa * np.broadcast_to(rc.theta(u), u.shape)
-    nu_bar = max(nu, np.max(kappa_theta / np.minimum(beta_1, beta_2)))
-    v_bar = nu_bar * 0.5 * (T - t) * (w @ (s * s))
-    d = rc.sigma_vv ** 2 * np.max(s * s) * min((T - t) ** 2 / 3.0, 1.0 / beta_min ** 2)
-    return _FEW_NODES if moneyness + 1.5 * v_bar * (1.0 + 4.0 * d) <= 1.0 else _MANY_NODES
+    fall = -np.expm1(-beta * (u - t))   # 1 - e^{-beta_2 (u - t)}
+    v = w @ (s * s * (nu * (1.0 - fall) + kappa_theta * fall / beta))
+    decay = np.sqrt(1.0 - rc.rho ** 2) * (nu * float(rc.big_s(t)) + w @ (kappa_theta * s))
+    phi_linear = _DECAY_LOG * rc.sigma_vv / decay if decay > 0 else np.inf
+    return max(np.sqrt(2.0 * _DECAY_LOG / v) if v > 0 else np.inf, phi_linear)
 
 
-def _truncated_transforms(rc: RiccatiCoefficients, t: float, T: float, x: float,
-                          nu: float, ode_tol: float, gl_nodes: np.ndarray) -> tuple:
-    """(nodes, qhat, envelope, work): nodes (n,), Q_hat_k in row k - 1 of qhat (2, n).
+def _exercise_probs(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: float,
+                    ode_tol: float, log_strikes: np.ndarray) -> tuple:
+    """(probs, errors, info): 1 - Q_k in row k - 1 of probs (2, strikes), each
+    strike's quadrature error estimate, and the diagnostics they share.
 
-    Each width-2 panel carries the Gauss-Legendre nodes ``gl_nodes`` of
-    [-1, 1].  ``work`` holds riccati_solves, riccati_steps and riccati_rhs,
-    summed over the solves.  Each block is one k = 2 solve on the stacked
-    nodes (phi, phi - i): Q_hat_1(phi) = Q_hat_2(phi - i) / e^x.  The solve
-    is told nu, so that it weights each node's error by the size of its
-    transform.  Blocks of 16, 32, 64, ... panels, each of at most
-    ``_MAX_BLOCK_NODES`` nodes per transform, are added until both k have
-    max |Q_hat_k| / phi below the envelope tolerance on the same two panels
-    in a row; the arrays end there and the envelope is None.  At the ceiling
-    ``_PHI_HARD_CAP`` it is the last panel's, inf with no panel.
+    phi = -ln(u) / C, C = 3 / phi_est with phi_est at most the ceiling
+    ``_PHI_HARD_CAP``, makes the integral one over u in (0, 1], on Fejer's
+    second rule with weights w_k / (C u_k) in phi.  The first rule has 128
+    nodes, or up to one per radian of the fastest turn e^{i phi (x - ln K)}
+    over phi < phi_est.  Nodes past 1.5 phi_est, where |Q_hat_k| < e^{-1.5 L}
+    if phi_est holds, are not solved; if max |Q_hat_k| / phi at the last one
+    solved is still ``_ENVELOPE_TOL`` or more, the map starts again from 4
+    phi_est.  Past the ceiling nodes are dropped, and the same test failing
+    there raises TruncationError.  The solve is told nu, to weight each
+    node's error by the size of its transform.  A strike's estimate is
+    max_k |F_n - F_{n/2}|, F_{n/2} the nested rule; while one passes
+    ``_QUADRATURE_TOL`` the rule doubles, up to ``_MAX_NODES``, past which
+    PricingError names it.
     """
-    n_panels = int(_PHI_HARD_CAP // _PANEL_WIDTH)
-    nodes = [np.empty((0, gl_nodes.size))]
-    qhat = [np.empty((2,) + nodes[0].shape, complex)]
-    envelope = np.inf
-    work = {"riccati_solves": 0, "riccati_steps": 0, "riccati_rhs": 0}
-    max_size = _MAX_BLOCK_NODES // gl_nodes.size
-    start, size = 0, _FIRST_BLOCK_PANELS
-    while start < n_panels:
-        mid = np.arange(start, min(start + size, n_panels)) + 0.5
-        start, size = start + size, min(2 * size, max_size)
-        block = _PANEL_WIDTH * (mid[:, None] + 0.5 * gl_nodes)
-        stacked = np.concatenate([block.ravel(), block.ravel() - 1j])
-        sol = solve_riccati(rc, t, T, stacked, abs_tol=ode_tol, nu=nu)
-        work["riccati_solves"] += 1
-        work["riccati_steps"] += sol.n_steps
-        work["riccati_rhs"] += sol.n_rhs
-        q2, q1 = char_fn(sol, x, nu).reshape((2,) + block.shape)
-        q = np.stack([q1 / np.exp(x), q2])
-        # led by the previous block's last panel, for a pair across the seam
-        panel_envelope = np.append(envelope, np.max(np.abs(q) / block, axis=(0, 2)))
-        below = panel_envelope < _ENVELOPE_TOL
-        hits = np.flatnonzero(below[:-1] & below[1:])
-        n = int(hits[0]) + 1 if hits.size else len(block)
-        nodes.append(block[:n])
-        qhat.append(q[:, :n])
-        envelope = None if hits.size else float(panel_envelope[-1])
-        if envelope is None:
-            break
-    return (np.concatenate(nodes).ravel(), np.concatenate(qhat, axis=1).reshape(2, -1),
-            envelope, work)
+    work = np.zeros(3, int)   # Riccati solves, accepted steps, rhs evaluations
+    phi_est = min(_decay_point(rc, t, T, nu), _PHI_HARD_CAP)
+    n = 0   # no rule yet on the map of phi_est
+    while True:
+        if not n:
+            n = _MIN_NODES
+            turns = np.max(np.abs(x - log_strikes)) * phi_est
+            while n < min(turns, _MAX_NODES):
+                n *= 2
+            limit = min(_PHI_HARD_CAP, 1.5 * phi_est)
+            qhat, solved = np.zeros((2, n - 1), complex), np.zeros(n - 1, bool)
+        u, w = _fejer2(n)
+        phi = -np.log(u) * (phi_est / _MAP_DEPTH)
+        kept = int(np.count_nonzero(phi <= limit))   # phi rises with k
+        todo = np.flatnonzero(~solved[:kept])
+        for start in range(0, todo.size, _SOLVE_NODES):
+            part = todo[start:start + _SOLVE_NODES]
+            sol = solve_riccati(rc, t, T, np.concatenate([phi[part], phi[part] - 1j]),
+                                abs_tol=ode_tol, nu=nu)
+            work += (1, sol.n_steps, sol.n_rhs)
+            q2, q1 = char_fn(sol, x, nu).reshape(2, -1)
+            qhat[:, part] = q1 / np.exp(x), q2
+        solved[todo] = True
+        half = np.zeros(n - 1)
+        half[1::2] = _fejer2(n // 2)[1]
+        # the rule and its nested half in phi, with 1 / (pi i phi) folded in;
+        # probs[r, k - 1, j] is 1 - Q_k at strike j by rule r, a strike at a
+        # time, so that on the same rule a strike prices alike in any ladder
+        terms = (np.stack([w, half])[:, None, :kept] * (phi_est / _MAP_DEPTH)
+                 * qhat[:, :kept] / (1j * np.pi * u[:kept] * phi[:kept]))
+        probs = 0.5 + np.real(np.stack([terms @ np.exp(-1j * phi[:kept] * log_k)
+                                        for log_k in log_strikes], axis=-1))
+        # phi_est <= ceiling leaves the smallest node, under 1e-4 phi_est, below it
+        envelope = 0.0 if kept == n - 1 else np.max(np.abs(qhat[:, kept - 1])) / phi[kept - 1]
+        if envelope >= _ENVELOPE_TOL:
+            if limit < _PHI_HARD_CAP:
+                phi_est, n = min(4.0 * phi_est, _PHI_HARD_CAP), 0
+                continue
+            raise TruncationError(
+                f"integrand envelope still {envelope:.3e} at the ceiling phi = "
+                f"{_PHI_HARD_CAP:g}", partial=float(probs[0, 0, 0]), envelope=float(envelope))
+        errors = np.max(np.abs(probs[0] - probs[1]), axis=0)
+        if errors.max() <= _QUADRATURE_TOL:
+            phi_used = float(phi[kept - 1])
+            return probs[0], errors, {
+                "nodes": kept, "map_scale": _MAP_DEPTH / phi_est, "phi_used_k1": phi_used,
+                "phi_used_k2": phi_used,
+                **dict(zip(("riccati_solves", "riccati_steps", "riccati_rhs"), work.tolist()))}
+        if n >= _MAX_NODES:
+            raise PricingError(f"quadrature error estimate {errors.max():.3e} is above "
+                               f"{_QUADRATURE_TOL:g} at the ceiling of {n - 1} nodes")
+        # the rule of 2n nodes holds this one's nodes at its odd indices
+        n *= 2
+        qhat = np.insert(qhat, np.arange(n // 2), 0.0, axis=1)
+        solved = np.insert(solved, np.arange(n // 2), False)
 
 
 def _finalize_prob(raw: float, k: int, diagnostics: dict) -> float:
@@ -229,12 +243,12 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     in Psi = (Psi0, Psi1) at the nodes where |Q_hat_k| at the state's nu is
     at least 1e-2; where the transform is smaller the bound is up to 1e6
     ode_tol (``charfn.solve_riccati`` with nu), as a price feels an error in
-    Psi there only in proportion to |Q_hat_k|.  The diagnostics add
-    ``nodes_per_panel``, the Gauss-Legendre nodes per width-2 panel (8 or
-    32) that the largest |x - ln K| over ``strikes`` and the variance to
-    exercise select, ``riccati_solves``, one per block, and
-    ``riccati_steps`` and ``riccati_rhs``, the accepted steps and
-    right-hand-side evaluations summed over those solves.
+    Psi there only in proportion to |Q_hat_k|.  The diagnostics add the
+    ``nodes`` summed over, ``map_scale`` (C of phi = -ln(u) / C), the
+    price's nested ``quadrature_error`` (at most 1e-10), the largest node as
+    ``phi_used_k1`` and ``phi_used_k2``, and ``riccati_solves`` (one unless
+    the rule doubles or passes 2048 nodes), ``riccati_steps`` and
+    ``riccati_rhs`` (accepted steps and right-hand-side evaluations).
     """
     nov = check_novikov(p, vol, dp)
     _warn_if_failed("Novikov", nov.ok, nov.lhs, nov.rhs)
@@ -255,31 +269,14 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
         return []
     t, T, x, nu = float(t), float(exercise), float(x), float(nu)
     rc = RiccatiCoefficients.for_model(p, vol, w, dp, 2)
-    moneyness = max(abs(x - np.log(spec.strike)) for spec in specs)
-    n_nodes = _nodes_per_panel(rc, t, T, nu, moneyness)
-    gl_nodes, gl_weights = _gauss_legendre(n_nodes)
-    nodes, qhat, envelope, work = _truncated_transforms(rc, t, T, x, nu, ode_tol, gl_nodes)
-    panels = nodes.size // n_nodes
-    # 1 - Q_k = 1/2 + Re(terms[k - 1] @ e^{-i phi ln K}), weights and 1 / (pi i phi) folded in
-    terms = qhat * (0.5 * _PANEL_WIDTH / np.pi) * np.tile(gl_weights, panels) / (1j * nodes)
-
-    def exercise_probs(strike: float) -> np.ndarray:
-        return 0.5 + np.real(terms @ np.exp(-1j * nodes * np.log(strike)))
-
-    if envelope is not None:
-        raise TruncationError(
-            f"integrand envelope still {envelope:.3e} at the ceiling phi = {_PHI_HARD_CAP:g}",
-            partial=float(exercise_probs(specs[0].strike)[0]), envelope=envelope)
-    truncation = {"panels_k1": panels, "phi_used_k1": panels * _PANEL_WIDTH,
-                  "panels_k2": panels, "phi_used_k2": panels * _PANEL_WIDTH,
-                  "nodes_per_panel": n_nodes, **work}
+    probs, errors, info = _exercise_probs(rc, t, T, x, nu, ode_tol,
+                                          np.log([spec.strike for spec in specs]))
     df = np.exp(-p.r * (T - t))
     fwd = np.exp(x)
     out = []
-    for spec in specs:
+    for spec, (raw1, raw2), error in zip(specs, probs.T, errors):
         strike = spec.strike
-        diagnostics = {"novikov_ok": nov.ok, **truncation}
-        raw1, raw2 = exercise_probs(strike)
+        diagnostics = {"novikov_ok": nov.ok, **info, "quadrature_error": float(error)}
         q1 = _finalize_prob(float(raw1), 1, diagnostics)
         q2 = _finalize_prob(float(raw2), 2, diagnostics)
         call = df * (fwd * q1 - strike * q2)

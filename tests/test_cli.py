@@ -434,8 +434,9 @@ def test_price_fourier_values_at_grid_t0(capsys, tmp_path):
      ["Novikov condition fails (18 <= 26.449); the measure change is not guaranteed"]),
 ], ids=["near-exercise", "feller"])
 def test_price_fourier_slow_decay(capsys, tmp_path, config, warns):
-    # the Fourier integrand decays slowly here: it truncates at phi = 1034
-    # and 640
+    # the Fourier integrand decays slowly here: it falls by e^-33 only near
+    # phi = 1300 and 1000, and the map from (0, 1] puts that point at
+    # u = e^-3, C = 3 / phi
     cfg = tmp_path / "slow.json"
     cfg.write_text(config)
     with warnings.catch_warnings(record=True) as record:
@@ -446,6 +447,7 @@ def test_price_fourier_slow_decay(capsys, tmp_path, config, warns):
     assert code == 0
     payload = json.loads(out)
     assert np.isfinite([payload["call"], payload["put"]]).all()
+    assert 3.0 / payload["diagnostics"]["map_scale"] > 600.0
     assert payload["diagnostics"]["phi_used_k1"] > 600.0
 
 

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -151,15 +152,43 @@ def test_degenerate_heston_matches_lognormal():
 @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5])
 def test_near_exercise_matches_lognormal(gap):
     # a short time to exercise leaves little variance, so the integrand
-    # decays slowly: phi reaches about 900, 2750 and 8440
+    # decays slowly, to phi of about 900, 2750 and 8440; the map from (0, 1]
+    # knows that before the first solve, and at most one doubling follows
     p = _params(sigma_vv=0.0, rho=0.0, nu0=0.4)
     t = T - gap
     total_var = quad(
         lambda u: swap_vol_factor(SAM, UNI, DP, u) ** 2 * (0.6 - 0.2 * np.exp(-3.0 * (u - t))),
         t, T, epsabs=1e-15, epsrel=1e-13)[0]
     strikes = [29.0, 30.0, 31.0]
-    for k, res in zip(strikes, price_fourier_many(p, SAM, UNI, DP, strikes, T, t=t)):
+    results = price_fourier_many(p, SAM, UNI, DP, strikes, T, t=t)
+    for k, res in zip(strikes, results):
         ref_call, ref_put = lognormal_call_put(30.0, k, total_var, np.exp(-0.01 * gap))
+        assert res.call == pytest.approx(ref_call, abs=1e-9)
+        assert res.put == pytest.approx(ref_put, abs=1e-9)
+    assert results[0].diagnostics["riccati_solves"] <= 2
+
+
+@pytest.mark.parametrize("sigma_vv, rho", [(0.0, 0.0), (0.5, -0.3)])
+def test_high_variance_matches_lognormal(sigma_vv, rho):
+    # a total variance of 130.8 to exercise: the integrand varies on a scale
+    # of about 1 / sqrt(v) = 0.09 near phi = 0 and is gone by phi = 1
+    p = _params(kappa=1.0, theta=3.0, nu0=4.0, sigma_vv=sigma_vv, rho=rho)
+    vol, dp, strikes = DeliverySeasonal(6.0, 0.4, 0.0), DeliveryPeriod(1.2, 1.3), [6.0, 30.0, 150.0]
+    if sigma_vv:
+        # 8 kappa^2 = 8 <= sigma_vv^2 / (a delta)^2 = 9: Novikov fails
+        with pytest.warns(ConditionWarning, match="Novikov"):
+            results = price_fourier_many(p, vol, UNI, dp, strikes, 1.0)
+    else:
+        results = price_fourier_many(p, vol, UNI, dp, strikes, 1.0)
+    for res in results:
+        assert 0.0 <= res.q2 <= res.q1 <= 1.0
+    if sigma_vv:
+        return
+    total_var = quad(lambda u: swap_vol_factor(vol, UNI, dp, u) ** 2 * (3.0 + np.exp(-u)),
+                     0.0, 1.0, epsabs=1e-13, epsrel=1e-13)[0]
+    assert total_var == pytest.approx(130.8, abs=0.05)
+    for k, res in zip(strikes, results):
+        ref_call, ref_put = lognormal_call_put(30.0, k, total_var, np.exp(-0.01))
         assert res.call == pytest.approx(ref_call, abs=1e-9)
         assert res.put == pytest.approx(ref_put, abs=1e-9)
 
@@ -222,40 +251,36 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
 
     monkeypatch.setattr(pricer, "solve_riccati", counting_solve)
     res = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
-    # one stacked k = 2 solve, (phi, phi - i), per block of 16, 32, 64, ...
-    # panels, until both k are truncated, once per pricing call however many
-    # strikes it prices: at the money 8 nodes per panel, and 42 panels take
-    # blocks of 16 and 32
-    assert res.diagnostics["nodes_per_panel"] == 8
-    assert res.diagnostics["panels_k1"] == res.diagnostics["panels_k2"] == 42
-    assert solves == [2 * 8 * 16, 2 * 8 * 32]
-    assert res.diagnostics["riccati_solves"] == len(solves)
-    # the Riccati work is summed over those solves
-    steps, rhs = map(sum, zip(*work))
-    assert (res.diagnostics["riccati_steps"], res.diagnostics["riccati_rhs"]) == (steps, rhs)
+    # one stacked k = 2 solve, (phi, phi - i), on the 127 nodes of a
+    # 128-node rule, less the 8 past 1.5 times the decay point, once per
+    # pricing call however many strikes it prices
+    diagnostics = res.diagnostics
+    assert diagnostics["nodes"] == 119
+    assert solves == [2 * 119]
+    assert diagnostics["riccati_solves"] == 1
+    steps, rhs = work[0]
+    assert (diagnostics["riccati_steps"], diagnostics["riccati_rhs"]) == (steps, rhs)
     assert 0 < steps and 6 * steps < rhs
+    # phi = -ln(u) / C maps the decay point, near phi = 78, to u = e^-3
+    assert 3.0 / diagnostics["map_scale"] == pytest.approx(78.0, abs=1.0)
+    assert diagnostics["phi_used_k1"] == diagnostics["phi_used_k2"] < 1.5 * 78.0
+    assert 0.0 <= diagnostics["quadrature_error"] < 1e-10
+    assert diagnostics["novikov_ok"] is True
+    for key in ("panels_k1", "panels_k2", "nodes_per_panel"):
+        assert key not in diagnostics
     solves.clear()
     ladder = price_fourier_many(p, SAM, UNI, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T)
-    assert solves == [2 * 8 * 16, 2 * 8 * 32]
-    assert ladder[0].diagnostics["nodes_per_panel"] == 8
-    # the nodes per panel follow the largest |ln(f0 / K)| priced, 32 for a
-    # deep strike, and no block holds more than 16 panels of 32 nodes: deep
-    # strikes keep 16-panel blocks, and a slow decay at 8 nodes grows them
-    # to 64
+    assert solves == [2 * 119]
+    # a deep strike turns e^{i phi ln(f0 / K)} faster, and the first rule
+    # grows with the largest |ln(f0 / K)| priced: 2048 nodes, still one solve
     solves.clear()
     deep = price_fourier_many(p, SAM, UNI, DP, [30.0, 3e7], T)
-    assert deep[0].diagnostics["nodes_per_panel"] == 32
-    assert solves == [2 * 32 * 16] * 3
-    solves.clear()
-    feller = _params(kappa=1.5, theta=0.3, sigma_vv=1.5, rho=-0.5, nu0=0.3)
-    with pytest.warns(ConditionWarning):
-        slow = price_fourier_many(feller, SAM, UNI, DP, [30.0], T)
-    assert slow[0].diagnostics["panels_k1"] > 16 + 32 + 64 + 64
-    assert solves[:5] == [2 * 8 * 16, 2 * 8 * 32, 2 * 8 * 64, 2 * 8 * 64, 2 * 8 * 64]
-    assert res.diagnostics["phi_used_k1"] == 42 * 2.0
-    assert res.diagnostics["novikov_ok"] is True
-    # an absurdly low ceiling cannot fit the envelope criterion, and the
-    # error names it and the envelope once
+    assert len(solves) == 1 and 1024 < deep[0].diagnostics["nodes"] < 2048
+    # each price carries its own error estimate
+    assert deep[0].diagnostics["quadrature_error"] != deep[1].diagnostics["quadrature_error"]
+    assert ladder[0].diagnostics["map_scale"] == deep[0].diagnostics["map_scale"]
+    # an absurdly low ceiling cuts the integrand short, and the error names
+    # it and the envelope once
     monkeypatch.setattr(pricer, "_PHI_HARD_CAP", 4.0)
     with pytest.raises(TruncationError) as exc_info:
         price_fourier(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T))
@@ -266,60 +291,79 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
         f"phi = 4 (partial value {exc_info.value.partial:.10g})")
 
 
+def test_bench_ladders_take_one_solve():
+    strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
+    for vol, w in ((SAM, UNI), (DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0))):
+        diagnostics = price_fourier_many(_params(), vol, w, DP, strikes, T)[0].diagnostics
+        assert diagnostics["riccati_solves"] == 1
+
+
+def test_decay_point_too_small_starts_the_map_again(monkeypatch):
+    # a decay point ten times below the integrand's own leaves it large at
+    # 1.5 times that point; the map then starts again from four times it,
+    # twice here, and prices as before
+    p = _params()
+    strikes = [24.0, 30.0, 36.0]
+    before = price_fourier_many(p, SAM, UNI, DP, strikes, T)
+    monkeypatch.setattr(pricer, "_decay_point", lambda *args: 10.0)
+    after = price_fourier_many(p, SAM, UNI, DP, strikes, T)
+    assert after[0].diagnostics["riccati_solves"] == 3
+    assert after[0].diagnostics["map_scale"] == 3.0 / 160.0
+    for a, b in zip(before, after):
+        assert (a.q1, a.q2) == pytest.approx((b.q1, b.q2), abs=1e-10)
+
+
 @pytest.mark.parametrize("lam", [3.5, 1.0])
-def test_samuelson_prices_match_series_oracle(lam):
-    # the pricer's own nodes and truncation, with Q_hat from the series
+def test_samuelson_prices_match_series_oracle(monkeypatch, lam):
+    # the pricer's own nodes and quadrature, with Q_hat from the series
     # solution instead of a Riccati solve
     p = _params()
     strikes = [3e-5, 24.0, 30.0, 36.0, 3e7]
     results = price_fourier_many(p, Samuelson(lam), UNI, DP, strikes, T)
     d1, d2 = samuelson_d1_d2(lam * (DP.tau2 - DP.tau1))
     decay = np.exp(-lam * (DP.tau1 - T))
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(
-        results[0].diagnostics["nodes_per_panel"])
-    x = np.log(p.f0)
-    q = {}
-    for k in (1, 2):
-        panels = results[0].diagnostics[f"panels_k{k}"]
-        nodes = (2.0 * (np.arange(panels)[:, None] + 0.5) + gl_nodes).ravel()
-        psi0, psi1 = samuelson_psi_series(nodes, T, k, lam, 3.0, 0.6, 0.4, -0.3,
+
+    def series_solve(rc, t, exercise, phi, abs_tol, nu):
+        psi0, psi1 = samuelson_psi_series(phi, exercise - t, 2, lam, 3.0, 0.6, 0.4, -0.3,
                                           d1 * decay, d2 * decay)
-        qhat = np.exp(psi0 + p.nu0 * psi1 + 1j * nodes * x)
-        q[k] = [0.5 + np.dot(np.tile(gl_weights, panels),
-                             np.real(np.exp(-1j * nodes * np.log(s)) * qhat / (1j * nodes)))
-                / np.pi for s in strikes]
-    df = np.exp(-0.01 * T)
-    for s, res, q1, q2 in zip(strikes, results, q[1], q[2]):
-        # the pricer clamps probabilities to [0, 1] and the call at 0
-        q1, q2 = min(max(q1, 0.0), 1.0), min(max(q2, 0.0), 1.0)
-        assert (res.q1, res.q2) == pytest.approx((q1, q2), abs=1e-12)
-        assert res.call == pytest.approx(max(df * (p.f0 * q1 - s * q2), 0.0), abs=1e-9)
+        return charfn.CharFnSolution(k=2, t=t, T=exercise, phi=phi, psi0=psi0, psi1=psi1,
+                                     n_steps=0, n_rhs=0)
+
+    monkeypatch.setattr(pricer, "solve_riccati", series_solve)
+    oracle = price_fourier_many(p, Samuelson(lam), UNI, DP, strikes, T)
+    assert results[-1].diagnostics["nodes"] == oracle[-1].diagnostics["nodes"] > 900
+    for res, ref in zip(results, oracle):
+        assert (res.q1, res.q2) == pytest.approx((ref.q1, ref.q2), abs=1e-12)
+        assert res.call == pytest.approx(ref.call, abs=1e-9)
 
 
 @pytest.mark.parametrize("vol", [SAM, Samuelson(1.0), DeliverySeasonal(1.0, 0.4, 0.0),
                                  TradingSeasonal(0.6, 0.7, 0.2)])
 def test_both_transforms_share_one_truncation_point(vol):
+    # one stacked solve on (phi, phi - i) gives both transforms on the same
+    # nodes, so they share the largest node
     p = _params(theta=vol.theta) if isinstance(vol, TradingSeasonal) else _params()
     diagnostics = price_fourier_many(p, vol, UNI, DP, [24.0, 30.0, 36.0], T)[0].diagnostics
-    assert diagnostics["panels_k1"] == diagnostics["panels_k2"]
     assert diagnostics["phi_used_k1"] == diagnostics["phi_used_k2"]
+    assert diagnostics["riccati_solves"] == 1
 
 
 @pytest.mark.parametrize("ceiling", [1.0, 4.0, 40.0])
 def test_truncation_failure_is_raised_once_before_any_strike(monkeypatch, ceiling):
-    # below a ceiling of 2 no panel fits, and no block is solved
-    priced = []
+    # the map never reaches past the ceiling, so the first rule keeps nodes
+    # below even a ceiling of 1, and one solve reads the envelope there
+    priced, solves = [], []
     monkeypatch.setattr(pricer, "_finalize_prob",
                         lambda raw, k, diagnostics: priced.append(k) or raw)
+    monkeypatch.setattr(pricer, "solve_riccati",
+                        lambda *args, **kwargs: solves.append(1) or solve_riccati(*args, **kwargs))
     monkeypatch.setattr(pricer, "_PHI_HARD_CAP", ceiling)
     with pytest.raises(TruncationError) as info:
         price_fourier_many(_params(), SAM, UNI, DP, [24.0, 30.0, 36.0], T)
     assert priced == []
     assert np.isfinite(info.value.partial)
-    assert info.value.envelope > 1e-12
-    if ceiling < 2.0:
-        assert info.value.partial == 0.5
-        assert info.value.envelope == np.inf
+    assert 1e-12 < info.value.envelope < np.inf
+    assert len(solves) == 1
     # with no strike there is no price to fail
     assert price_fourier_many(_params(), SAM, UNI, DP, [], T) == []
 
@@ -352,77 +396,93 @@ def _per_panel_exercise_probs(p, vol, strikes, t, nu, w=UNI, n_nodes=32, panels=
 @pytest.mark.parametrize("vol", [DeliverySeasonal(1.0, 0.4, 0.0),
                                  TradingSeasonal(0.6, 0.7, 0.2), SAM])
 def test_block_solves_match_per_panel_solves(vol):
-    # the pricer's block solves weight each node's error by |Q_hat| at the
-    # state's nu; at the initial state, mid-life at a low variance, and at
-    # nu = 0 (Psi1 unseen) they must match solves that weight nothing
+    # the pricer's stacked solve of all its nodes weights each node's error
+    # by |Q_hat| at the state's nu; at the initial state, mid-life at a low
+    # variance, and at nu = 0 (Psi1 unseen) it must match per-k solves on
+    # width-2 panels that weight nothing
     p = _params(theta=vol.theta) if isinstance(vol, TradingSeasonal) else _params()
     strikes = [26.0, 30.0, 34.0]
     for t, nu in ((0.0, p.nu0), (0.25, 0.3), (0.0, 0.0)):
         results = price_fourier_many(p, vol, UNI, DP, strikes, T, t=t, nu=nu)
-        probs, panels = _per_panel_exercise_probs(p, vol, strikes, t, nu)
+        probs, _ = _per_panel_exercise_probs(p, vol, strikes, t, nu)
         for k in (1, 2):
-            assert results[0].diagnostics[f"panels_k{k}"] == panels
             got = [getattr(r, f"q{k}") for r in results]
             np.testing.assert_allclose(got, probs[k - 1], rtol=0.0, atol=1e-10)
 
 
 def test_feller_set_prices_by_default():
     # sigma_vv^2 = 2.25 > 2 kappa theta = 0.9: the integrand decays slowly,
-    # to phi = 640 at 8 nodes per panel
+    # as e^{-0.033 phi}; the reference takes 320 panels, to phi = 640, where
+    # max |Q_hat_k| / phi is below 1e-12
     p = _params(kappa=1.5, theta=0.3, sigma_vv=1.5, rho=-0.5, nu0=0.3)
     strikes = [30.0, 36.0, 42.0]
     with pytest.warns(ConditionWarning):
         results = price_fourier_many(p, SAM, UNI, DP, strikes, T)
-    panels = results[0].diagnostics["panels_k1"]
-    assert panels == 320
-    probs, _ = _per_panel_exercise_probs(p, SAM, strikes, 0.0, p.nu0, panels=panels)
+    assert results[0].diagnostics["riccati_solves"] == 1
+    probs, _ = _per_panel_exercise_probs(p, SAM, strikes, 0.0, p.nu0, panels=320)
     for k in (1, 2):
         got = [getattr(r, f"q{k}") for r in results]
         np.testing.assert_allclose(got, probs[k - 1], rtol=0.0, atol=1e-10)
 
 
-# log-moneyness m = ln(f0 / K) of each strike set: near the money, where
-# the variance to exercise decides between 8 and 32 nodes per panel, at the
-# edge |m| = 1, and deep, where 32 always serve
-MONEYNESS_SETS = ([-0.5, -0.25, 0.0, 0.25, 0.5], [-1.0, 1.0], [-14.0, -4.0, 4.0, 14.0])
+def test_feller_set_at_high_variance_holds_the_ode_tolerance():
+    # exercise 2.9 before delivery at 3.0, from nu = 9: the one solve takes
+    # its step size from its highest nodes, so the default ode_tol leaves
+    # the probabilities within 1e-11 of a 1e-13 solve (blocks of panels
+    # solved apart left 3.3e-10)
+    p = _params(kappa=1.5, theta=0.3, sigma_vv=1.5, rho=-0.5, nu0=0.3)
+    dp, strikes = DeliveryPeriod(3.0, 3.0 + 1.0 / 12.0), [24.0, 30.0, 36.0, 42.0]
+    with pytest.warns(ConditionWarning):
+        default, tight = (price_fourier_many(p, SAM, UNI, dp, strikes, 2.9, nu=9.0, **tol)
+                          for tol in ({}, {"ode_tol": 1e-13}))
+    for a, b in zip(default, tight):
+        assert (a.q1, a.q2) == pytest.approx((b.q1, b.q2), abs=1e-11)
 
 
-@pytest.mark.parametrize("vol, w, near_nu0, near_nu9", [
-    (SAM, UNI, 8, 8), (Samuelson(1.0), UNI, 8, 32),
-    (DeliverySeasonal(1.0, 0.4, 0.0), UNI, 32, 32),
-    (DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0), 32, 32),
-    (TradingSeasonal(0.6, 0.7, 0.2), UNI, 32, 32),
-    (GeneralSeparable(lambda t, u: np.exp(-3.5 * (np.asarray(u, float) - t)), bound_r=1.0),
-     UNI, 8, 8),
-])
-def test_node_rule_holds_across_log_moneyness(vol, w, near_nu0, near_nu9):
-    # each strike set is priced with the nodes per panel the rule picks; its
-    # probabilities must match 48 nodes per panel on the same truncation at
-    # the initial state, mid-life at a low variance, at nu = 0, at the high
-    # variances nu = 4 and 9, and at a later exercise
-    p = _params(theta=vol.theta) if isinstance(vol, TradingSeasonal) else _params()
-    chosen = {}
-    for t, nu, exercise in ((0.0, p.nu0, T), (0.25, 0.3, T), (0.0, 0.0, T),
-                            (0.0, 4.0, T), (0.0, 9.0, T), (0.0, p.nu0, 0.74)):
-        for i, moneyness in enumerate(MONEYNESS_SETS):
-            strikes = p.f0 * np.exp(-np.array(moneyness))
-            results = price_fourier_many(p, vol, w, DP, strikes, exercise, t=t, nu=nu)
-            diagnostics = results[0].diagnostics
-            chosen[t, nu, exercise, i] = diagnostics["nodes_per_panel"]
-            ref, _ = _per_panel_exercise_probs(p, vol, strikes, t, nu, w, n_nodes=48,
-                                               panels=diagnostics["panels_k1"],
-                                               exercise=exercise)
-            for k in (1, 2):
-                got = [getattr(r, f"q{k}") for r in results]
-                np.testing.assert_allclose(got, np.clip(ref[k - 1], 0.0, 1.0),
-                                           rtol=0.0, atol=1e-10)
-    # 8 nodes only within |m| < 1, where the variance to exercise leaves
-    # room: |m| = 0.5 with the initial variance takes 8 under a decay of 1
-    # or more, 32 where the variance does not decay, and nu = 9 takes 32
-    # unless a decay of 3.5 damps it
-    assert set(chosen.values()) <= {8, 32}
-    assert all(n == 32 for (*_, i), n in chosen.items() if i > 0)
-    assert (chosen[0.0, p.nu0, T, 0], chosen[0.0, 9.0, T, 0]) == (near_nu0, near_nu9)
+def _largest_rule(monkeypatch, price):
+    """(results of price(), node count n of the largest Fejer rule it used)."""
+    sizes = []
+    fejer2 = pricer._fejer2
+    monkeypatch.setattr(pricer, "_fejer2", lambda n: sizes.append(n) or fejer2(n))
+    results = price()
+    monkeypatch.setattr(pricer, "_fejer2", fejer2)
+    return results, max(sizes)
+
+
+@pytest.mark.parametrize("args", [
+    (_params(), SAM, UNI, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T, {}),
+    (_params(), DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0), DP,
+     [24.0, 27.0, 30.0, 33.0, 36.0], T, {}),
+    (_params(kappa=1.5, theta=0.3, sigma_vv=1.5, rho=-0.5, nu0=0.3), SAM, UNI, DP,
+     [30.0, 36.0, 42.0], T, {}),
+    (_params(), SAM, UNI, DP, [3e-5, 30.0, 3e7], T, {}),
+    (_params(), SAM, UNI, DP, [29.0, 30.0, 31.0], T, {"t": T - 1e-3}),
+    (_params(kappa=1.0, theta=3.0, nu0=4.0, sigma_vv=0.0, rho=0.0),
+     DeliverySeasonal(6.0, 0.4, 0.0), UNI, DeliveryPeriod(1.2, 1.3), [6.0, 30.0, 150.0],
+     1.0, {}),
+    (_params(theta=TradingSeasonal(0.6, 0.7, 0.2).theta), TradingSeasonal(0.6, 0.7, 0.2), UNI,
+     DP, [30.0 * np.exp(-m) for m in (-1.0, 0.0, 1.0)], T, {"nu": 9.0}),
+    (_params(), Samuelson(1.0), UNI, DP, [30.0 * np.exp(-m) for m in (-4.0, 0.5, 4.0)], 0.74,
+     {}),
+], ids=["bench", "quadrature", "feller", "deep", "near-exercise", "high-variance",
+        "trading-seasonal-nu-9", "late-exercise"])
+def test_quadrature_error_covers_the_doubled_rule(monkeypatch, args):
+    # the nested estimate |F_n - F_{n/2}| must bound the distance to the
+    # rule of 2n nodes, up to 1e-14 for rounding and for the different step
+    # sequences of the two solves
+    p, vol, w, dp, strikes, exercise, kwargs = args
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        results, n = _largest_rule(monkeypatch, lambda: price_fourier_many(
+            p, vol, w, dp, strikes, exercise, **kwargs))
+        monkeypatch.setattr(pricer, "_MIN_NODES", 2 * n)
+        doubled, n2 = _largest_rule(monkeypatch, lambda: price_fourier_many(
+            p, vol, w, dp, strikes, exercise, **kwargs))
+    assert n2 == 2 * n
+    for res, ref in zip(results, doubled):
+        error = res.diagnostics["quadrature_error"]
+        assert error <= 1e-10
+        assert max(abs(res.q1 - ref.q1), abs(res.q2 - ref.q2)) <= error + 1e-14
 
 
 def test_novikov_warning_points_at_the_caller(monkeypatch):
@@ -545,11 +605,11 @@ def test_mc_single_path_has_undefined_stderr():
 
 def test_bench_ladder_holds_its_prices_at_a_loose_tolerance():
     # the benchmark's Samuelson ladder: at ode_tol 1e-6 the 8th-order step
-    # keeps every call within 1e-9 of an ode_tol 1e-12 solve (1.5e-10; a
+    # keeps every call within 1e-9 of an ode_tol 1e-12 solve (a
     # Dormand-Prince 5(4) step lands 5.7e-9 off), and at the default
-    # tolerance the whole pass, two solves on 8-node panels, costs at most
-    # 320 right-hand sides (299; 423 with three 16-panel blocks of 32-node
-    # panels), a count that repeats exactly from run to run
+    # tolerance the whole pass, one solve on 119 nodes, costs at most 320
+    # right-hand sides (179; 299 with two blocks of width-2 panels), a count
+    # that repeats exactly from run to run
     strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
     loose, default, tight = (price_fourier_many(_params(), SAM, UNI, DP, strikes, T,
                                                 **tol)
