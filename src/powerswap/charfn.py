@@ -16,15 +16,19 @@ sec. II.10), the whole node batch in one solve with one step size.  Its last
 stage's slope is the next step's first (first same as last) and is taken
 only once a step is accepted, so an accepted step costs 12 right-hand-side
 evaluations and a rejected one 11; the adaptive solve skips it after its
-last step.  One step routine serves every entry
-point:
-``solve_riccati`` adapts the step size to a tolerance, while
-``solve_riccati_fixed`` and ``riccati_path`` take equal steps on a fixed grid
-for convergence and residual studies.  Psi0 is advanced inside the same
-stages as Psi1, which avoids any complex-logarithm branch tracking.  phi may
-be complex: the k = 2 system at phi - i is the k = 1 system at phi, which
-lets the pricer solve one system for both transforms.  |Re phi| may not
-pass one fixed ceiling, 1e4, which also bounds the pricer's integral.
+last step.  A step evaluates S, xi and theta once, at its 11 stage times,
+and tabulates the Psi1 equation's coefficients per stage time and node, so
+that a stage is one matrix product and four in-place operations.  Psi0 is
+integrated beside Psi1, which avoids any complex-logarithm branch tracking;
+it reads only Psi1, so Psi0 and the error estimates of both follow from one
+product after the stages.  One step routine serves every entry point:
+``solve_riccati`` adapts the step size to a tolerance, and a step that
+would leave at most a tenth of itself to go takes the rest of the span
+instead, while ``solve_riccati_fixed`` and ``riccati_path`` take equal
+steps on a fixed grid for convergence and residual studies.  phi may be complex: the k = 2
+system at phi - i is the k = 1 system at phi, which lets the pricer solve
+one system for both transforms.  |Re phi| may not pass one fixed ceiling,
+1e4, which also bounds the pricer's integral.
 
 The adaptive tolerance abs_tol bounds each step's local error estimate, the
 5th-order one corrected by the 3rd-order one as in Hairer's DOP853, in every
@@ -34,8 +38,8 @@ the size of its transform (a component-weighted norm, Hairer, Norsett &
 Wanner sec. II.4): nodes with |Q_hat| >= 1e-2 keep abs_tol, smaller ones get
 up to 1e6 times more room, as a price integrates Q_hat and feels an error
 in Psi there only in proportion to |Q_hat| (Lord & Kahl 2007).  The
-high-phi nodes of a block, whose transform has all but decayed, then no
-longer set the step count of the whole block.
+pricer's highest nodes, whose transform has all but decayed, then no
+longer set the step count of its one stacked solve.
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ _MAX_STEPS = 10_000
 # abs_tol would be "met" without being achieved (solve_ivp and ode45 apply
 # the same floor to their relative tolerance)
 _MIN_ABS_TOL = 100 * np.finfo(float).eps
+# an adaptive step h with _END_STRETCH h >= the span left takes the rest of
+# the span instead, so that no sliver of a step is left over (MATLAB's
+# ode45 stretches by 10% too, Shampine & Reichelt 1997)
+_END_STRETCH = 1.1
 
 # Transform-weighted step control (solve_riccati with nu): a node's error
 # scale is divided by w = clip(|Q_hat| / _QHAT_FULL_CONTROL, _WEIGHT_FLOOR, 1).
@@ -162,10 +170,14 @@ class RiccatiCoefficients:
 
     def beta(self, t):
         """Linear-term coefficient beta_k(t); real and bounded on [0, tau1]."""
+        return self.beta_from(self.big_s(t), self.xi(t))
+
+    def beta_from(self, big_s, xi):
+        """beta_k from values of S and xi at the same times."""
         if self.k == 1:
-            return self.kappa + self.sigma_vv * self.rho * (np.asarray(self.xi(t))
-                                                            - np.asarray(self.big_s(t)))
-        return self.kappa + self.sigma_vv * self.rho * np.asarray(self.xi(t))
+            return self.kappa + self.sigma_vv * self.rho * (np.asarray(xi)
+                                                            - np.asarray(big_s))
+        return self.kappa + self.sigma_vv * self.rho * np.asarray(xi)
 
 
 @dataclass(frozen=True)
@@ -213,74 +225,99 @@ def _solution(rc, t, T, phi_arr, scalar, psi0, psi1, n_steps, n_rhs) -> CharFnSo
 def _dop853_system(rc: RiccatiCoefficients, T: float, phi: np.ndarray):
     """DOP853 steps in s = T - t' on the state y = (Psi1 nodes, Psi0 nodes).
 
-    phi is flat.  Returns (rows, step, accept).  Row 0 of ``rows`` holds the
-    state y, zero at s = 0, and rows 1-12 the stage slopes k_0 .. k_11; k_0
-    is the slope at y.  step(s, h, y_new) fills k_1 .. k_11 for the step
-    from s to s + h and writes the 8th-order solution into y_new.
-    accept(y_new) takes the step: it copies y_new to row 0 and writes its
-    slope, the last stage of DOP853, into k_0 (first same as last).  No
-    error estimate reads that slope, so a rejected step never evaluates it.
-    With y beside the slopes, each stage argument y + h sum_j a_ij k_j is
-    one real matrix product over a float view of the complex rows, into a
-    preallocated buffer.
+    phi is flat.  Returns (y_new, est, step, accept); the state is zero at
+    s = 0.  step(s, h) takes a trial step from the state at s to s + h:
+    it writes the 8th-order solution into y_new and the 5th- and 3rd-order
+    error estimates, each still to be scaled by h, into the rows of est.
+    accept() takes the step just tried: y_new becomes the state, and its
+    slope, the last stage of DOP853, becomes the next step's first (first
+    same as last).  No error estimate reads that slope, so a rejected step
+    never evaluates it.
+
+    A step first evaluates S, xi and theta once at its 11 stage times and
+    tabulates, per stage time and node, the linear term L = S rot - beta_k
+    and the source B = S^2 (phi^2/2 - i alpha_k phi), each by one real
+    product over float views, as numpy is slow to mix real and complex
+    operands.  A stage is then its Psi1 argument a, one real matrix product
+    over a float view of Psi1 and its slopes (Psi1 beside them, so no
+    separate add), and four in-place operations,
+    dPsi1/ds = (sigma^2/2 a + L) a - B.  dPsi0/ds = kappa theta a
+    is read by no stage, and each a is a fixed combination of Psi1 and its
+    slopes, so Psi0's step and error estimates are too: one product after
+    the stages gives the solution and both estimates of both halves.
     """
     half_sig2 = 0.5 * rc.sigma_vv * rc.sigma_vv
     n = phi.size
     rot = 1j * rc.rho * rc.sigma_vv * phi
     const_phi = 0.5 * phi * phi - 1j * rc.alpha * phi   # multiplies S(t)^2
-    kappa = rc.kappa
-    rows = np.zeros((13, 2 * n), dtype=complex)
+    # row 0 Psi1 of the state, rows 1-12 its stage slopes k_0 .. k_11
+    rows = np.zeros((13, n), dtype=complex)
     flat = rows.view(float)
-    # the slopes depend on Psi1 alone, so a stage argument needs only its
-    # Psi1 half: the first 2n floats of each row
+    psi0 = np.zeros(n, dtype=complex)   # Psi0 of the state
     arg = np.empty(n, dtype=complex)
     arg_flat = arg.view(float)
-    # S, beta_k and kappa theta at the 11 stage times of a step
-    coef = np.empty((3, 11))
-    tmp, tmp2 = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
-    # row i: 1 and h a_i against rows 0 .. i; row 12: 1 and h b
-    weights = np.zeros((13, 13))
-    weights[:, 0] = 1.0
+    # per stage time c_1 .. c_11 of a step: S and beta_k, then L and B as
+    # real products over float views, L = (S, beta_k) against (rot, -1)
+    lin_coef = np.empty((11, 2))
+    lin_basis = np.zeros((2, 2 * n))
+    lin_basis[0], lin_basis[1, 0::2] = rot.view(float), -1.0
+    src_basis = const_phi.view(float)
+    lin_flat, src_flat = np.empty((11, 2 * n)), np.empty((11, 2 * n))
+    lin, src = lin_flat.view(complex), src_flat.view(complex)
+    # kappa theta at the start of a step and its 11 stage times
+    kappa_theta = np.empty(12)
+    # weights against the rows, one row per output: rows 0-11 give the
+    # arguments of stages 0-11 (row 0 the state's Psi1: 1 and zeros; row i:
+    # 1 and h a_i), rows 12-17 Psi1 and Psi0 of the solution (row 12: 1 and
+    # h b), of the 5th-order and of the 3rd-order estimate
+    weights = np.zeros((18, 13))
+    weights[:13, 0] = 1.0
+    weights[14, 1:], weights[16, 1:] = _DOP_E5, _DOP_E3
+    # rows 12, 14 and 16 (h b, E5 and E3 against the slopes) times kappa
+    # theta per stage: Psi0's weights against the stage arguments
+    psi0_weights = np.empty((3, 12))
+    out = np.empty((6, n), dtype=complex)
+    y_new, est = out[:2].reshape(2 * n), out[2:].reshape(2, 2 * n)
 
-    def coefficients(s):
-        """Fill column j of coef for t' = T - s[j]."""
+    def tables(s):
+        """Fill the tables' first len(s) rows for t' = T - s."""
         t_here = T - s
-        m = np.size(s)
-        coef[0, :m] = rc.big_s(t_here)
-        coef[1, :m] = rc.beta(t_here)
-        coef[2, :m] = rc.theta(t_here)
-        coef[2, :m] *= kappa
+        m = s.size
+        big_s, beta = lin_coef[:m].T
+        big_s[:] = rc.big_s(t_here)
+        beta[:] = rc.beta_from(big_s, rc.xi(t_here))
+        np.matmul(lin_coef[:m], lin_basis, out=lin_flat[:m])
+        np.multiply(np.square(big_s)[:, None], src_basis, out=src_flat[:m])
+        np.multiply(rc.theta(t_here), rc.kappa, out=kappa_theta[1:m + 1])
 
-    def rhs(p1, j, out):
-        """(dPsi1/ds, dPsi0/ds) at Psi1 = p1 and stage time j, written into out."""
-        s_here, beta, kappa_theta = coef[:, j]
-        d1 = out[:n]
-        # (sigma^2/2 Psi1 - beta + S rot) Psi1 - S^2 const_phi
-        np.multiply(rot, s_here, out=tmp)
-        np.subtract(tmp, beta, out=tmp)
-        np.multiply(p1, half_sig2, out=tmp2)
-        np.add(tmp, tmp2, out=tmp)
-        np.multiply(tmp, p1, out=d1)
-        np.multiply(const_phi, s_here * s_here, out=tmp)
-        np.subtract(d1, tmp, out=d1)
-        np.multiply(p1, kappa_theta, out=out[n:])
+    def slope(a, j, into):
+        """dPsi1/ds at Psi1 = a and table row j, written into ``into``."""
+        np.multiply(a, half_sig2, out=into)
+        into += lin[j]
+        into *= a
+        into -= src[j]
 
-    def step(s, h, y_new):
-        coefficients(s + h * _DOP_C[1:])
-        np.multiply(_DOP_AB, h, out=weights[1:, 1:])
+    def step(s, h):
+        tables(s + h * _DOP_C[1:])
+        np.multiply(_DOP_AB, h, out=weights[1:13, 1:])
         for i in range(1, 12):
-            np.matmul(weights[i, :i + 1], flat[:i + 1, :2 * n], out=arg_flat)
-            rhs(arg, i - 1, rows[i + 1])
-        np.matmul(weights[12], flat, out=y_new.view(float))
+            np.matmul(weights[i, :i + 1], flat[:i + 1], out=arg_flat)
+            slope(arg, i - 1, rows[i + 1])
+        np.multiply(weights[12::2, 1:], kappa_theta, out=psi0_weights)
+        np.matmul(psi0_weights, weights[:12], out=weights[13::2])
+        np.matmul(weights[12:], flat, out=out.view(float))
+        out[1] += psi0
 
-    def accept(y_new):
-        # the last stage time, c = 1, is column 10 of the step's coefficients
-        rows[0] = y_new
-        rhs(rows[0, :n], 10, rows[1])
+    def accept():
+        # the last stage time, c = 1, is row 10 of the step's tables
+        rows[0], psi0[:] = out[0], out[1]
+        kappa_theta[0] = kappa_theta[11]
+        slope(rows[0], 10, rows[1])
 
-    coefficients(np.zeros(1))
-    rhs(rows[0, :n], 0, rows[1])
-    return rows, step, accept
+    tables(np.zeros(1))
+    kappa_theta[0] = kappa_theta[1]
+    slope(rows[0], 0, rows[1])
+    return y_new, est, step, accept
 
 
 def _log_qhat(y: np.ndarray, nu: float) -> np.ndarray:
@@ -310,23 +347,24 @@ def _dop853(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
     e5 and e3 are the largest scaled 5th- and 3rd-order error estimates over
     the components, and a step is accepted when Hairer's DOP853 estimate
     h e5^2 / sqrt(e5^2 + 0.01 e3^2) is at most 1.  A non-finite trial step
-    is rejected.  Returns (psi0, psi1, accepted steps, rhs evaluations).
+    is rejected.  A step that would leave at most a tenth of itself to go
+    takes the rest of the span, under the same test (``_END_STRETCH``).
+    Returns (psi0, psi1, accepted steps, rhs evaluations).
     """
     span = T - t
     shape, phi = phi.shape, phi.ravel()
     n = phi.size
-    rows, step, accept = _dop853_system(rc, T, phi)
-    slopes = rows[1:].view(float)
-    y_new = np.empty(2 * n, dtype=complex)
+    y_new, est, step, accept = _dop853_system(rc, T, phi)
     abs_y, abs_new = np.zeros(2 * n), np.empty(2 * n)
     scale = np.empty(2 * n)
     scale_nodes = scale.reshape(2, n)   # a view: row 0 Psi1, row 1 Psi0
-    est, mag = np.empty(2 * n, dtype=complex), np.empty(2 * n)
-    log_q = None if nu is None else _log_qhat(rows[0], nu)
+    mag = np.empty((2, 2 * n))
+    log_q = None if nu is None else np.zeros(n)
     s, h, n_rhs, accepted = 0.0, span / 16.0, 1, 0
     for _ in range(_MAX_STEPS):
-        h = min(h, span - s)
-        step(s, h, y_new)
+        if _END_STRETCH * h >= span - s:
+            h = span - s
+        step(s, h)
         n_rhs += 11
         np.abs(y_new, out=abs_new)
         np.maximum(abs_y, abs_new, out=scale)
@@ -335,8 +373,8 @@ def _dop853(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
         if nu is not None:
             log_q_new = _log_qhat(y_new, nu)
             scale_nodes /= _transform_weight(log_q, log_q_new)
-        e5, e3 = (_scaled_max(weights, slopes, scale, est, mag)
-                  for weights in (_DOP_E5, _DOP_E3))
+        np.divide(np.abs(est, out=mag), scale, out=mag)
+        e5, e3 = mag.max(axis=1).tolist()
         denom = e5 * e5 + 0.01 * e3 * e3
         err = h * e5 * e5 / np.sqrt(denom) if denom != 0.0 else 0.0
         if not (np.isfinite(err) and np.isfinite(y_new).all()):
@@ -346,7 +384,7 @@ def _dop853(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
             accepted += 1
             if s == span:
                 return y_new[n:].reshape(shape), y_new[:n].reshape(shape), accepted, n_rhs
-            accept(y_new)
+            accept()
             n_rhs += 1
             abs_y, abs_new = abs_new, abs_y
             if nu is not None:
@@ -358,15 +396,6 @@ def _dop853(rc: RiccatiCoefficients, t: float, T: float, phi: np.ndarray,
     raise RiccatiError(
         f"Riccati solve stopped after {_MAX_STEPS} steps near t = {T - s:.6g}",
         t_fail=T - s)
-
-
-def _scaled_max(weights: np.ndarray, slopes: np.ndarray, scale: np.ndarray,
-                est: np.ndarray, mag: np.ndarray) -> float:
-    """max over components of |sum_i weights_i k_i| / scale; slopes is the
-    float view of k_0 .. k_11, est and mag are scratch."""
-    np.matmul(weights, slopes, out=est.view(float))
-    np.divide(np.abs(est, out=mag), scale, out=mag)
-    return float(mag.max())
 
 
 def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
@@ -384,15 +413,16 @@ def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
     h = (T - t) / n_steps
     n = phi_arr.size
     with np.errstate(over="ignore", invalid="ignore"):
-        _, step, accept = _dop853_system(rc, T, phi_arr.ravel())
+        y_new, _, step, accept = _dop853_system(rc, T, phi_arr.ravel())
         path = np.zeros((n_steps + 1, 2 * n), dtype=complex)
         for j in range(n_steps):
-            step(j * h, h, path[j + 1])
+            step(j * h, h)
+            path[j + 1] = y_new
             if not np.isfinite(path[j + 1]).all():
                 t_fail = T - (j + 1) * h
                 raise RiccatiError(
                     f"Riccati solution blew up near t = {t_fail:.6g}", t_fail=t_fail)
-            accept(path[j + 1])
+            accept()
     shape = (n_steps + 1,) + phi_arr.shape
     return phi_arr, scalar, path[:, n:].reshape(shape), path[:, :n].reshape(shape)
 

@@ -146,8 +146,11 @@ def _exercise_probs(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: f
     if phi_est holds, are not solved; if max |Q_hat_k| / phi at the last one
     solved is still ``_ENVELOPE_TOL`` or more, the map starts again from 4
     phi_est.  Past the ceiling nodes are dropped, and the same test failing
-    there raises TruncationError.  The solve is told nu, to weight each
-    node's error by the size of its transform.  A strike's estimate is
+    there raises TruncationError, whose partial value sums the nodes solved
+    by then.  Nodes are solved ``_SOLVE_NODES`` at a time, the chunk that
+    holds the last kept node first, so that the test costs one solve.  Each
+    solve is told nu, to weight each node's error by the size of its
+    transform.  A strike's estimate is
     max_k |F_n - F_{n/2}|, F_{n/2} the nested rule; while one passes
     ``_QUADRATURE_TOL`` the rule doubles, up to ``_MAX_NODES``, past which
     PricingError names it.
@@ -163,36 +166,28 @@ def _exercise_probs(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: f
                 n *= 2
             limit = min(_PHI_HARD_CAP, 1.5 * phi_est)
             qhat, solved = np.zeros((2, n - 1), complex), np.zeros(n - 1, bool)
-        u, w = _fejer2(n)
-        phi = -np.log(u) * (phi_est / _MAP_DEPTH)
+        phi = -np.log(_fejer2(n)[0]) * (phi_est / _MAP_DEPTH)
         kept = int(np.count_nonzero(phi <= limit))   # phi rises with k
         todo = np.flatnonzero(~solved[:kept])
-        for start in range(0, todo.size, _SOLVE_NODES):
-            part = todo[start:start + _SOLVE_NODES]
-            sol = solve_riccati(rc, t, T, np.concatenate([phi[part], phi[part] - 1j]),
-                                abs_tol=ode_tol, nu=nu)
-            work += (1, sol.n_steps, sol.n_rhs)
-            q2, q1 = char_fn(sol, x, nu).reshape(2, -1)
-            qhat[:, part] = q1 / np.exp(x), q2
-        solved[todo] = True
-        half = np.zeros(n - 1)
-        half[1::2] = _fejer2(n // 2)[1]
-        # the rule and its nested half in phi, with 1 / (pi i phi) folded in;
-        # probs[r, k - 1, j] is 1 - Q_k at strike j by rule r, a strike at a
-        # time, so that on the same rule a strike prices alike in any ladder
-        terms = (np.stack([w, half])[:, None, :kept] * (phi_est / _MAP_DEPTH)
-                 * qhat[:, :kept] / (1j * np.pi * u[:kept] * phi[:kept]))
-        probs = 0.5 + np.real(np.stack([terms @ np.exp(-1j * phi[:kept] * log_k)
-                                        for log_k in log_strikes], axis=-1))
+        # the chunk that holds the largest kept node is solved first, so that
+        # an envelope that fails there costs one solve
+        parts = [todo[start:start + _SOLVE_NODES]
+                 for start in range(0, todo.size, _SOLVE_NODES)][::-1]
+        if parts:
+            work += _solve_nodes(rc, t, T, x, nu, ode_tol, phi, parts[0], qhat, solved)
         # phi_est <= ceiling leaves the smallest node, under 1e-4 phi_est, below it
         envelope = 0.0 if kept == n - 1 else np.max(np.abs(qhat[:, kept - 1])) / phi[kept - 1]
         if envelope >= _ENVELOPE_TOL:
             if limit < _PHI_HARD_CAP:
                 phi_est, n = min(4.0 * phi_est, _PHI_HARD_CAP), 0
                 continue
+            partial = _weighted_sums(n, phi_est, phi, qhat, kept, log_strikes)[0, 0, 0]
             raise TruncationError(
                 f"integrand envelope still {envelope:.3e} at the ceiling phi = "
-                f"{_PHI_HARD_CAP:g}", partial=float(probs[0, 0, 0]), envelope=float(envelope))
+                f"{_PHI_HARD_CAP:g}", partial=float(partial), envelope=float(envelope))
+        for part in parts[1:]:
+            work += _solve_nodes(rc, t, T, x, nu, ode_tol, phi, part, qhat, solved)
+        probs = _weighted_sums(n, phi_est, phi, qhat, kept, log_strikes)
         errors = np.max(np.abs(probs[0] - probs[1]), axis=0)
         if errors.max() <= _QUADRATURE_TOL:
             phi_used = float(phi[kept - 1])
@@ -207,6 +202,36 @@ def _exercise_probs(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: f
         n *= 2
         qhat = np.insert(qhat, np.arange(n // 2), 0.0, axis=1)
         solved = np.insert(solved, np.arange(n // 2), False)
+
+
+def _solve_nodes(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: float,
+                 ode_tol: float, phi: np.ndarray, part: np.ndarray, qhat: np.ndarray,
+                 solved: np.ndarray) -> tuple:
+    """One stacked solve on (phi, phi - i) at the indices ``part``: writes
+    Q_hat_1 and Q_hat_2 there into the rows of qhat, marks them solved and
+    returns (1, accepted steps, rhs evaluations)."""
+    sol = solve_riccati(rc, t, T, np.concatenate([phi[part], phi[part] - 1j]),
+                        abs_tol=ode_tol, nu=nu)
+    q2, q1 = char_fn(sol, x, nu).reshape(2, -1)
+    qhat[:, part] = q1 / np.exp(x), q2
+    solved[part] = True
+    return 1, sol.n_steps, sol.n_rhs
+
+
+def _weighted_sums(n: int, phi_est: float, phi: np.ndarray, qhat: np.ndarray, kept: int,
+                   log_strikes: np.ndarray) -> np.ndarray:
+    """probs[r, k - 1, j], 1 - Q_k at strike j by the rule of n nodes (r = 0)
+    and its nested half (r = 1), over the first ``kept`` nodes."""
+    u, w = _fejer2(n)
+    half = np.zeros(n - 1)
+    half[1::2] = _fejer2(n // 2)[1]
+    # the rule and its nested half in phi, with 1 / (pi i phi) folded in; a
+    # strike at a time, so that on the same rule a strike prices alike in
+    # any ladder
+    terms = (np.stack([w, half])[:, None, :kept] * (phi_est / _MAP_DEPTH)
+             * qhat[:, :kept] / (1j * np.pi * u[:kept] * phi[:kept]))
+    return 0.5 + np.real(np.stack([terms @ np.exp(-1j * phi[:kept] * log_k)
+                                   for log_k in log_strikes], axis=-1))
 
 
 def _finalize_prob(raw: float, k: int, diagnostics: dict) -> float:

@@ -194,9 +194,10 @@ def test_tighter_tolerance_takes_more_steps():
 
 
 def test_transform_weighted_control_saves_steps_where_q_hat_is_small():
-    # 16 panels of 32 nodes, phi in [64, 96], stacked with phi - i, where
-    # |Q_hat| at nu = 0.6 is below 4e-8: told nu, the solve stops holding
-    # these nodes' Psi to abs_tol, and Q_hat itself stays as accurate
+    # 512 nodes with phi in [64, 96], stacked with phi - i as the pricer
+    # stacks its mapped nodes, where |Q_hat| at nu = 0.6 is below 4e-8: told
+    # nu, the solve stops holding these nodes' Psi to abs_tol, and Q_hat
+    # itself stays as accurate
     rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
     gl_nodes, _ = np.polynomial.legendre.leggauss(32)
     phi = (2.0 * (np.arange(32, 48)[:, None] + 0.5 + 0.5 * gl_nodes)).ravel()
@@ -208,13 +209,89 @@ def test_transform_weighted_control_saves_steps_where_q_hat_is_small():
     assert weighted.n_steps < plain.n_steps
     np.testing.assert_allclose(char_fn(weighted, x, nu), char_fn(tight, x, nu),
                                rtol=0.0, atol=1e-10)
-    # one block further, |Q_hat| falls to 1e-20, where the pricer's envelope
-    # test reads it: the weight's floor still keeps it to 1% relative error
+    # 32 further on, |Q_hat| falls to 1e-20, the size at which the pricer's
+    # envelope test reads its largest node: the weight's floor still keeps
+    # it to 1% relative error
     stacked = np.concatenate([phi + 32.0, phi + 32.0 - 1j])
     weighted = solve_riccati(rc, 0.0, 0.5, stacked, nu=nu)
     tight = solve_riccati(rc, 0.0, 0.5, stacked, abs_tol=1e-12)
     np.testing.assert_allclose(char_fn(weighted, x, nu), char_fn(tight, x, nu),
                                rtol=1e-2, atol=0.0)
+
+
+def _reference_steps(rc, T, phi, h, n_steps):
+    """Psi0, Psi1 after n_steps DOP853 steps of size h from s = 0, written
+    straight from the tableau and the textbook right-hand side in s = T - t,
+    one node at a time."""
+    def rhs(s, psi1):
+        t = T - s
+        big_s, xi = rc.big_s(t), rc.xi(t)
+        beta = rc.kappa + rc.sigma_vv * rc.rho * (xi - big_s if rc.k == 1 else xi)
+        d_psi1 = (0.5 * rc.sigma_vv ** 2 * psi1 ** 2
+                  - (beta - 1j * rc.rho * rc.sigma_vv * big_s * phi) * psi1
+                  - (0.5 * phi ** 2 - 1j * rc.alpha * phi) * big_s ** 2)
+        return d_psi1, rc.kappa * rc.theta(t) * psi1
+
+    psi0 = psi1 = 0.0j
+    for j in range(n_steps):
+        slopes = []
+        for c, row in zip(charfn._DOP_C, charfn._DOP_A):
+            arg = psi1 + h * sum(a * k1 for a, (k1, _) in zip(row, slopes))
+            slopes.append(rhs((j + c) * h, arg))
+        psi1 += h * sum(b * k1 for b, (k1, _) in zip(charfn._DOP_B, slopes))
+        psi0 += h * sum(b * k0 for b, (_, k0) in zip(charfn._DOP_B, slopes))
+    return psi0, psi1
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("params", [
+    P, replace(P, sigma_vv=0.0), replace(P, rho=0.0),
+    replace(P, theta=lambda t: 0.6 + 0.8 * t)], ids=["base", "sigma0", "rho0", "theta_t"])
+def test_stages_match_a_direct_dop853_step(k, params):
+    # the tabulated coefficients, the stage products and Psi0 taken from
+    # Psi1's rows after the stages against the textbook step, over three
+    # steps, so that the first-same-as-last slope is read too
+    rc = RiccatiCoefficients.for_model(params, SAM, UNI, DP, k=k)
+    phi = np.array([0.5, 5.0, 40.0])
+    nodes = np.concatenate([phi, phi - 1j])
+    sol = solve_riccati_fixed(rc, 0.1, 0.5, nodes, n_steps=3)
+    for j, node in enumerate(nodes):
+        ref0, ref1 = _reference_steps(rc, 0.5, node, 0.4 / 3, 3)
+        assert abs(sol.psi1[j] - ref1) <= 1e-13 * (1.0 + abs(ref1))
+        assert abs(sol.psi0[j] - ref0) <= 1e-13 * (1.0 + abs(ref0))
+
+
+def test_a_step_within_a_tenth_of_the_end_takes_the_rest(monkeypatch):
+    # without the rule (a stretch of 1) this solve's last but one step,
+    # 0.0599, falls 0.0006 short of the end, which then costs one more step
+    rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
+    phi = np.array([1.0, 5.0, 25.0])
+    trials = []
+    system = charfn._dop853_system
+
+    def spy(*args):
+        y_new, est, step, accept = system(*args)
+
+        def recorded(s, h):
+            trials.append((s, h))
+            step(s, h)
+        return y_new, est, recorded, accept
+
+    monkeypatch.setattr(charfn, "_dop853_system", spy)
+    monkeypatch.setattr(charfn, "_END_STRETCH", 1.0)
+    plain = solve_riccati(rc, 0.0, 0.5, phi)
+    plain_trials = trials.copy()
+    trials.clear()
+    monkeypatch.setattr(charfn, "_END_STRETCH", 1.1)
+    ruled = solve_riccati(rc, 0.0, 0.5, phi)
+    (s, h), (_, sliver) = plain_trials[-2:]
+    assert 1.1 * h >= 0.5 - s > h and sliver < 0.1 * h
+    # the same steps up to there, and then one that takes the rest
+    assert trials[:-1] == plain_trials[:-2]
+    assert trials[-1] == (s, 0.5 - s)
+    assert (ruled.n_steps, ruled.n_rhs) == (plain.n_steps - 1, plain.n_rhs - 12)
+    np.testing.assert_allclose(ruled.psi1, plain.psi1, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(ruled.psi0, plain.psi0, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("nu", [-0.1, np.inf, np.nan])

@@ -292,10 +292,17 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
 
 
 def test_bench_ladders_take_one_solve():
+    # FSAL DOP853 costs 12 rhs per accepted step and 11 per rejected one;
+    # the Samuelson ladder's last step takes the rest of the span, where a
+    # sliver of 0.002 after a step of 0.058 would cost one more step
     strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
-    for vol, w in ((SAM, UNI), (DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0))):
+    for vol, w, steps, rejected in ((SAM, UNI, 13, 1),
+                                    (DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0),
+                                     10, 0)):
         diagnostics = price_fourier_many(_params(), vol, w, DP, strikes, T)[0].diagnostics
         assert diagnostics["riccati_solves"] == 1
+        assert diagnostics["riccati_steps"] == steps
+        assert diagnostics["riccati_rhs"] == 12 * steps + 11 * rejected
 
 
 def test_decay_point_too_small_starts_the_map_again(monkeypatch):
@@ -335,6 +342,25 @@ def test_samuelson_prices_match_series_oracle(monkeypatch, lam):
     for res, ref in zip(results, oracle):
         assert (res.q1, res.q2) == pytest.approx((ref.q1, ref.q2), abs=1e-12)
         assert res.call == pytest.approx(ref.call, abs=1e-9)
+
+
+def test_wide_strikes_at_tiny_variance_fail_after_one_solve(monkeypatch):
+    # 1e-8 before exercise the integrand still reads about 1e-4 at the
+    # ceiling, and strikes 3e-5 and 3e7 lay thousands of nodes below it; the
+    # chunk that holds the largest of them is solved first and fails alone
+    solves = []
+    monkeypatch.setattr(pricer, "solve_riccati",
+                        lambda rc, t, T, phi, **kw: solves.append(phi)
+                        or solve_riccati(rc, t, T, phi, **kw))
+    with pytest.raises(TruncationError, match="at the ceiling phi = 10000 ") as info:
+        price_fourier_many(_params(), SAM, UNI, DP, [3e-5, 30.0, 3e7], T, t=T - 1e-8)
+    assert len(solves) == 1
+    # the top chunk of the partition: nodes just below the ceiling only
+    assert solves[0].size <= 2 * pricer._SOLVE_NODES
+    assert 0.9 * charfn._PHI_HARD_CAP < solves[0].real.min()
+    assert solves[0].real.max() <= charfn._PHI_HARD_CAP
+    assert info.value.envelope > 1e-12
+    assert np.isfinite(info.value.partial)
 
 
 @pytest.mark.parametrize("vol", [SAM, Samuelson(1.0), DeliverySeasonal(1.0, 0.4, 0.0),
