@@ -167,7 +167,8 @@ class SwapVolDecomposition:
     """Deterministic curves t -> S(t) and t -> xi(t) for one delivery period.
 
     Both callables accept scalars or arrays of times in [0, tau1] and raise
-    ValueError for a time past tau1.
+    ValueError for a time past tau1, unless called with ``check=False`` by a
+    caller that has checked its whole span of times once.
     """
     big_s: Callable
     xi: Callable
@@ -175,9 +176,9 @@ class SwapVolDecomposition:
 
 def _curve(dp: DeliveryPeriod, fn: Callable) -> Callable:
     """fn(t_array) as a curve on [0, tau1]: a float for a scalar t, else an array."""
-    def curve(t):
+    def curve(t, check=True):
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr > dp.tau1):
+        if check and np.any(t_arr > dp.tau1):
             raise ValueError(
                 f"t must not exceed the delivery start {dp.tau1}, got {np.max(t_arr)}")
         out = fn(t_arr)

@@ -28,7 +28,15 @@ instead, while ``solve_riccati_fixed`` and ``riccati_path`` take equal
 steps on a fixed grid for convergence and residual studies.  phi may be complex: the k = 2
 system at phi - i is the k = 1 system at phi, which lets the pricer solve
 one system for both transforms.  |Re phi| may not pass one fixed ceiling,
-1e4, which also bounds the pricer's integral.
+1e4, which also bounds the pricer's integral.  A solve checks once that
+T lies before the delivery start and then reads S and xi unchecked.
+
+Every built-in shape but Samuelson has S and xi constant in t, and with a
+constant theta and sigma_vv > 0 (``RiccatiCoefficients.constant``) the
+system has the classical closed form, ``solve_riccati_closed_form``; the
+pricer takes it for those models, where no tolerance applies.  It holds
+only in the strip where Q_hat_k is a characteristic function, so
+``solve_riccati`` stays the ODE for every phi.
 
 The adaptive tolerance abs_tol bounds each step's local error estimate, the
 5th-order one corrected by the 3rd-order one as in Hairer's DOP853, in every
@@ -52,14 +60,17 @@ import numpy as np
 from .averaging import decompose
 from .models import (
     DeliveryPeriod,
+    DeliverySeasonal,
     HestonParams,
+    TradingSeasonal,
     VolStructure,
     WeightFunction,
     _require_positive_int,
 )
 
 __all__ = ["RiccatiCoefficients", "CharFnSolution", "RiccatiError",
-           "solve_riccati", "solve_riccati_fixed", "riccati_path", "char_fn"]
+           "solve_riccati", "solve_riccati_fixed", "riccati_path",
+           "solve_riccati_closed_form", "char_fn"]
 
 # the ceiling on |Re phi| of every solve, and so on the pricer's integral
 _PHI_HARD_CAP = 1e4
@@ -145,7 +156,12 @@ class RiccatiError(RuntimeError):
 
 @dataclass(frozen=True)
 class RiccatiCoefficients:
-    """Time-dependent coefficients of one Riccati system (k = 1 or 2)."""
+    """Time-dependent coefficients of one Riccati system (k = 1 or 2).
+
+    ``constant`` records that S, xi and theta do not move with time and
+    sigma_vv > 0, so that ``solve_riccati_closed_form`` applies; ``for_model``
+    derives it from the model.
+    """
     k: int
     kappa: float
     sigma_vv: float
@@ -153,6 +169,7 @@ class RiccatiCoefficients:
     big_s: Callable
     xi: Callable
     theta: Callable
+    constant: bool = False
 
     @classmethod
     def for_model(cls, p: HestonParams, vol: VolStructure, w: WeightFunction,
@@ -160,8 +177,11 @@ class RiccatiCoefficients:
         if k not in (1, 2):
             raise ValueError(f"k must be 1 or 2, got {k}")
         dec = decompose(vol, w, dp)
+        # every built-in shape but Samuelson has lam = 0, so S and xi are flat
+        constant = (isinstance(vol, (TradingSeasonal, DeliverySeasonal))
+                    and not callable(p.theta) and p.sigma_vv > 0)
         return cls(k=k, kappa=p.kappa, sigma_vv=p.sigma_vv, rho=p.rho,
-                   big_s=dec.big_s, xi=dec.xi, theta=p.theta_fn())
+                   big_s=dec.big_s, xi=dec.xi, theta=p.theta_fn(), constant=constant)
 
     @property
     def alpha(self) -> float:
@@ -203,6 +223,15 @@ def _check_phi(phi_arr: np.ndarray) -> None:
         raise ValueError(f"phi must be finite, got {bad[0]}")
     if np.any(np.abs(phi_arr.real) > _PHI_HARD_CAP):
         raise ValueError(f"|Re phi| exceeds the ceiling {_PHI_HARD_CAP:g}")
+
+
+def _check_abs_tol(abs_tol: float, T: float) -> None:
+    """Refuse an abs_tol that is not finite or below ``_MIN_ABS_TOL``."""
+    if not np.isfinite(abs_tol):
+        raise RiccatiError(f"abs_tol must be finite, got {abs_tol}", t_fail=T)
+    if not abs_tol >= _MIN_ABS_TOL:
+        raise RiccatiError(f"abs_tol {abs_tol:.1e} is below {_MIN_ABS_TOL:.1e}, which "
+                           f"double-precision error control cannot reach", t_fail=T)
 
 
 def _as_phi_array(phi) -> tuple[np.ndarray, bool]:
@@ -284,8 +313,8 @@ def _dop853_system(rc: RiccatiCoefficients, T: float, phi: np.ndarray):
         t_here = T - s
         m = s.size
         big_s, beta = lin_coef[:m].T
-        big_s[:] = rc.big_s(t_here)
-        beta[:] = rc.beta_from(big_s, rc.xi(t_here))
+        big_s[:] = rc.big_s(t_here, check=False)
+        beta[:] = rc.beta_from(big_s, rc.xi(t_here, check=False))
         np.matmul(lin_coef[:m], lin_basis, out=lin_flat[:m])
         np.multiply(np.square(big_s)[:, None], src_basis, out=src_flat[:m])
         np.multiply(rc.theta(t_here), rc.kappa, out=kappa_theta[1:m + 1])
@@ -410,6 +439,7 @@ def _fixed_grid(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int):
     if not 0 <= t < T:
         raise ValueError(f"need 0 <= t < T, got t={t}, T={T}")
     _require_positive_int("n_steps", n_steps)
+    rc.big_s(T)   # ValueError past the delivery start; the steps read S, xi unchecked
     h = (T - t) / n_steps
     n = phi_arr.size
     with np.errstate(over="ignore", invalid="ignore"):
@@ -455,11 +485,8 @@ def solve_riccati(rc: RiccatiCoefficients, t: float, T: float, phi,
         raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
     if nu is not None and not 0 <= nu < np.inf:
         raise ValueError(f"nu must be finite and non-negative, got {nu}")
-    if not np.isfinite(abs_tol):
-        raise RiccatiError(f"abs_tol must be finite, got {abs_tol}", t_fail=T)
-    if not abs_tol >= _MIN_ABS_TOL:
-        raise RiccatiError(f"abs_tol {abs_tol:.1e} is below {_MIN_ABS_TOL:.1e}, which "
-                           f"double-precision error control cannot reach", t_fail=T)
+    _check_abs_tol(abs_tol, T)
+    rc.big_s(T)   # ValueError past the delivery start; the steps read S, xi unchecked
     if t == T:
         z = np.zeros(phi_arr.shape, dtype=complex)
         return _solution(rc, t, T, phi_arr, scalar, z, z.copy(), 0, 0)
@@ -491,6 +518,66 @@ def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int)
     path = _solution(rc, t, T, phi_arr, scalar, path0[::-1], path1[::-1], n_steps,
                      12 * n_steps + 1)
     return times, path.psi0, path.psi1
+
+
+def solve_riccati_closed_form(rc: RiccatiCoefficients, t: float, T: float,
+                              phi) -> CharFnSolution:
+    """Psi0, Psi1 at time t in closed form, for a system with ``rc.constant``.
+
+    With S, xi and theta constant the system is the classical square-root
+    one (Heston 1993), solved here in the form of Albrecher, Mayer, Schoutens
+    & Tistaert (2007), whose logarithm has no branch-cut jumps.  With
+    a = beta_k - i rho sigma S phi, p = (phi^2/2 - i alpha_k phi) S^2,
+    d = sqrt(a^2 + 2 sigma^2 p), r = (a - d) / sigma^2 = -2 p / (a + d),
+    E = 1 - e^{-d tau} and x = sigma^2 r E / (2 d), at tau = T - t:
+
+        Psi1 = -p E / (d (1 + x)),
+        Psi0 = kappa theta (r tau - (2 / sigma^2) log(1 + x)).
+
+    Of a + d and a - d, whose product is -2 sigma^2 p, the larger is formed
+    as it stands and the other from the product, E by expm1 and log(1 + x)
+    from log1p of |1 + x|^2 - 1, so that nothing cancels as sigma_vv or tau
+    becomes small.
+
+    phi must lie in the strip where Q_hat_k is a characteristic function,
+    -1 <= Im phi <= 0 for k = 2 (the pricer's rows phi and phi - i) and
+    0 <= Im phi <= 1 for k = 1, else ValueError: past it the closed form
+    runs through a moment-explosion pole that ``solve_riccati`` reports.  The
+    values are not checked; the pricer solves a node batch whose values are
+    not all finite by ``solve_riccati`` instead.  ``n_steps`` and ``n_rhs``
+    are 0.
+    """
+    phi_arr, scalar = _as_phi_array(phi)
+    _check_phi(phi_arr)
+    if not rc.constant:
+        raise ValueError("the closed form needs constant S, xi and theta and sigma_vv > 0")
+    if not 0 <= t <= T:
+        raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
+    low = -1.0 if rc.k == 2 else 0.0
+    if np.any((phi_arr.imag < low) | (phi_arr.imag > low + 1.0)):
+        raise ValueError(f"Im phi must lie in [{low:g}, {low + 1.0:g}] for k = {rc.k}")
+    big_s = rc.big_s(T)   # ValueError past the delivery start
+    beta = rc.beta_from(big_s, rc.xi(T, check=False))
+    sig2 = rc.sigma_vv * rc.sigma_vv
+    with np.errstate(all="ignore"):
+        a = beta - 1j * rc.rho * rc.sigma_vv * big_s * phi_arr
+        p = (0.5 * phi_arr * phi_arr - 1j * rc.alpha * phi_arr) * (big_s * big_s)
+        d = np.sqrt(a * a + 2.0 * sig2 * p)
+        plus, minus = a + d, a - d
+        plus = np.where(np.abs(plus) < np.abs(minus), -2.0 * sig2 * p / minus, plus)
+        r = -2.0 * p / plus
+        e = -np.expm1(-d * (T - t))
+        x = 0.5 * sig2 * r * e / d
+        psi1 = -p * e / (d * (1.0 + x))
+        psi0 = rc.kappa * rc.theta(T) * (r * (T - t) - 2.0 / sig2 * _log1p(x))
+    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, 0, 0)
+
+
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """log(1 + x) for complex x, accurate as |x| becomes small: numpy's
+    complex log1p takes the real part as log|1 + x|, which loses it."""
+    return (0.5 * np.log1p(x.real * (2.0 + x.real) + x.imag * x.imag)
+            + 1j * np.arctan2(x.imag, 1.0 + x.real))
 
 
 def char_fn(sol: CharFnSolution, x: float, nu: float):

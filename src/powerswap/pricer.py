@@ -10,7 +10,10 @@ mapped from u in (0, 1] by phi = -ln(u) / C (Kahl & Jaeckel 2005; Lord &
 Kahl 2007), with C read from the model before any solve.  All nodes of
 Fejer's second rule in u go into one stacked k = 2 Riccati solve on (phi,
 phi - i): the share-measure identity Q_hat_1(phi) = Q_hat_2(phi - i) / e^x
-(Carr & Madan 1999, Lewis 2001) gives both transforms from it.  The rule
+(Carr & Madan 1999, Lewis 2001) gives both transforms from it.  Models
+with constant coefficients (``RiccatiCoefficients.constant``: no Samuelson
+decay, a constant theta and sigma_vv > 0) take the closed form on the same
+rows instead, and ``ode_tol`` binds nothing there.  The rule
 is nested, so its every second node gives each price an error estimate,
 and the rule doubles, solving only its new nodes, until that is below
 1e-10.  Each strike is then one weighted sum over the nodes, and puts
@@ -32,7 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .charfn import _PHI_HARD_CAP, RiccatiCoefficients, char_fn, solve_riccati
+from .charfn import (
+    _PHI_HARD_CAP,
+    RiccatiCoefficients,
+    _check_abs_tol,
+    char_fn,
+    solve_riccati,
+    solve_riccati_closed_form,
+)
 from .conditions import _warn_if_failed, check_novikov
 from .models import (
     DeliveryPeriod,
@@ -155,7 +165,8 @@ def _exercise_probs(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: f
     ``_QUADRATURE_TOL`` the rule doubles, up to ``_MAX_NODES``, past which
     PricingError names it.
     """
-    work = np.zeros(3, int)   # Riccati solves, accepted steps, rhs evaluations
+    # Riccati solves, accepted steps, rhs evaluations, DOP853 solves
+    work = np.zeros(4, int)
     phi_est = min(_decay_point(rc, t, T, nu), _PHI_HARD_CAP)
     n = 0   # no rule yet on the map of phi_est
     while True:
@@ -193,7 +204,7 @@ def _exercise_probs(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: f
             phi_used = float(phi[kept - 1])
             return probs[0], errors, {
                 "nodes": kept, "map_scale": _MAP_DEPTH / phi_est, "phi_used_k1": phi_used,
-                "phi_used_k2": phi_used,
+                "phi_used_k2": phi_used, "transform": "dop853" if work[3] else "closed_form",
                 **dict(zip(("riccati_solves", "riccati_steps", "riccati_rhs"), work.tolist()))}
         if n >= _MAX_NODES:
             raise PricingError(f"quadrature error estimate {errors.max():.3e} is above "
@@ -209,13 +220,18 @@ def _solve_nodes(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: floa
                  solved: np.ndarray) -> tuple:
     """One stacked solve on (phi, phi - i) at the indices ``part``: writes
     Q_hat_1 and Q_hat_2 there into the rows of qhat, marks them solved and
-    returns (1, accepted steps, rhs evaluations)."""
-    sol = solve_riccati(rc, t, T, np.concatenate([phi[part], phi[part] - 1j]),
-                        abs_tol=ode_tol, nu=nu)
+    returns (1, accepted steps, rhs evaluations, DOP853 solves).  It is the
+    closed form where ``rc.constant`` holds and its values are all finite,
+    else one DOP853 solve."""
+    nodes = np.concatenate([phi[part], phi[part] - 1j])
+    sol = solve_riccati_closed_form(rc, t, T, nodes) if rc.constant else None
+    dop853 = sol is None or not (np.isfinite(sol.psi0).all() and np.isfinite(sol.psi1).all())
+    if dop853:
+        sol = solve_riccati(rc, t, T, nodes, abs_tol=ode_tol, nu=nu)
     q2, q1 = char_fn(sol, x, nu).reshape(2, -1)
     qhat[:, part] = q1 / np.exp(x), q2
     solved[part] = True
-    return 1, sol.n_steps, sol.n_rhs
+    return 1, sol.n_steps, sol.n_rhs, int(dop853)
 
 
 def _weighted_sums(n: int, phi_est: float, phi: np.ndarray, qhat: np.ndarray, kept: int,
@@ -268,12 +284,20 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     in Psi = (Psi0, Psi1) at the nodes where |Q_hat_k| at the state's nu is
     at least 1e-2; where the transform is smaller the bound is up to 1e6
     ode_tol (``charfn.solve_riccati`` with nu), as a price feels an error in
-    Psi there only in proportion to |Q_hat_k|.  The diagnostics add the
-    ``nodes`` summed over, ``map_scale`` (C of phi = -ln(u) / C), the
-    price's nested ``quadrature_error`` (at most 1e-10), the largest node as
-    ``phi_used_k1`` and ``phi_used_k2``, and ``riccati_solves`` (one unless
-    the rule doubles or passes 2048 nodes), ``riccati_steps`` and
-    ``riccati_rhs`` (accepted steps and right-hand-side evaluations).
+    Psi there only in proportion to |Q_hat_k|.  ``TradingSeasonal`` and
+    ``DeliverySeasonal`` models with a constant theta and sigma_vv > 0 have
+    constant coefficients and take the closed-form transform, which
+    ode_tol does not bind; a chunk of nodes where it is not finite is
+    solved by DOP853.  An ode_tol that is not finite or below 100 ulp
+    raises RiccatiError before any work, for every model.  The diagnostics
+    add the ``nodes`` summed over, ``map_scale`` (C of phi = -ln(u) / C),
+    the price's nested ``quadrature_error`` (at most 1e-10), the largest
+    node as ``phi_used_k1`` and ``phi_used_k2``, the ``transform``
+    (``"closed_form"``, or ``"dop853"`` once any chunk was solved by it),
+    and ``riccati_solves`` (one unless the rule doubles or passes 2048
+    nodes; a closed-form evaluation counts as one), ``riccati_steps`` and
+    ``riccati_rhs`` (accepted steps and right-hand-side evaluations, 0 in
+    closed form).
     """
     nov = check_novikov(p, vol, dp)
     _warn_if_failed("Novikov", nov.ok, nov.lhs, nov.rhs)
@@ -289,6 +313,7 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
             raise ValueError(f"{name} must be finite, got {value}")
     if nu < 0:
         raise ValueError(f"nu must be non-negative, got {nu}")
+    _check_abs_tol(ode_tol, exercise)
     specs = [OptionSpec(strike=float(k), exercise=float(exercise)) for k in strikes]
     if not specs:
         return []

@@ -21,13 +21,17 @@ from powerswap.charfn import (
     char_fn,
     riccati_path,
     solve_riccati,
+    solve_riccati_closed_form,
     solve_riccati_fixed,
 )
 from powerswap.models import (
     DeliveryPeriod,
+    DeliverySeasonal,
+    ExponentialWeight,
     GeneralSeparable,
     HestonParams,
     Samuelson,
+    TradingSeasonal,
     UniformWeight,
 )
 
@@ -38,6 +42,8 @@ UNI = UniformWeight()
 SAM = Samuelson(3.5)
 P = HestonParams(kappa=3.0, theta=0.6, sigma_vv=0.4, rho=-0.3, nu0=0.6, f0=30.0, r=0.01)
 CONST = GeneralSeparable(s=lambda t, u: np.ones_like(np.asarray(u, float)), bound_r=1.0)
+# s = 1 as a built-in shape: constant coefficients that the model declares
+FLAT = TradingSeasonal(0.6, 0.7, 0.2)
 
 
 def test_coefficients_for_model():
@@ -77,6 +83,105 @@ def test_constant_coefficients_match_closed_form(k, alpha, beta):
     ref0, ref1 = const_coef_psi(phi, 0.5, 3.0, 0.6, 0.4, -0.3, 1.0, alpha, beta)
     np.testing.assert_allclose(sol.psi1, ref1, atol=1e-10)
     np.testing.assert_allclose(sol.psi0, ref0, atol=1e-10)
+    # the same system from a built-in shape, in closed form
+    rc = RiccatiCoefficients.for_model(P, FLAT, UNI, DP, k=k)
+    assert rc.constant and not RiccatiCoefficients.for_model(P, CONST, UNI, DP, k=k).constant
+    sol = solve_riccati_closed_form(rc, 0.0, 0.5, phi)
+    assert (sol.n_steps, sol.n_rhs) == (0, 0)
+    np.testing.assert_allclose(sol.psi1, ref1, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(sol.psi0, ref0, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sigma_vv", [0.01, 0.4, 3.0])
+@pytest.mark.parametrize("rho", [-0.99, 0.99])
+@pytest.mark.parametrize("t", [0.0, 0.5 - 1e-4])
+def test_closed_form_matches_a_tight_dop853_solve(k, sigma_vv, rho, t):
+    # across the strip the pricer reads, phi and phi -+ i, and from phi = 1e-3
+    # to 1e3; at sigma_vv = 0.01 numpy's complex log1p alone, which takes
+    # log|1 + x| without log1p, would put Q_hat 3.9e-12 off
+    params = replace(P, sigma_vv=sigma_vv, rho=rho)
+    rc = RiccatiCoefficients.for_model(params, DeliverySeasonal(1.0, 0.4, 0.0),
+                                       ExponentialWeight(1.0), DP, k=k)
+    phi = np.geomspace(1e-3, 1e3, 40)
+    nodes = np.concatenate([phi, phi + (1j if k == 1 else -1j)])
+    fast = solve_riccati_closed_form(rc, t, 0.5, nodes)
+    ode = solve_riccati(rc, t, 0.5, nodes, abs_tol=1e-13)
+    assert np.max(np.abs(fast.psi1 - ode.psi1) / (1.0 + np.abs(ode.psi1))) <= 1e-10
+    assert np.max(np.abs(fast.psi0 - ode.psi0) / (1.0 + np.abs(ode.psi0))) <= 1e-10
+    np.testing.assert_allclose(char_fn(fast, 0.0, 0.6), char_fn(ode, 0.0, 0.6),
+                               rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_closed_form_holds_where_a_plus_d_cancels(k):
+    # kappa < rho sigma S turns beta_1 negative, so at small phi d lies near
+    # -a on the rows of k = 1 and a + d loses its digits; taken from the
+    # product (a + d)(a - d) = -2 sigma^2 p instead it keeps them (formed as
+    # it stands, Psi0 lands up to 1.2e-11 off)
+    params = replace(P, kappa=0.05, sigma_vv=0.1, rho=0.99)
+    rc = RiccatiCoefficients.for_model(params, DeliverySeasonal(1.0, 0.4, 0.0),
+                                       ExponentialWeight(1.0), DP, k=k)
+    phi = np.geomspace(1e-10, 1e-2, 20) - (1j if k == 2 else 0.0)
+    fast = solve_riccati_closed_form(rc, 0.0, 0.5, phi)
+    ode = solve_riccati(rc, 0.0, 0.5, phi, abs_tol=1e-13)
+    np.testing.assert_allclose(fast.psi0, ode.psi0, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(fast.psi1, ode.psi1, rtol=0.0, atol=1e-15)
+
+
+def test_closed_form_refuses_what_it_cannot_price():
+    # a system that moves with time, and phi outside the strip where Q_hat_k
+    # is a characteristic function: at -40i, past a moment explosion, the
+    # ODE raises where the closed form would run straight through the pole
+    for rc in (RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2),
+               RiccatiCoefficients.for_model(replace(P, sigma_vv=0.0), FLAT, UNI, DP, k=2)):
+        with pytest.raises(ValueError, match="needs constant S, xi and theta"):
+            solve_riccati_closed_form(rc, 0.0, 0.5, 1.0)
+    for k, phi in ((2, -40j), (2, 1.0 + 0.5j), (1, -0.5j), (1, 2.0 + 1.5j)):
+        rc = RiccatiCoefficients.for_model(P, FLAT, UNI, DP, k=k)
+        with pytest.raises(ValueError, match=f"Im phi must lie in .* for k = {k}"):
+            solve_riccati_closed_form(rc, 0.0, 0.5, np.array([1.0, phi]))
+    with pytest.raises(RiccatiError):
+        solve_riccati(RiccatiCoefficients.for_model(P, FLAT, UNI, DP, k=2), 0.0, 0.5, -40j)
+    # the scalar and edge conventions of solve_riccati
+    rc = RiccatiCoefficients.for_model(P, FLAT, UNI, DP, k=2)
+    assert solve_riccati_closed_form(rc, 0.5, 0.5, 3.0 - 1j).psi0 == 0.0
+    assert isinstance(solve_riccati_closed_form(rc, 0.0, 0.5, 3.0).psi1, complex)
+    with pytest.raises(ValueError, match="phi must be finite"):
+        solve_riccati_closed_form(rc, 0.0, 0.5, np.nan)
+
+
+def test_span_is_checked_once_per_solve(monkeypatch):
+    # S and xi are checked against the delivery start once, at T, and read
+    # unchecked at every stage time after that
+    calls = []
+
+    def spy(curve):
+        def recorded(t, check=True):
+            calls.append(check)
+            return curve(t, check=check)
+        return recorded
+
+    rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
+    rc = replace(rc, big_s=spy(rc.big_s), xi=spy(rc.xi))
+    for solve in (lambda: solve_riccati(rc, 0.0, 0.5, np.array([1.0, 5.0])),
+                  lambda: solve_riccati_fixed(rc, 0.0, 0.5, np.array([1.0, 5.0]), 4)):
+        calls.clear()
+        solve()
+        assert calls.count(True) == 1 and calls.count(False) > 4
+    # past the delivery start, ValueError names it before any step
+    def never(*args):
+        raise AssertionError("a step was taken past the delivery start")
+
+    monkeypatch.setattr(charfn, "_dop853_system", never)
+    rc_flat = RiccatiCoefficients.for_model(P, FLAT, UNI, DP, k=2)
+    for solve in (lambda: solve_riccati(rc, 0.0, 0.8, 1.0),
+                  lambda: solve_riccati(rc, 0.8, 0.8, 1.0),
+                  lambda: solve_riccati_fixed(rc, 0.0, 0.8, 1.0, 4),
+                  lambda: riccati_path(rc, 0.0, 0.8, 1.0, 4),
+                  lambda: solve_riccati_closed_form(rc_flat, 0.0, 0.8, 1.0)):
+        with pytest.raises(ValueError, match="must not exceed the delivery start 0.75"):
+            solve()
 
 
 def test_hermitian_symmetry():

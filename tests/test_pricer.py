@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.stats import norm
 
 from powerswap import charfn, pricer
 from powerswap.averaging import decompose
-from powerswap.charfn import RiccatiCoefficients, char_fn, solve_riccati
+from powerswap.charfn import RiccatiCoefficients, RiccatiError, char_fn, solve_riccati
 from powerswap.conditions import ConditionWarning
 from powerswap.models import (
     DeliveryPeriod,
@@ -48,6 +49,8 @@ DP = DeliveryPeriod(0.75, 5.0 / 6.0)
 UNI = UniformWeight()
 SAM = Samuelson(3.5)
 T = 0.5
+# the benchmark's delivery-seasonal model, which takes the closed form
+DS, EXP = DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0)
 
 
 def _params(**over):
@@ -294,12 +297,15 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
 def test_bench_ladders_take_one_solve():
     # FSAL DOP853 costs 12 rhs per accepted step and 11 per rejected one;
     # the Samuelson ladder's last step takes the rest of the span, where a
-    # sliver of 0.002 after a step of 0.058 would cost one more step
+    # sliver of 0.002 after a step of 0.058 would cost one more step.  The
+    # delivery-seasonal ladder has constant coefficients, and its one
+    # evaluation of the closed form takes no step at all
     strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
-    for vol, w, steps, rejected in ((SAM, UNI, 13, 1),
-                                    (DeliverySeasonal(1.0, 0.4, 0.0), ExponentialWeight(1.0),
-                                     10, 0)):
+    for vol, w, transform, steps, rejected in (
+            (SAM, UNI, "dop853", 13, 1),
+            (DS, EXP, "closed_form", 0, 0)):
         diagnostics = price_fourier_many(_params(), vol, w, DP, strikes, T)[0].diagnostics
+        assert diagnostics["transform"] == transform
         assert diagnostics["riccati_solves"] == 1
         assert diagnostics["riccati_steps"] == steps
         assert diagnostics["riccati_rhs"] == 12 * steps + 11 * rejected
@@ -593,6 +599,155 @@ def test_fourier_at_later_valuation_time(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the closed-form transform of constant-coefficient models
+
+
+def _dop853_only(monkeypatch):
+    """Price every model by DOP853 solves, as if none had constant coefficients."""
+    for_model = RiccatiCoefficients.for_model
+    monkeypatch.setattr(RiccatiCoefficients, "for_model",
+                        lambda *args: replace(for_model(*args), constant=False))
+
+
+def _outcome(case, **kwargs):
+    """(calls, transform) of one Fourier ladder, or the type of its failure."""
+    p, vol, w, dp, strikes, exercise, state = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        try:
+            results = price_fourier_many(p, vol, w, dp, strikes, exercise, **state,
+                                         **kwargs)
+        except (PricingError, RiccatiError) as exc:
+            return type(exc)
+    return np.array([r.call for r in results]), results[0].diagnostics["transform"]
+
+
+def _assert_both_paths_agree(monkeypatch, cases):
+    """Each case ends the same way by the closed form and by an ode_tol 1e-13
+    DOP853 solve, with calls within 1e-10; returns how many priced."""
+    fast = [_outcome(case) for case in cases]
+    with monkeypatch.context() as m:
+        _dop853_only(m)
+        slow = [_outcome(case, ode_tol=1e-13) for case in cases]
+    for case, got, ref in zip(cases, fast, slow):
+        if isinstance(ref, type):
+            assert got is ref, case
+        else:
+            assert not isinstance(got, type), (case, got)
+            assert (got[1], ref[1]) == ("closed_form", "dop853")
+            assert np.max(np.abs(got[0] - ref[0])) <= 1e-10, case
+    return sum(not isinstance(ref, type) for ref in slow)
+
+
+def _sweep_cases(n, seed):
+    """n delivery-seasonal ladders over the regime-sweep ranges of ROADMAP.md:
+    log-uniform draws of the shape and Heston parameters, delivery start and
+    length, uniform or exponential weights with rates of either sign, exercise
+    in (0.05, 0.999) tau1, half of them valued at a t0 > 0, and four strikes
+    from 0.2 to 5 f0."""
+    rng = np.random.default_rng(seed)
+
+    def log_uniform(lo, hi):
+        return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+
+    cases = []
+    for _ in range(n):
+        b = log_uniform(0.01, 3.0)
+        vol = DeliverySeasonal(a=b + log_uniform(0.01, 3.0), b=b, c=float(rng.uniform()))
+        p = HestonParams(kappa=log_uniform(0.05, 30.0), theta=log_uniform(0.001, 3.0),
+                         sigma_vv=log_uniform(0.01, 3.0), rho=float(rng.uniform(-0.99, 0.99)),
+                         nu0=log_uniform(0.001, 4.0), f0=log_uniform(1.0, 300.0),
+                         r=float(rng.uniform(0.0, 0.1)))
+        tau1 = log_uniform(0.05, 5.0)
+        dp = DeliveryPeriod(tau1, tau1 + log_uniform(1.0 / 365.0, 1.0))
+        w = (UniformWeight() if rng.uniform() < 0.5
+             else ExponentialWeight(float(rng.choice([-1.0, 1.0])) * log_uniform(1e-3, 1e3)))
+        exercise = float(rng.uniform(0.05, 0.999)) * tau1
+        t = 0.0 if rng.uniform() < 0.5 else float(rng.uniform()) * exercise
+        cases.append((p, vol, w, dp, p.f0 * np.geomspace(0.2, 5.0, 4), exercise, {"t": t}))
+    return cases
+
+
+def test_closed_form_agrees_with_dop853_over_the_regime_sweep(monkeypatch):
+    # the few that fail are ladders of tiny total variance, where both paths
+    # raise TruncationError
+    assert _assert_both_paths_agree(monkeypatch, _sweep_cases(60, seed=2007)) >= 50
+
+
+@pytest.mark.parametrize("case", [
+    (_params(sigma_vv=0.01), DS, EXP, DP, [24.0, 30.0, 36.0], T, {}),
+    (_params(sigma_vv=3.0), DS, EXP, DP, [24.0, 30.0, 36.0], T, {}),
+    (_params(rho=0.99), DS, EXP, DP, [24.0, 30.0, 36.0], T, {}),
+    (_params(rho=-0.99), DS, EXP, DP, [24.0, 30.0, 36.0], T, {}),
+    (_params(), DS, EXP, DP, [29.9, 30.0, 30.1], T, {"t": T - 1e-4}),
+    (_params(), DS, UNI, DeliveryPeriod(5.5, 5.5 + 1.0 / 12.0), [24.0, 30.0, 36.0], 5.0, {}),
+    (_params(kappa=30.0, theta=0.001, sigma_vv=3.0, rho=0.99, nu0=4.0), DS, UNI,
+     DeliveryPeriod(5.5, 5.5 + 1.0 / 12.0), [3.0, 30.0, 300.0], 5.0, {}),
+    (_params(theta=0.01), DS, EXP, DP, [24.0, 30.0, 36.0], T, {"nu": 4.0}),
+    (_params(theta=3.0), DS, EXP, DP, [24.0, 30.0, 36.0], T, {"nu": 1e-3}),
+    (_params(kappa=1.5, theta=0.3, sigma_vv=1.5, rho=-0.5, nu0=0.3), DS, EXP, DP,
+     [30.0, 36.0, 42.0], T, {}),
+    (_params(), DS, EXP, DP, [3e-5, 30.0, 3e7], T, {}),
+    (_params(), TradingSeasonal(0.6, 0.7, 0.2), UNI, DP, [24.0, 30.0, 36.0], T, {}),
+], ids=["sigma-0.01", "sigma-3", "rho+0.99", "rho-0.99", "span-1e-4", "span-5",
+        "span-5-sigma-3-rho+0.99", "nu-above-theta", "nu-below-theta", "feller", "deep",
+        "trading-seasonal"])
+def test_closed_form_agrees_with_dop853_at_the_edges(monkeypatch, case):
+    assert _assert_both_paths_agree(monkeypatch, [case]) == 1
+
+
+@pytest.mark.parametrize("p,vol,w,transform", [
+    (_params(), DS, EXP, "closed_form"),
+    (_params(), TradingSeasonal(0.6, 0.7, 0.2), UNI, "closed_form"),
+    (_params(sigma_vv=0.0), DS, EXP, "dop853"),
+    (_params(theta=TradingSeasonal(0.6, 0.7, 0.2).theta), TradingSeasonal(0.6, 0.7, 0.2),
+     UNI, "dop853"),
+    (_params(), SAM, UNI, "dop853"),
+    (_params(), GeneralSeparable(s=lambda t, u: np.exp(-3.5 * (np.asarray(u) - t)),
+                                 bound_r=1.0), UNI, "dop853"),
+], ids=["delivery-seasonal", "trading-seasonal", "sigma-0", "theta-of-t", "samuelson",
+        "general-separable"])
+def test_only_constant_coefficients_take_the_closed_form(p, vol, w, transform):
+    # S, xi or theta that move with time, or sigma_vv = 0, keep DOP853
+    assert RiccatiCoefficients.for_model(p, vol, w, DP, 2).constant == (
+        transform == "closed_form")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConditionWarning)
+        diagnostics = price_fourier_many(p, vol, w, DP, [30.0], T)[0].diagnostics
+    assert diagnostics["transform"] == transform
+    assert diagnostics["riccati_solves"] == 1
+    assert (diagnostics["riccati_steps"] > 0) == (transform == "dop853")
+
+
+def test_a_closed_form_that_is_not_finite_falls_back_to_dop853(monkeypatch):
+    strikes = [24.0, 30.0, 36.0]
+    with monkeypatch.context() as m:
+        _dop853_only(m)
+        reference = price_fourier_many(_params(), DS, EXP, DP, strikes, T)
+    closed_form = pricer.solve_riccati_closed_form
+
+    def one_nan(*args):
+        sol = closed_form(*args)
+        sol.psi1[0] = np.nan
+        return sol
+
+    monkeypatch.setattr(pricer, "solve_riccati_closed_form", one_nan)
+    assert price_fourier_many(_params(), DS, EXP, DP, strikes, T) == reference
+    # a solve that fails keeps its type and the time it reached, as it
+    # does on the DOP853 path
+    monkeypatch.setattr(charfn, "_MAX_STEPS", 2)
+    for patch in (lambda m: None, _dop853_only):
+        with monkeypatch.context() as m, pytest.raises(RiccatiError) as info:
+            patch(m)
+            price_fourier_many(_params(), DS, EXP, DP, strikes, T)
+        assert "stopped after 2 steps" in str(info.value)
+        assert 0.0 < info.value.t_fail <= T
+    # where the closed form is finite, no step is taken
+    monkeypatch.setattr(pricer, "solve_riccati_closed_form", closed_form)
+    assert price_fourier_many(_params(), DS, EXP, DP, strikes, T)[0].call > 0.0
+
+
+# ---------------------------------------------------------------------------
 # Monte-Carlo pricing
 
 
@@ -645,9 +800,19 @@ def test_bench_ladder_holds_its_prices_at_a_loose_tolerance():
     assert default[0].diagnostics["riccati_rhs"] <= 320
 
 
-def test_non_finite_ode_tol_is_refused():
-    with pytest.raises(charfn.RiccatiError, match="abs_tol must be finite"):
-        price_fourier_many(_params(), SAM, UNI, DP, [30.0], T, ode_tol=np.inf)
+def test_non_finite_ode_tol_is_refused(monkeypatch):
+    # before the model is set up, whether its transform is solved by DOP853
+    # (Samuelson) or in closed form (delivery-seasonal), where ode_tol binds
+    # nothing
+    def never(*args):
+        raise AssertionError("the model was set up before ode_tol was checked")
+
+    monkeypatch.setattr(charfn, "decompose", never)
+    for vol, w in ((SAM, UNI), (DS, EXP)):
+        with pytest.raises(RiccatiError, match="abs_tol must be finite"):
+            price_fourier_many(_params(), vol, w, DP, [30.0], T, ode_tol=np.inf)
+        with pytest.raises(RiccatiError, match="abs_tol 1.0e-16 is below"):
+            price_fourier_many(_params(), vol, w, DP, [30.0], T, ode_tol=1e-16)
 
 
 def test_fourier_pricing_does_not_load_scipy_integrate():
@@ -659,6 +824,9 @@ def test_fourier_pricing_does_not_load_scipy_integrate():
             " f0=30.0, r=0.01)\n"
             "powerswap.price_fourier_many(p, Samuelson(3.5), UniformWeight(),"
             " DeliveryPeriod(0.75, 5 / 6), [24.0, 30.0, 36.0], 0.5, ode_tol=1e-6)\n"
+            "res = powerswap.price_fourier_many(p, DeliverySeasonal(1.0, 0.4, 0.0),"
+            " ExponentialWeight(1.0), DeliveryPeriod(0.75, 5 / 6), [24.0, 30.0, 36.0], 0.5)\n"
+            "assert res[0].diagnostics['transform'] == 'closed_form'\n"
             "print('scipy.integrate' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
