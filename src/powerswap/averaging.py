@@ -9,11 +9,14 @@ xi(t) sqrt(nu(t)).
 Every built-in shape factors as s(t, u) = e^{-lam (tau1 - t)} h(u), with
 lam = 0 except for the Samuelson variant, so S(t) = S(tau1) e^{-lam (tau1 - t)}
 and xi(t) = xi(tau1) e^{-lam (tau1 - t)}.  The pair (S(tau1), xi(tau1)) is
-computed once: by the paper's d1 and d2 for Samuelson under the uniform
-weight, otherwise by one adaptive Gauss-Legendre quadrature of the weighted
-moments, exact where the shape is constant.  Only ``GeneralSeparable`` has
-no such factoring; its moments are integrated once per distinct time and
-kept for the life of its decomposition.
+computed once per contract and kept in a bounded cache: it depends on the
+shape, the weight and the delivery period alone, never on the Heston
+parameters, the state or the strikes.  It comes from the paper's d1 and d2
+for Samuelson under the uniform weight, otherwise from one adaptive
+Gauss-Legendre quadrature of the weighted moments, exact where the shape is
+constant.  A callable inside a shape or weight is keyed by identity.  Only
+``GeneralSeparable`` has no such factoring; its moments are integrated once
+per distinct time and kept for the life of its decomposition.
 
 ``decompose`` is the one implementation of S and xi: the pointwise factors
 below are single calls into it, and both pricing engines evaluate its curves.
@@ -29,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .models import (
+    CONTRACT_CACHE_SIZE,
     DeliveryPeriod,
     GeneralSeparable,
     Samuelson,
@@ -116,6 +120,7 @@ def _weighted_factors(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
     return float(mean), float(0.5 * var / mean)
 
 
+@functools.lru_cache(maxsize=CONTRACT_CACHE_SIZE)
 def _delivery_factors(vol: VolStructure, w: WeightFunction,
                       dp: DeliveryPeriod) -> tuple[float, float]:
     """(S(tau1), xi(tau1)) for every variant except ``GeneralSeparable``: d1 and
@@ -189,10 +194,10 @@ def _curve(dp: DeliveryPeriod, fn: Callable) -> Callable:
 def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapVolDecomposition:
     """Bundle S(t) and xi(t) as vectorized functions of time.
 
-    The pair (S(tau1), xi(tau1)) is computed once and scaled by the
-    Samuelson decay.  ``GeneralSeparable`` integrates both moments once per
-    distinct time, so a time the Riccati solver asks for again (t = T in
-    every block's solve) costs nothing.
+    The pair (S(tau1), xi(tau1)) comes from the contract's cache and is
+    scaled by the Samuelson decay.  ``GeneralSeparable`` integrates both
+    moments once per distinct time, so a time the Riccati solver asks for
+    again (t = T in every block's solve) costs nothing.
     """
     if isinstance(vol, GeneralSeparable):
         den = weight_normalizer(w, dp)

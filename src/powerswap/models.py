@@ -14,6 +14,7 @@ first word to report the error under the dotted config path.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -44,6 +45,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# contracts whose delivery moments are kept; the key is (shape, weight, period)
+CONTRACT_CACHE_SIZE = 128
 
 
 def _on_array(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -169,6 +172,14 @@ def _require_positive_int(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer{got}")
 
 
+def _frozen_copies(*tables) -> list[np.ndarray]:
+    """Read-only float copies of the tables a from_table builder keeps."""
+    out = [np.array(table, dtype=float) for table in tables]
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
 def _require_finite(**tables: np.ndarray) -> None:
     """Reject a table with a NaN or infinite entry, naming the table first."""
     for name, arr in tables.items():
@@ -202,16 +213,24 @@ class CustomWeight:
 
     ``knots`` lists points where w_hat is not smooth (table breakpoints);
     integration routines split panels there so piecewise-polynomial weights
-    integrate exactly.
+    integrate exactly.  The weight is a cache key (``w_hat`` by identity),
+    so ``w_hat`` must not change once the weight is built.
     """
     w_hat: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.knots is not None:  # a list would make the weight unhashable
+            object.__setattr__(self, "knots", tuple(float(k) for k in self.knots))
+
     @classmethod
     def from_table(cls, u_grid, values) -> "CustomWeight":
-        """Build a weight by linear interpolation of tabulated values."""
-        u_grid = np.asarray(u_grid, dtype=float)
-        values = np.asarray(values, dtype=float)
+        """Build a weight by linear interpolation of tabulated values.
+
+        The weight keeps read-only copies of the tables, so a later change to
+        the caller's arrays cannot reach it.
+        """
+        u_grid, values = _frozen_copies(u_grid, values)
         if u_grid.ndim != 1 or u_grid.shape != values.shape or u_grid.size < 2:
             raise ValueError("weight table needs matching 1-d u_grid and values with >= 2 points")
         _require_finite(u_grid=u_grid, values=values)
@@ -280,8 +299,10 @@ def _period_weight(w: WeightFunction, dp: DeliveryPeriod, u) -> np.ndarray | flo
     return weight_hat(w, u)
 
 
+@functools.lru_cache(maxsize=CONTRACT_CACHE_SIZE)
 def weight_normalizer(w: WeightFunction, dp: DeliveryPeriod) -> float:
-    """Integral of ``_period_weight`` over the delivery period (delta for the uniform weight)."""
+    """Integral of ``_period_weight`` over the delivery period (delta for the
+    uniform weight), computed once per (weight, period) and cached."""
     if isinstance(w, UniformWeight):
         return dp.delta
     return integrate_over_delivery(lambda v: _period_weight(w, dp, v), w, dp)
@@ -376,12 +397,13 @@ class GeneralSeparable:
 
     @classmethod
     def from_table(cls, t_grid, u_grid, values, bound_r: float) -> "GeneralSeparable":
-        """Bilinear interpolation of tabulated s values on a (t, u) grid."""
+        """Bilinear interpolation of tabulated s values on a (t, u) grid.
+
+        Read-only copies of the tables are kept, as in ``CustomWeight.from_table``.
+        """
         from scipy.interpolate import RegularGridInterpolator
 
-        t_grid = np.asarray(t_grid, dtype=float)
-        u_grid = np.asarray(u_grid, dtype=float)
-        values = np.asarray(values, dtype=float)
+        t_grid, u_grid, values = _frozen_copies(t_grid, u_grid, values)
         if values.shape != (t_grid.size, u_grid.size):
             raise ValueError("values must have shape (len(t_grid), len(u_grid))")
         _require_finite(t_grid=t_grid, u_grid=u_grid, values=values)

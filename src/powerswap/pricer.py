@@ -128,17 +128,19 @@ def _decay_point(rc: RiccatiCoefficients, t: float, T: float, nu: float) -> floa
     for large phi: Psi1 at t tends to -sqrt(1 - rho^2) S(t) phi / sigma
     (Kahl & Jaeckel 2005), so C_inf = sqrt(1 - rho^2) (nu S(t) + Integral_t^T
     kappa theta S) / sigma, infinite at sigma = 0.  phi_est = max(sqrt(2 L /
-    v), L / C_inf), the integrals on the Fejer rule of 16.
+    v), L / C_inf), the integrals on the Fejer rule of 16.  The curves are read
+    unchecked: the caller has refused an exercise past tau1.
     """
     u, w = _fejer2(16)
     u, w = t + (T - t) * u, (T - t) * w
-    s = np.broadcast_to(rc.big_s(u), u.shape)
-    beta = np.maximum(rc.kappa + rc.sigma_vv * rc.rho * np.broadcast_to(rc.xi(u), u.shape),
-                      1e-12)
+    s = np.broadcast_to(rc.big_s(u, check=False), u.shape)
+    beta = np.maximum(rc.kappa + rc.sigma_vv * rc.rho
+                      * np.broadcast_to(rc.xi(u, check=False), u.shape), 1e-12)
     kappa_theta = rc.kappa * np.broadcast_to(rc.theta(u), u.shape)
     fall = -np.expm1(-beta * (u - t))   # 1 - e^{-beta_2 (u - t)}
     v = w @ (s * s * (nu * (1.0 - fall) + kappa_theta * fall / beta))
-    decay = np.sqrt(1.0 - rc.rho ** 2) * (nu * float(rc.big_s(t)) + w @ (kappa_theta * s))
+    decay = np.sqrt(1.0 - rc.rho ** 2) * (nu * rc.big_s(t, check=False)
+                                          + w @ (kappa_theta * s))
     phi_linear = _DECAY_LOG * rc.sigma_vv / decay if decay > 0 else np.inf
     return max(np.sqrt(2.0 * _DECAY_LOG / v) if v > 0 else np.inf, phi_linear)
 

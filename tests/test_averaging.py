@@ -270,16 +270,18 @@ def test_t_beyond_delivery_start_rejected():
         assert dec.big_s(DP.tau1) > 0.0
 
 
-def test_general_separable_integrates_each_distinct_time_once(monkeypatch):
-    calls = []
+def test_general_separable_integrates_each_distinct_time_once(monkeypatch, cold_moments):
+    calls, normalizers = [], []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return integrate_over_delivery(*args, **kwargs)
+    def counting(into):
+        def count(*args, **kwargs):
+            into.append(args)
+            return integrate_over_delivery(*args, **kwargs)
+        return count
 
     # the weight normalizer integrates through the models module's name
-    monkeypatch.setattr(averaging, "integrate_over_delivery", counting)
-    monkeypatch.setattr(models, "integrate_over_delivery", counting)
+    monkeypatch.setattr(averaging, "integrate_over_delivery", counting(calls))
+    monkeypatch.setattr(models, "integrate_over_delivery", counting(normalizers))
     g = GeneralSeparable(
         s=lambda t, u: np.exp(-1.2 * (np.asarray(u, float) - t)) * (1.0 + 0.1 * np.asarray(u, float)),
         bound_r=2.0,
@@ -292,14 +294,19 @@ def test_general_separable_integrates_each_distinct_time_once(monkeypatch):
     # one mean and one variance integral per grid time, none for repeats
     assert len(calls) <= 2 * t.size
     assert again.tobytes() == first.tobytes()
+    assert normalizers == []
 
-    # a custom weight adds one normalizer integral per decomposition
-    calls.clear()
-    dec = decompose(g, WEIGHTS[2][0], DP)
+    # a custom weight adds one normalizer integral for its first
+    # decomposition and none for a repeat, which keeps its moments per time
     t = np.linspace(0.0, DP.tau1, 10)
-    dec.big_s(t)
-    dec.xi(t)
-    assert len(calls) <= 2 * t.size + 1
+    for expected in (1, 0):
+        calls.clear()
+        normalizers.clear()
+        dec = decompose(g, WEIGHTS[2][0], DP)
+        dec.big_s(t)
+        dec.xi(t)
+        assert len(calls) <= 2 * t.size
+        assert len(normalizers) == expected
 
 
 def test_variance_factor_ties_to_mean_and_market_price():
@@ -339,7 +346,8 @@ def test_decompose_matches_pointwise_factors():
 
 @pytest.mark.parametrize("vol", [vol for vol, _ in VOLS])
 @pytest.mark.parametrize("w", [w for w, _ in WEIGHTS])
-def test_decompose_quadrature_work_independent_of_time_grid(monkeypatch, vol, w):
+def test_decompose_quadrature_work_independent_of_time_grid(monkeypatch, cold_moments,
+                                                            vol, w):
     calls = []
 
     def counting(*args, **kwargs):
@@ -348,12 +356,17 @@ def test_decompose_quadrature_work_independent_of_time_grid(monkeypatch, vol, w)
 
     monkeypatch.setattr(averaging, "integrate_over_delivery", counting)
     counts = []
-    for n in (10, 1000):
+    # a first decomposition on each grid size, then a repeat on the contract
+    for n, clear in ((10, True), (1000, True), (1000, False)):
+        if clear:
+            cold_moments()
         calls.clear()
         dec = decompose(vol, w, DP)
         t = np.linspace(0.0, DP.tau1, n)
         dec.big_s(t)
         dec.xi(t)
         counts.append(len(calls))
-    # at most one mean and one variance integral, whatever the grid size
+    # at most one mean and one variance integral, whatever the grid size,
+    # and none once the contract's moments are cached
     assert counts[0] == counts[1] <= 2
+    assert counts[2] == 0

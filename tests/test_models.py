@@ -184,6 +184,29 @@ def test_exponential_weight_zero_rate_is_uniform():
             ExponentialWeight(rate=rate)
 
 
+def test_from_table_keeps_its_own_tables(cold_moments):
+    # a weight keys the moment cache, so a change to the caller's arrays
+    # after the build must reach neither it nor a tabulated shape
+    u_grid, levels = np.array([0.75, 0.8, 5.0 / 6.0]), np.array([1.0, 2.0, 0.5])
+    w = CustomWeight.from_table(u_grid, levels)
+    t_grid, values = np.array([0.0, 0.5, 0.75]), np.full((3, 3), 0.5)
+    g = GeneralSeparable.from_table(t_grid, u_grid, values, bound_r=2.0)
+    u = np.linspace(0.75, 5.0 / 6.0, 7)
+    before = (weight_hat(w, u), weight_density(w, DP, u), eval_s(g, 0.3, u))
+    u_grid[1], levels[1], t_grid[1], values[:] = 0.79, 50.0, 0.4, 1.9
+    cold_moments()
+    after = (weight_hat(w, u), weight_density(w, DP, u), eval_s(g, 0.3, u))
+    for old, new in zip(before, after):
+        assert new.tobytes() == old.tobytes()
+
+
+def test_custom_weight_knots_are_a_tuple():
+    # a tuple keeps the weight hashable, and so usable as a cache key
+    w = CustomWeight(lambda u: np.ones_like(u), knots=[0.78, 0.8])
+    assert w.knots == (0.78, 0.8)
+    assert weight_normalizer(w, DP) == pytest.approx(DP.delta, rel=1e-14)
+
+
 def test_custom_weight_from_table():
     w = CustomWeight.from_table([0.7, 0.8, 0.9], [1.0, 2.0, 1.0])
     assert weight_hat(w, 0.75) == pytest.approx(1.5)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from powerswap import charfn, pricer
+from powerswap import averaging, charfn, models, pricer
 from powerswap.averaging import decompose
 from powerswap.charfn import RiccatiCoefficients, RiccatiError, char_fn, solve_riccati
 from powerswap.conditions import ConditionWarning
@@ -22,6 +22,7 @@ from powerswap.models import (
     Samuelson,
     TradingSeasonal,
     UniformWeight,
+    integrate_over_delivery,
 )
 from powerswap.pricer import (
     PriceResult,
@@ -240,6 +241,29 @@ def test_fourier_context_decomposes_once(monkeypatch):
     monkeypatch.setattr(charfn, "decompose", counting)
     price_fourier_many(_params(), SAM, UNI, DP, [28.0, 32.0], T, ode_tol=1e-6)
     assert len(calls) == 1
+
+
+def test_repeat_contract_integrates_no_delivery_moments(monkeypatch, cold_moments):
+    # the moments depend on the contract alone, so a second price on it with
+    # other Heston parameters runs no quadrature, and prices as if cold
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate_over_delivery(*args, **kwargs)
+
+    monkeypatch.setattr(averaging, "integrate_over_delivery", counting)
+    monkeypatch.setattr(models, "integrate_over_delivery", counting)
+    strikes = [27.0, 33.0]
+    price_fourier_many(_params(), DS, EXP, DP, strikes, T)
+    assert len(calls) > 0
+    calls.clear()
+    other = _params(kappa=2.0, rho=-0.5, nu0=0.4)
+    warm = price_fourier_many(other, DS, EXP, DP, strikes, T)
+    assert calls == []
+    cold_moments()
+    cold = price_fourier_many(other, DS, EXP, DP, strikes, T)
+    assert [r.call for r in warm] == [r.call for r in cold]
 
 
 def test_fourier_diagnostics_and_truncation(monkeypatch):
@@ -862,6 +886,18 @@ def test_import_does_not_load_scipy_stats():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, powerswap; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_import_does_not_load_thread_pool():
+    # concurrent.futures loads logging, about 10 ms at import; only a
+    # Monte-Carlo run with more than one worker needs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, powerswap; print('concurrent.futures' in sys.modules)"],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
