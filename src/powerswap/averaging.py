@@ -14,7 +14,8 @@ shape, the weight and the delivery period alone, never on the Heston
 parameters, the state or the strikes.  It comes from the paper's d1 and d2
 for Samuelson under the uniform weight, otherwise from one adaptive
 Gauss-Legendre quadrature of the weighted moments, exact where the shape is
-constant.  A callable inside a shape or weight is keyed by identity.  Only
+constant.  A callable inside a shape or weight is keyed by identity; a
+contract holding one that cannot be hashed is integrated uncached.  Only
 ``GeneralSeparable`` has no such factoring; its moments are integrated once
 per distinct time and kept for the life of its decomposition.
 
@@ -32,7 +33,6 @@ from typing import Callable
 import numpy as np
 
 from .models import (
-    CONTRACT_CACHE_SIZE,
     DeliveryPeriod,
     GeneralSeparable,
     Samuelson,
@@ -55,6 +55,9 @@ __all__ = [
     "swap_spread",
     "decompose",
 ]
+
+# contracts whose delivery moments are kept; the key is (shape, weight, period)
+_CONTRACT_CACHE_SIZE = 128
 
 # below this lam * x, d2 sums (n - 1) / (4 (n + 1)!) (-y)^n for n = 2..11,
 # accurate to about 2e-16 relative
@@ -120,7 +123,7 @@ def _weighted_factors(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
     return float(mean), float(0.5 * var / mean)
 
 
-@functools.lru_cache(maxsize=CONTRACT_CACHE_SIZE)
+@functools.lru_cache(maxsize=_CONTRACT_CACHE_SIZE)
 def _delivery_factors(vol: VolStructure, w: WeightFunction,
                       dp: DeliveryPeriod) -> tuple[float, float]:
     """(S(tau1), xi(tau1)) for every variant except ``GeneralSeparable``: d1 and
@@ -209,7 +212,10 @@ def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapV
         big_s = np.vectorize(lambda t: factors(float(t))[0], otypes=[float])
         xi = np.vectorize(lambda t: factors(float(t))[1], otypes=[float])
     else:
-        s1, xi1 = _delivery_factors(vol, w, dp)
+        try:
+            s1, xi1 = _delivery_factors(vol, w, dp)
+        except TypeError:  # an unhashable callable in the shape or weight cannot key the cache
+            s1, xi1 = _delivery_factors.__wrapped__(vol, w, dp)
         lam = vol.lam if isinstance(vol, Samuelson) else 0.0
 
         def big_s(t):

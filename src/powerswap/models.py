@@ -14,7 +14,6 @@ first word to report the error under the dotted config path.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -45,8 +44,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-# contracts whose delivery moments are kept; the key is (shape, weight, period)
-CONTRACT_CACHE_SIZE = 128
 
 
 def _on_array(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -213,8 +210,10 @@ class CustomWeight:
 
     ``knots`` lists points where w_hat is not smooth (table breakpoints);
     integration routines split panels there so piecewise-polynomial weights
-    integrate exactly.  The weight is a cache key (``w_hat`` by identity),
-    so ``w_hat`` must not change once the weight is built.
+    integrate exactly.  The weight keys a cache of delivery moments, with
+    ``w_hat`` by identity, so ``w_hat`` must not change once the weight is
+    built.  A ``w_hat`` that cannot be hashed (numpy's ``Polynomial``) works
+    too; its moments are then integrated again on every price.
     """
     w_hat: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] | None = None
@@ -299,10 +298,8 @@ def _period_weight(w: WeightFunction, dp: DeliveryPeriod, u) -> np.ndarray | flo
     return weight_hat(w, u)
 
 
-@functools.lru_cache(maxsize=CONTRACT_CACHE_SIZE)
 def weight_normalizer(w: WeightFunction, dp: DeliveryPeriod) -> float:
-    """Integral of ``_period_weight`` over the delivery period (delta for the
-    uniform weight), computed once per (weight, period) and cached."""
+    """Integral of ``_period_weight`` over the delivery period (delta for the uniform weight)."""
     if isinstance(w, UniformWeight):
         return dp.delta
     return integrate_over_delivery(lambda v: _period_weight(w, dp, v), w, dp)

@@ -47,6 +47,7 @@ the same for any worker count.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -398,10 +399,6 @@ def _simulate(p: HestonParams, vol: VolStructure, w: WeightFunction,
     chunks = range(_n_chunks(g))
     if workers <= 1:
         return coeffs, list(map(run_chunk, chunks))
-    # local import: concurrent.futures loads logging, about 10 ms that a
-    # single-worker run or a Fourier price never needs
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return coeffs, list(pool.map(run_chunk, chunks))
 

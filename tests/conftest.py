@@ -1,17 +1,12 @@
 import pytest
 
-from powerswap import averaging, models
-
-
-def clear_moment_caches():
-    """Empty the per-contract caches of delivery moments and weight normalizers."""
-    averaging._delivery_factors.cache_clear()
-    models.weight_normalizer.cache_clear()
+from powerswap import averaging
 
 
 @pytest.fixture
 def cold_moments():
-    """Start from empty moment caches, so that a test counting quadrature work
-    sees a first decomposition; returns the function that empties them again."""
-    clear_moment_caches()
-    return clear_moment_caches
+    """Start from an empty cache of delivery moments, so that a test counting
+    quadrature work sees a first decomposition; returns the function that
+    empties it again."""
+    averaging._delivery_factors.cache_clear()
+    return averaging._delivery_factors.cache_clear

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powerswap.averaging import swap_vol_factor
 from powerswap.models import (
     CustomWeight,
     DeliveryPeriod,
@@ -192,11 +193,16 @@ def test_from_table_keeps_its_own_tables(cold_moments):
     t_grid, values = np.array([0.0, 0.5, 0.75]), np.full((3, 3), 0.5)
     g = GeneralSeparable.from_table(t_grid, u_grid, values, bound_r=2.0)
     u = np.linspace(0.75, 5.0 / 6.0, 7)
-    before = (weight_hat(w, u), weight_density(w, DP, u), eval_s(g, 0.3, u))
+
+    def read():
+        # empty the cache first, or it would hide a table that went stale
+        cold_moments()
+        return (weight_hat(w, u), weight_density(w, DP, u), eval_s(g, 0.3, u),
+                np.float64(swap_vol_factor(Samuelson(3.5), w, DP, 0.5)))
+
+    before = read()
     u_grid[1], levels[1], t_grid[1], values[:] = 0.79, 50.0, 0.4, 1.9
-    cold_moments()
-    after = (weight_hat(w, u), weight_density(w, DP, u), eval_s(g, 0.3, u))
-    for old, new in zip(before, after):
+    for old, new in zip(before, read()):
         assert new.tobytes() == old.tobytes()
 
 
