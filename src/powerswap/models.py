@@ -114,16 +114,16 @@ class HestonParams:
             raise ValueError(f"r must be finite and >= 0, got {self.r}")
 
     def theta_fn(self) -> Callable:
-        """theta as a vectorized function of time that raises where theta(t) <= 0."""
+        """theta as a vectorized function of time that raises unless 0 < theta(t) < inf."""
         theta = as_time_function(self.theta)
         if not callable(self.theta):
             return theta
 
         def checked(t):
             vals = theta(t)
-            if not np.all(np.asarray(vals) > 0):
-                raise ValueError("theta(t) must be positive at every time the "
-                                 "pricing engines evaluate it")
+            if not np.all((vals > 0) & (vals < math.inf)):
+                raise ValueError("theta(t) must be finite and positive at every time "
+                                 "the pricing engines evaluate it")
             return vals
         return checked
 
@@ -396,21 +396,32 @@ class GeneralSeparable:
     def from_table(cls, t_grid, u_grid, values, bound_r: float) -> "GeneralSeparable":
         """Bilinear interpolation of tabulated s values on a (t, u) grid.
 
-        Read-only copies of the tables are kept, as in ``CustomWeight.from_table``.
+        Each grid is strictly monotonic with >= 2 points, and s(t, u) off the
+        table raises ValueError.  Read-only copies of the tables are kept, as
+        in ``CustomWeight.from_table``.
         """
-        from scipy.interpolate import RegularGridInterpolator
-
         t_grid, u_grid, values = _frozen_copies(t_grid, u_grid, values)
+        _require_finite(t_grid=t_grid, u_grid=u_grid, values=values)
+        for name, grid in (("t_grid", t_grid), ("u_grid", u_grid)):
+            if grid.ndim != 1 or grid.size < 2 or not (np.all(np.diff(grid) > 0)
+                                                       or np.all(np.diff(grid) < 0)):
+                raise ValueError(f"{name} must be a strictly monotonic 1-d grid of >= 2 points")
         if values.shape != (t_grid.size, u_grid.size):
             raise ValueError("values must have shape (len(t_grid), len(u_grid))")
-        _require_finite(t_grid=t_grid, u_grid=u_grid, values=values)
-        interp = RegularGridInterpolator((t_grid, u_grid), values, method="linear",
-                                         bounds_error=True)
+        if t_grid[0] > t_grid[-1]:  # a decreasing grid is reversed with its values
+            t_grid, values = t_grid[::-1], values[::-1]
+        if u_grid[0] > u_grid[-1]:
+            u_grid, values = u_grid[::-1], values[:, ::-1]
 
         def s_fn(t, u):
             u = np.asarray(u, dtype=float)
-            pts = np.column_stack([np.full(u.reshape(-1).shape, float(t)), u.reshape(-1)])
-            return interp(pts).reshape(u.shape)
+            if (not t_grid[0] <= t <= t_grid[-1] or np.any(u < u_grid[0])
+                    or np.any(u > u_grid[-1])):
+                raise ValueError("s table does not cover the requested (t, u)")
+            # blend the rows at t_grid[i - 1] <= t <= t_grid[i], then interpolate in u
+            i = int(np.searchsorted(t_grid[1:-1], t, side="right")) + 1
+            frac = (t - t_grid[i - 1]) / (t_grid[i] - t_grid[i - 1])
+            return np.interp(u, u_grid, (1.0 - frac) * values[i - 1] + frac * values[i])
 
         return cls(s_fn, bound_r)
 

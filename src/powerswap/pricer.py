@@ -31,6 +31,7 @@ Every strike is priced on the same paths.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -444,23 +445,28 @@ def price_mc_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     return out
 
 
+def _ndtr_pair(d):
+    """N(d) and N(-d), elementwise, from one erfc each: the tail N(-|d|) =
+    erfc(|d| / sqrt 2) / 2 keeps full relative accuracy, and 1 - tail >= 1/2."""
+    d = np.asarray(d, dtype=float)
+    x = (np.abs(d) * math.sqrt(0.5)).ravel().tolist()
+    tail = 0.5 * np.fromiter(map(math.erfc, x), float, d.size).reshape(d.shape)
+    return np.where(d >= 0, 1.0 - tail, tail), np.where(d >= 0, tail, 1.0 - tail)
+
+
 def _black76(f: np.ndarray, k: float, sd: np.ndarray):
     """Undiscounted Black-76 call, put, N(d+) and N(d-), elementwise over (f, sd).
 
     Where sd = 0 the option is intrinsic: d+- = +inf for f >= k and -inf
     below, so f = k pays nothing either way.
     """
-    # local import: scipy.special costs ~0.3 s to load, and Fourier prices never use it
-    from scipy.special import ndtr
-
     m = np.log(f / k)
     spread = sd > 0
     d_plus = np.where(spread, m / np.where(spread, sd, 1.0) + 0.5 * sd,
                       np.where(m >= 0, np.inf, -np.inf))
-    d_minus = d_plus - sd
-    n_plus, n_minus = ndtr(d_plus), ndtr(d_minus)
+    (n_plus, not_plus), (n_minus, not_minus) = _ndtr_pair(d_plus), _ndtr_pair(d_plus - sd)
     call = f * n_plus - k * n_minus
-    put = k * ndtr(-d_minus) - f * ndtr(-d_plus)
+    put = k * not_minus - f * not_plus
     return call, put, n_plus, n_minus
 
 

@@ -139,16 +139,60 @@ def test_general_separable_bound_enforced():
 
 
 def test_general_separable_from_table():
-    t_grid = np.array([0.0, 0.5, 1.0])
-    u_grid = np.array([0.0, 0.5, 1.0])
-    vals = np.ones((3, 3))
+    # s = a + b t + c u + d t u is bilinear, so interpolation on any grid
+    # reproduces it up to round-off
+    def s(t, u):
+        return 1.0 + 0.3 * t - 0.4 * u + 0.2 * t * u
+
+    t_grid = np.array([0.0, 0.1, 0.35, 0.4, 0.75])
+    u_grid = np.array([0.75, 0.76, 0.8, 5.0 / 6.0])
+    vals = s(t_grid[:, None], u_grid)
     g = GeneralSeparable.from_table(t_grid, u_grid, vals, bound_r=2.0)
-    assert eval_s(g, 0.25, 0.75) == pytest.approx(1.0)
+    rng = np.random.default_rng(0)
+    for t in rng.uniform(0.0, 0.75, 50):
+        u = rng.uniform(0.75, 5.0 / 6.0, 20)
+        np.testing.assert_allclose(eval_s(g, t, u), s(t, u), rtol=0, atol=1e-15)
+    for t, u in ((-0.1, 0.8), (0.76, 0.8), (0.5, 0.74), (0.5, 0.84), (np.nan, 0.8)):
+        with pytest.raises(ValueError, match="does not cover"):
+            g.s(t, np.array([0.8, u]))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=r"^values must be finite"):
-            GeneralSeparable.from_table(t_grid, u_grid, np.full((3, 3), bad), bound_r=2.0)
+            GeneralSeparable.from_table(t_grid, u_grid, np.full(vals.shape, bad), bound_r=2.0)
         with pytest.raises(ValueError, match=r"^u_grid must be finite"):
-            GeneralSeparable.from_table(t_grid, [0.0, 0.5, bad], vals, bound_r=2.0)
+            GeneralSeparable.from_table(t_grid, [0.75, 0.8, bad, 0.9], vals, bound_r=2.0)
+    # a repeated point, a turn, a 2-d grid, or a single point, which no
+    # engine can use: the table must bracket every t and u it is asked for
+    for bad in ([0.0, 0.5, 0.5, 0.75, 0.8], [0.0, 0.6, 0.5, 0.75, 0.8], [t_grid], [0.5]):
+        with pytest.raises(ValueError, match=r"^t_grid must be"):
+            GeneralSeparable.from_table(bad, u_grid, vals, bound_r=2.0)
+        with pytest.raises(ValueError, match=r"^u_grid must be"):
+            GeneralSeparable.from_table(t_grid, bad[:4], vals, bound_r=2.0)
+    with pytest.raises(ValueError, match=r"^values must have shape"):
+        GeneralSeparable.from_table(t_grid, u_grid, vals[:, 1:], bound_r=2.0)
+
+
+def test_from_table_matches_scipy_and_takes_decreasing_grids():
+    # scipy is imported here only, as the reference the numpy interpolation
+    # replaced; it took decreasing grids, so from_table does too
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(1)
+    t_grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 0.75, 7)), [0.75]])
+    u_grid = np.concatenate([[0.75], np.sort(rng.uniform(0.75, 5.0 / 6.0, 5)), [5.0 / 6.0]])
+    values = rng.uniform(0.5, 1.5, (t_grid.size, u_grid.size))
+    g = GeneralSeparable.from_table(t_grid, u_grid, values, bound_r=2.0)
+    ref = RegularGridInterpolator((t_grid, u_grid), values)
+    flipped = [GeneralSeparable.from_table(t_grid[::-1], u_grid, values[::-1], bound_r=2.0),
+               GeneralSeparable.from_table(t_grid, u_grid[::-1], values[:, ::-1], bound_r=2.0),
+               GeneralSeparable.from_table(t_grid[::-1], u_grid[::-1], values[::-1, ::-1],
+                                           bound_r=2.0)]
+    for t in np.concatenate([t_grid, rng.uniform(0.0, 0.75, 40)]):
+        u = np.concatenate([u_grid, rng.uniform(0.75, 5.0 / 6.0, 20)])
+        got = eval_s(g, t, u)
+        np.testing.assert_allclose(got, ref(np.column_stack([np.full(u.size, t), u])),
+                                   rtol=1e-15, atol=0)
+        for other in flipped:
+            assert eval_s(other, t, u).tobytes() == got.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
+import ast
 import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from powerswap import averaging, charfn, models, pricer
+from powerswap import averaging, charfn, models, pricer, simulate
 from powerswap.averaging import decompose
 from powerswap.charfn import RiccatiCoefficients, RiccatiError, char_fn, solve_riccati
 from powerswap.conditions import ConditionWarning
@@ -36,6 +38,7 @@ from powerswap.pricer import (
     price_mc,
     price_mc_many,
     _finalize_prob,
+    _ndtr_pair,
 )
 from powerswap.simulate import (
     GridSpec,
@@ -95,6 +98,32 @@ def test_black76_zero_variance_is_intrinsic():
 def test_black76_parity():
     call, put = black76_oracle(31.0, 28.0, 0.05, 0.97)
     assert call - put == pytest.approx(0.97 * 3.0, rel=1e-14)
+
+
+def test_ndtr_pair_against_scipy():
+    # scipy is imported here only.  Its ndtr takes 1 - erf below |d| = sqrt 2
+    # and squares erfc's argument in floating point, so it strays from the
+    # exact N by up to about d^2 ulp in the tail, and it underflows to 0 past
+    # |d| = 37.7; the pair takes one erfc of the same argument, and returns
+    # the subnormal tail there
+    from scipy.special import ndtr
+
+    edges = [np.inf, 0.0, 1e-300, 2.0 ** -0.5, 5.0, *np.arange(37.5, 40.01, 0.25)]
+    d = np.concatenate([edges, np.negative(edges),
+                        np.random.default_rng(0).normal(0.0, 10.0, 4000)])
+    n_d, n_minus_d = _ndtr_pair(d)
+    tiny = np.finfo(float).tiny
+    for got, ref in ((n_d, ndtr(d)), (n_minus_d, ndtr(-d))):
+        normal = ref >= tiny
+        ulps = np.abs(got - ref)[normal] / np.spacing(ref[normal])
+        assert np.all(ulps <= 4.0 * (1.0 + d[normal] ** 2))
+        assert np.all(ulps[np.abs(d[normal]) <= 1.0] <= 8.0)
+        assert np.all((got[~normal] >= 0.0) & (got[~normal] < tiny))
+    assert np.all(np.abs(n_d + n_minus_d - 1.0) <= np.spacing(1.0))
+    for got, ref in zip(_ndtr_pair(-d), (n_minus_d, n_d)):
+        assert got.tobytes() == ref.tobytes()
+    assert [float(x) for x in _ndtr_pair(np.inf)] == [1.0, 0.0]
+    assert [float(x) for x in _ndtr_pair(0.0)] == [0.5, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +246,23 @@ def test_fourier_rejects_theta_negative_before_exercise():
     with pytest.warns(ConditionWarning), pytest.raises(ValueError, match="theta"):
         price_mc(p, SAM, UNI, DP, OptionSpec(strike=30.0, exercise=T),
                  GridSpec(t0=0.0, t_end=T, n_steps=10, n_paths=10, seed=1))
+
+
+def test_engines_reject_an_infinite_theta_before_any_step(monkeypatch):
+    # theta(t) = inf past t = 0.3 < T is refused where the engines first
+    # evaluate theta, not left to fail late as a Riccati step size underflow
+    # or an overflow of the simulator's state
+    def never(*args, **kwargs):
+        raise AssertionError("a Riccati solve or a path step ran")
+
+    for module, name in ((pricer, "solve_riccati"), (pricer, "solve_riccati_closed_form"),
+                         (simulate, "_nu_steps")):
+        monkeypatch.setattr(module, name, never)
+    p = _params(theta=lambda t: np.inf if t > 0.3 else 0.6)
+    with pytest.raises(ValueError, match="theta"):
+        price_fourier_many(p, SAM, UNI, DP, [30.0], T)
+    with pytest.raises(ValueError, match="theta"):
+        price_mc_many(p, SAM, UNI, DP, [30.0], T, GridSpec(0.0, T, 10, 10, seed=1))
 
 
 def test_general_separable_with_samuelson_shape_matches_samuelson():
@@ -858,57 +904,54 @@ def test_non_finite_ode_tol_is_refused(monkeypatch):
             price_fourier_many(_params(), vol, w, DP, [30.0], T, ode_tol=1e-16)
 
 
-def test_fourier_pricing_does_not_load_scipy_integrate():
-    # scipy.integrate costs about 0.4 s and 25 MB at import; the Riccati
-    # solver is written in numpy so that pricing never loads it
-    code = ("import sys, powerswap\n"
-            "from powerswap.models import *\n"
-            "p = HestonParams(kappa=3.0, theta=0.6, sigma_vv=0.4, rho=-0.3, nu0=0.6,"
-            " f0=30.0, r=0.01)\n"
-            "powerswap.price_fourier_many(p, Samuelson(3.5), UniformWeight(),"
-            " DeliveryPeriod(0.75, 5 / 6), [24.0, 30.0, 36.0], 0.5, ode_tol=1e-6)\n"
-            "res = powerswap.price_fourier_many(p, DeliverySeasonal(1.0, 0.4, 0.0),"
-            " ExponentialWeight(1.0), DeliveryPeriod(0.75, 5 / 6), [24.0, 30.0, 36.0], 0.5)\n"
-            "assert res[0].diagnostics['transform'] == 'closed_form'\n"
-            "print('scipy.integrate' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_fourier_path_loads_no_scipy_until_mc():
-    # scipy.special alone costs about 0.3 s and 23 MB at import; only the
-    # Monte-Carlo and Black-76 prices need it, and they still price after
-    # a Fourier price and the CLI have run in the same process
-    code = ("import contextlib, io, sys, powerswap\n"
+def test_powerswap_never_loads_scipy():
+    # scipy is a test dependency only (about 100 MB; scipy.special alone took
+    # 25 MB and 0.25 s at import).  Import, both engines on both transforms,
+    # the simulator, a tabulated shape and the CLI leave no scipy module loaded
+    code = ("import contextlib, io, sys, numpy as np, powerswap\n"
             "from powerswap import cli\n"
+            "from powerswap.averaging import decompose\n"
             "from powerswap.models import *\n"
-            "from powerswap.simulate import GridSpec\n"
+            "from powerswap.simulate import GridSpec, simulate_summary\n"
             "p = HestonParams(kappa=3.0, theta=0.6, sigma_vv=0.4, rho=-0.3, nu0=0.6,"
             " f0=30.0, r=0.01)\n"
-            "args = (p, Samuelson(3.5), UniformWeight(), DeliveryPeriod(0.75, 5 / 6))\n"
+            "dp = DeliveryPeriod(0.75, 5 / 6)\n"
+            "args = (p, Samuelson(3.5), UniformWeight(), dp)\n"
             "powerswap.price_fourier_many(*args, [24.0, 30.0, 36.0], 0.5, ode_tol=1e-6)\n"
+            "res = powerswap.price_fourier_many(p, DeliverySeasonal(1.0, 0.4, 0.0),"
+            " ExponentialWeight(1.0), dp, [24.0, 30.0, 36.0], 0.5)\n"
+            "assert res[0].diagnostics['transform'] == 'closed_form'\n"
+            "grid = GridSpec(0.0, 0.5, 20, 2000, seed=3)\n"
+            "res = powerswap.price_mc_many(*args, [24.0, 30.0, 36.0], 0.5, grid)\n"
+            "assert all(r.call > 0 and r.stderr > 0 for r in res)\n"
+            "simulate_summary(*args, grid)\n"
+            "t_grid, u_grid = np.linspace(0.0, 0.75, 4), np.linspace(0.75, 5 / 6, 3)\n"
+            "table = GeneralSeparable.from_table(t_grid, u_grid,"
+            " np.exp(-3.5 * (u_grid - t_grid[:, None])), bound_r=1.0)\n"
+            "assert np.all(decompose(table, UniformWeight(), dp).big_s(t_grid) > 0)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['price', '--method', 'fourier']) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-            "res = powerswap.price_mc(*args, OptionSpec(30.0, 0.5),"
-            " GridSpec(0.0, 0.5, 20, 2000, seed=3))\n"
-            "print(res.call > 0 and res.stderr > 0)")
+            "    assert cli.main(['price', '--method', 'both', '--paths', '2000',"
+            " '--steps', '50']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["[]", "True"]
+    assert proc.stdout.strip() == "[]"
 
 
-def test_import_does_not_load_scipy_stats():
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, powerswap; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+def test_no_module_of_powerswap_imports_scipy():
+    # the static half of the test above: no import statement in the package,
+    # at module level or in a function, names scipy
+    for path in sorted(Path(pricer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), \
+                f"{path.name}:{node.lineno} imports scipy"
 
 
 def test_mc_zero_strike_recovers_discounted_forward():
