@@ -905,9 +905,9 @@ def test_non_finite_ode_tol_is_refused(monkeypatch):
 
 
 def test_powerswap_never_loads_scipy():
-    # scipy is a test dependency only (about 100 MB; scipy.special alone took
-    # 25 MB and 0.25 s at import).  Import, both engines on both transforms,
-    # the simulator, a tabulated shape and the CLI leave no scipy module loaded
+    # scipy is a test dependency only: it is about 100 MB, and scipy.special
+    # alone costs 25 MB and 0.25 s at import.  Import, both engines on both
+    # transforms, the simulator, a tabulated shape and the CLI load none of it
     code = ("import contextlib, io, sys, numpy as np, powerswap\n"
             "from powerswap import cli\n"
             "from powerswap.averaging import decompose\n"
