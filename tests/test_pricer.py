@@ -904,10 +904,46 @@ def test_non_finite_ode_tol_is_refused(monkeypatch):
             price_fourier_many(_params(), vol, w, DP, [30.0], T, ode_tol=1e-16)
 
 
-def test_powerswap_never_loads_scipy():
-    # scipy is a test dependency only: it is about 100 MB, and scipy.special
-    # alone costs 25 MB and 0.25 s at import.  Import, both engines on both
-    # transforms, the simulator, a tabulated shape and the CLI load none of it
+_SCIPY_MODULES = ("print(sorted(m for m in sys.modules"
+                  " if m == 'scipy' or m.startswith('scipy.')))\n")
+
+
+def _run_python(code, timeout=120):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")
+
+
+# scipy is a test dependency only: it is about 100 MB, and scipy.special alone
+# costs 25 MB and 0.25 s at import.  The three tests below cover import, both
+# Fourier ladders, the Monte-Carlo engine, the simulator, a tabulated shape and
+# the CLI, and each asserts that no scipy module at all has been loaded
+
+
+def test_import_does_not_load_scipy_stats():
+    assert _run_python("import sys, powerswap\n" + _SCIPY_MODULES, timeout=60)[0] == "[]"
+
+
+def test_fourier_pricing_does_not_load_scipy_integrate():
+    # the Riccati solver (DOP853) and the closed-form transform are numpy only
+    code = ("import sys, powerswap\n"
+            "from powerswap.models import *\n"
+            "p = HestonParams(kappa=3.0, theta=0.6, sigma_vv=0.4, rho=-0.3, nu0=0.6,"
+            " f0=30.0, r=0.01)\n"
+            "powerswap.price_fourier_many(p, Samuelson(3.5), UniformWeight(),"
+            " DeliveryPeriod(0.75, 5 / 6), [24.0, 30.0, 36.0], 0.5, ode_tol=1e-6)\n"
+            "res = powerswap.price_fourier_many(p, DeliverySeasonal(1.0, 0.4, 0.0),"
+            " ExponentialWeight(1.0), DeliveryPeriod(0.75, 5 / 6), [24.0, 30.0, 36.0], 0.5)\n"
+            "assert res[0].diagnostics['transform'] == 'closed_form'\n"
+            + _SCIPY_MODULES)
+    assert _run_python(code)[0] == "[]"
+
+
+def test_fourier_path_loads_no_scipy_until_mc():
+    # no scipy after a Fourier price and the CLI, and none after the
+    # Monte-Carlo prices, the simulator and a tabulated shape either: MC's
+    # Black-76 takes N(d) from math.erfc and tables interpolate with np.interp
     code = ("import contextlib, io, sys, numpy as np, powerswap\n"
             "from powerswap import cli\n"
             "from powerswap.averaging import decompose\n"
@@ -918,12 +954,12 @@ def test_powerswap_never_loads_scipy():
             "dp = DeliveryPeriod(0.75, 5 / 6)\n"
             "args = (p, Samuelson(3.5), UniformWeight(), dp)\n"
             "powerswap.price_fourier_many(*args, [24.0, 30.0, 36.0], 0.5, ode_tol=1e-6)\n"
-            "res = powerswap.price_fourier_many(p, DeliverySeasonal(1.0, 0.4, 0.0),"
-            " ExponentialWeight(1.0), dp, [24.0, 30.0, 36.0], 0.5)\n"
-            "assert res[0].diagnostics['transform'] == 'closed_form'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['price', '--method', 'fourier']) == 0\n"
+            + _SCIPY_MODULES +
             "grid = GridSpec(0.0, 0.5, 20, 2000, seed=3)\n"
             "res = powerswap.price_mc_many(*args, [24.0, 30.0, 36.0], 0.5, grid)\n"
-            "assert all(r.call > 0 and r.stderr > 0 for r in res)\n"
+            "print(all(r.call > 0 and r.stderr > 0 for r in res))\n"
             "simulate_summary(*args, grid)\n"
             "t_grid, u_grid = np.linspace(0.0, 0.75, 4), np.linspace(0.75, 5 / 6, 3)\n"
             "table = GeneralSeparable.from_table(t_grid, u_grid,"
@@ -932,15 +968,12 @@ def test_powerswap_never_loads_scipy():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert cli.main(['price', '--method', 'both', '--paths', '2000',"
             " '--steps', '50']) == 0\n"
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+            + _SCIPY_MODULES)
+    assert _run_python(code)[:3] == ["[]", "True", "[]"]
 
 
 def test_no_module_of_powerswap_imports_scipy():
-    # the static half of the test above: no import statement in the package,
+    # the static half of the tests above: no import statement in the package,
     # at module level or in a function, names scipy
     for path in sorted(Path(pricer.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
