@@ -34,7 +34,8 @@ T lies before the delivery start and then reads S and xi unchecked.
 Every built-in shape but Samuelson has S and xi constant in t, and with a
 constant theta and sigma_vv > 0 (``RiccatiCoefficients.constant``) the
 system has the classical closed form, ``solve_riccati_closed_form``; the
-pricer takes it for those models, where no tolerance applies.  It holds
+pricer takes its unchecked core, ``_closed_form``, for those models, where
+no tolerance applies.  It holds
 only in the strip where Q_hat_k is a characteristic function, so
 ``solve_riccati`` stays the ODE for every phi.
 
@@ -539,13 +540,17 @@ def solve_riccati_closed_form(rc: RiccatiCoefficients, t: float, T: float,
     from log1p of |1 + x|^2 - 1, so that nothing cancels as sigma_vv or tau
     becomes small.
 
-    phi must lie in the strip where Q_hat_k is a characteristic function,
-    -1 <= Im phi <= 0 for k = 2 (the pricer's rows phi and phi - i) and
-    0 <= Im phi <= 1 for k = 1, else ValueError: past it the closed form
-    runs through a moment-explosion pole that ``solve_riccati`` reports.  The
-    values are not checked; the pricer solves a node batch whose values are
-    not all finite by ``solve_riccati`` instead.  ``n_steps`` and ``n_rhs``
-    are 0.
+    This entry checks its inputs and ``_closed_form`` does the arithmetic.
+    phi must be finite with |Re phi| at most ``_PHI_HARD_CAP``, and lie in
+    the strip where Q_hat_k is a characteristic function, -1 <= Im phi <= 0
+    for k = 2 (the pricer's rows phi and phi - i) and 0 <= Im phi <= 1 for
+    k = 1, else ValueError: past it the closed form runs through a
+    moment-explosion pole that ``solve_riccati`` reports.  So does a system
+    without ``rc.constant``, a t outside [0, T] and a T past the delivery
+    start.  The pricer builds nodes that pass these checks and calls
+    ``_closed_form`` itself.  The values are not checked; the pricer solves a
+    node batch whose values are not all finite by ``solve_riccati`` instead.
+    ``n_steps`` and ``n_rhs`` are 0.
     """
     phi_arr, scalar = _as_phi_array(phi)
     _check_phi(phi_arr)
@@ -556,12 +561,21 @@ def solve_riccati_closed_form(rc: RiccatiCoefficients, t: float, T: float,
     low = -1.0 if rc.k == 2 else 0.0
     if np.any((phi_arr.imag < low) | (phi_arr.imag > low + 1.0)):
         raise ValueError(f"Im phi must lie in [{low:g}, {low + 1.0:g}] for k = {rc.k}")
-    big_s = rc.big_s(T)   # ValueError past the delivery start
+    rc.big_s(T)   # ValueError past the delivery start
+    psi0, psi1 = _closed_form(rc, t, T, phi_arr)
+    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, 0, 0)
+
+
+def _closed_form(rc: RiccatiCoefficients, t: float, T: float,
+                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Psi0, Psi1) of ``solve_riccati_closed_form`` on an array phi,
+    unchecked: the caller has made sure that every check there passes."""
+    big_s = rc.big_s(T, check=False)
     beta = rc.beta_from(big_s, rc.xi(T, check=False))
     sig2 = rc.sigma_vv * rc.sigma_vv
     with np.errstate(all="ignore"):
-        a = beta - 1j * rc.rho * rc.sigma_vv * big_s * phi_arr
-        p = (0.5 * phi_arr * phi_arr - 1j * rc.alpha * phi_arr) * (big_s * big_s)
+        a = beta - 1j * rc.rho * rc.sigma_vv * big_s * phi
+        p = (0.5 * phi * phi - 1j * rc.alpha * phi) * (big_s * big_s)
         d = np.sqrt(a * a + 2.0 * sig2 * p)
         plus, minus = a + d, a - d
         plus = np.where(np.abs(plus) < np.abs(minus), -2.0 * sig2 * p / minus, plus)
@@ -570,7 +584,7 @@ def solve_riccati_closed_form(rc: RiccatiCoefficients, t: float, T: float,
         x = 0.5 * sig2 * r * e / d
         psi1 = -p * e / (d * (1.0 + x))
         psi0 = rc.kappa * rc.theta(T) * (r * (T - t) - 2.0 / sig2 * _log1p(x))
-    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, 0, 0)
+    return psi0, psi1
 
 
 def _log1p(x: np.ndarray) -> np.ndarray:

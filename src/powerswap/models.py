@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# the ValueError text for a theta(t) that the engines cannot use
+_THETA_REFUSED = ("theta(t) must be finite and positive at every time the pricing "
+                  "engines evaluate it")
 
 
 def _on_array(f: Callable, x: np.ndarray) -> np.ndarray:
@@ -122,8 +125,7 @@ class HestonParams:
         def checked(t):
             vals = theta(t)
             if not np.all((vals > 0) & (vals < math.inf)):
-                raise ValueError("theta(t) must be finite and positive at every time "
-                                 "the pricing engines evaluate it")
+                raise ValueError(_THETA_REFUSED)
             return vals
         return checked
 
@@ -481,10 +483,17 @@ def eval_s(vol: VolStructure, t: float, u) -> np.ndarray | float:
 
 def theta_min_on_grid(theta: float | Callable, horizon: float,
                       resolution: float = 1e-4) -> float:
-    """Minimum of theta over [0, horizon] on a uniform grid."""
+    """Minimum of theta over [0, horizon] on a uniform grid.
+
+    A theta that is not finite at a grid point raises the ValueError of
+    ``HestonParams.theta_fn``, so that the Feller check built on this
+    minimum reports that fault, not a failed condition.
+    """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
     n = max(2, int(np.ceil(horizon / resolution)) + 1)
     ts = np.linspace(0.0, horizon, n)
     vals = np.asarray(as_time_function(theta)(ts), dtype=float)
+    if not np.isfinite(vals).all():
+        raise ValueError(_THETA_REFUSED)
     return float(vals.min())

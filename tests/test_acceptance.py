@@ -136,6 +136,7 @@ def test_criterion_flat_profile_degeneracy():
     )
 
 
+@pytest.mark.slow
 def test_criterion_martingale_three_configs():
     """Mean of F(0.5) within 3 standard errors of 30 at 1e5 paths, < 60 s."""
     start = time.perf_counter()
@@ -185,6 +186,7 @@ def test_criterion_lognormal_degenerate_pricing():
     _report("deterministic-variance lognormal pricing", ok, f"max abs error {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_fourier_vs_mc_cross_validation():
     """Semi-analytic prices within 3 MC standard errors at 2e5 paths, < 5 min."""
     start = time.perf_counter()

@@ -490,6 +490,7 @@ def test_non_finite_phi_raises_before_any_step(phi):
             solve(rc, 0.0, 0.5, nodes, n_steps=8)
 
 
+@pytest.mark.slow
 def test_moment_explosion_raises_at_blow_up_time():
     # with constant coefficients, phi = -40i turns the k = 2 system into
     # psi' = a psi^2 + b psi + c with 4ac > b^2, which blows up at

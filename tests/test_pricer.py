@@ -13,7 +13,7 @@ from scipy.stats import norm
 from powerswap import averaging, charfn, models, pricer, simulate
 from powerswap.averaging import decompose
 from powerswap.charfn import RiccatiCoefficients, RiccatiError, char_fn, solve_riccati
-from powerswap.conditions import ConditionWarning
+from powerswap.conditions import ConditionWarning, full_report
 from powerswap.models import (
     CustomWeight,
     DeliveryPeriod,
@@ -146,12 +146,19 @@ def test_fourier_parity_and_monotonicity():
 
 
 def test_fourier_many_matches_single_calls():
+    # on the same rule a strike prices bit for bit alike alone and in a ladder
+    # of any length and order, by DOP853 (Samuelson) and in closed form (the
+    # delivery-seasonal bench ladder)
     p = _params()
-    many = price_fourier_many(p, SAM, UNI, DP, strikes=[24.0, 30.0], exercise=T)
-    for k, r in zip([24.0, 30.0], many):
-        single = price_fourier(p, SAM, UNI, DP, OptionSpec(strike=k, exercise=T))
-        assert r.call == single.call
-        assert r.put == single.put
+    ladder = [24.0, 27.0, 30.0, 33.0, 36.0]
+    for vol, w, strikes in ((SAM, UNI, [24.0, 30.0]), (DS, EXP, ladder),
+                            (SAM, UNI, ladder[::-1]), (DS, EXP, ladder[::-1])):
+        many = price_fourier_many(p, vol, w, DP, strikes=strikes, exercise=T)
+        for k, r in zip(strikes, many):
+            single = price_fourier(p, vol, w, DP, OptionSpec(strike=k, exercise=T))
+            assert r.diagnostics["nodes"] == single.diagnostics["nodes"]
+            assert (r.call, r.put, r.q1, r.q2) == (single.call, single.put, single.q1,
+                                                   single.q2)
 
 
 def test_fourier_deep_strikes():
@@ -255,7 +262,7 @@ def test_engines_reject_an_infinite_theta_before_any_step(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a Riccati solve or a path step ran")
 
-    for module, name in ((pricer, "solve_riccati"), (pricer, "solve_riccati_closed_form"),
+    for module, name in ((pricer, "solve_riccati"), (pricer, "_closed_form"),
                          (simulate, "_nu_steps")):
         monkeypatch.setattr(module, name, never)
     p = _params(theta=lambda t: np.inf if t > 0.3 else 0.6)
@@ -263,6 +270,20 @@ def test_engines_reject_an_infinite_theta_before_any_step(monkeypatch):
         price_fourier_many(p, SAM, UNI, DP, [30.0], T)
     with pytest.raises(ValueError, match="theta"):
         price_mc_many(p, SAM, UNI, DP, [30.0], T, GridSpec(0.0, T, 10, 10, seed=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_theta_that_is_not_finite_is_refused_before_the_feller_check(bad):
+    # the Feller check reads theta's minimum on a grid; a NaN there used to
+    # warn "Feller condition fails (nan <= 0.16)" before the engine named theta
+    p = _params(theta=lambda t: bad if t > 0.3 else 0.6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in (lambda: price_mc_many(p, SAM, UNI, DP, [30.0], T,
+                                          GridSpec(0.0, T, 10, 10, seed=1)),
+                    lambda: full_report(p, SAM, DP)):
+            with pytest.raises(ValueError, match=r"theta\(t\) must be finite"):
+                run()
 
 
 def test_general_separable_with_samuelson_shape_matches_samuelson():
@@ -679,12 +700,16 @@ def test_fourier_at_later_valuation_time(monkeypatch):
         (dict(opt=opt, x=-np.inf), "x must be finite, got -inf"),
         (dict(opt=OptionSpec(strike=30.0, exercise=0.75)),
          "exercise 0.75 must precede the delivery start 0.75"),
+        (dict(opt=opt, t=-0.1), "valuation time -0.1 must not be negative"),
     ]:
         with pytest.raises(ValueError) as info:
             price_fourier(p, SAM, UNI, DP, **kwargs)
         assert type(info.value) is ValueError
         assert str(info.value) == message
     assert solves == []
+    # the closed form's core, which does not check t, never sees it either
+    with pytest.raises(ValueError, match="must not be negative"):
+        price_fourier(p, DS, EXP, DP, opt, t=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -757,10 +782,37 @@ def _sweep_cases(n, seed):
     return cases
 
 
+@pytest.mark.slow
 def test_closed_form_agrees_with_dop853_over_the_regime_sweep(monkeypatch):
     # the few that fail are ladders of tiny total variance, where both paths
     # raise TruncationError
     assert _assert_both_paths_agree(monkeypatch, _sweep_cases(60, seed=2007)) >= 50
+
+
+def test_pricer_nodes_pass_the_closed_form_checks(monkeypatch):
+    # the pricer calls the closed form's unchecked core; routed through the
+    # checked entry, every node batch it passes is accepted, and the prices
+    # are the same bits
+    cases = [(_params(), DS, EXP, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T, {}),
+             (_params(), DS, EXP, DP, [3e-5, 30.0, 3e7], T, {}),
+             *_sweep_cases(60, seed=2007)]
+    unchecked = [_outcome(case) for case in cases]
+    batches = []
+
+    def checked(rc, t, T, phi):
+        sol = charfn.solve_riccati_closed_form(rc, t, T, phi)
+        batches.append(phi.size)
+        return sol.psi0, sol.psi1
+
+    monkeypatch.setattr(pricer, "_closed_form", checked)
+    for case, before in zip(cases, unchecked):
+        after = _outcome(case)
+        if isinstance(before, type):
+            assert after is before, case
+        else:
+            assert after[1] == before[1] == "closed_form"
+            assert np.array_equal(after[0], before[0]), case
+    assert len(batches) >= len(cases)
 
 
 @pytest.mark.parametrize("case", [
@@ -813,14 +865,14 @@ def test_a_closed_form_that_is_not_finite_falls_back_to_dop853(monkeypatch):
     with monkeypatch.context() as m:
         _dop853_only(m)
         reference = price_fourier_many(_params(), DS, EXP, DP, strikes, T)
-    closed_form = pricer.solve_riccati_closed_form
+    closed_form = pricer._closed_form
 
     def one_nan(*args):
-        sol = closed_form(*args)
-        sol.psi1[0] = np.nan
-        return sol
+        psi0, psi1 = closed_form(*args)
+        psi1[0] = np.nan
+        return psi0, psi1
 
-    monkeypatch.setattr(pricer, "solve_riccati_closed_form", one_nan)
+    monkeypatch.setattr(pricer, "_closed_form", one_nan)
     assert price_fourier_many(_params(), DS, EXP, DP, strikes, T) == reference
     # a solve that fails keeps its type and the time it reached, as it
     # does on the DOP853 path
@@ -832,7 +884,7 @@ def test_a_closed_form_that_is_not_finite_falls_back_to_dop853(monkeypatch):
         assert "stopped after 2 steps" in str(info.value)
         assert 0.0 < info.value.t_fail <= T
     # where the closed form is finite, no step is taken
-    monkeypatch.setattr(pricer, "solve_riccati_closed_form", closed_form)
+    monkeypatch.setattr(pricer, "_closed_form", closed_form)
     assert price_fourier_many(_params(), DS, EXP, DP, strikes, T)[0].call > 0.0
 
 
