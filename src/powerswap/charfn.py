@@ -31,13 +31,18 @@ one system for both transforms.  |Re phi| may not pass one fixed ceiling,
 1e4, which also bounds the pricer's integral.  A solve checks once that
 T lies before the delivery start and then reads S and xi unchecked.
 
-Every built-in shape but Samuelson has S and xi constant in t, and with a
-constant theta and sigma_vv > 0 (``RiccatiCoefficients.constant``) the
-system has the classical closed form, ``solve_riccati_closed_form``; the
-pricer takes its unchecked core, ``_closed_form``, for those models, where
-no tolerance applies.  It holds
-only in the strip where Q_hat_k is a characteristic function, so
-``solve_riccati`` stays the ODE for every phi.
+Every built-in shape but ``GeneralSeparable`` has S and xi equal to S(T),
+xi(T) times e^{-lam (T - t)}, with lam = 0 but for Samuelson.  With a
+constant theta and sigma_vv > 0 (``RiccatiCoefficients.closed_form``) the
+system then has a closed form, ``solve_riccati_closed_form``: the classical
+one for flat S and xi, and Kummer's confluent hypergeometric functions for
+Samuelson, whose Psi1 equation linearises to Kummer's equation.  The Samuelson form is taken only
+where it is validated: kappa / lam away from the integers, the Kummer
+argument small, and little cancellation in the log form of Psi0
+(``_KUMMER_POLE_MARGIN``, ``_KUMMER_Z_MAX``, ``_KUMMER_LOG_GAIN``).  The
+pricer takes the unchecked core, ``_closed_form``, where no tolerance
+applies.  The closed form holds only in the strip where Q_hat_k is a
+characteristic function, so ``solve_riccati`` stays the ODE for every phi.
 
 The adaptive tolerance abs_tol bounds each step's local error estimate, the
 5th-order one corrected by the 3rd-order one as in Hairer's DOP853, in every
@@ -63,6 +68,7 @@ from .models import (
     DeliveryPeriod,
     DeliverySeasonal,
     HestonParams,
+    Samuelson,
     TradingSeasonal,
     VolStructure,
     WeightFunction,
@@ -97,6 +103,33 @@ _END_STRETCH = 1.1
 # but 6.9e-9 with 0.1 and 2.7e-8, past the bench's 1e-8 check, with 1.
 _QHAT_FULL_CONTROL = 1e-2
 _WEIGHT_FLOOR = 1e-6
+
+# Where the Samuelson closed form is taken, each bound measured against
+# ode_tol 1e-13 DOP853 solves on the pricer's own nodes (CHANGES.md).
+# - kappa / lam at least _KUMMER_POLE_MARGIN from every integer >= 0: at
+#   kappa / lam = 0 the two Kummer solutions coincide, and at a positive
+#   integer M(a, 1 - kappa / lam, .) has poles (or, at 1, an indeterminate
+#   first term).  Near 2 the error in Q_hat grows as 1 / distance, 8e-13
+#   at 1e-3 and 2e-14 at 0.05, and near 0 reaches 1e-12 at 1e-4.
+# - |zeta| at T at most _KUMMER_Z_MAX: there the error stayed below 3e-13;
+#   terms that outgrow the sum by e^{|zeta| - Re zeta} put it at 1.1e-12 by
+#   |zeta| = 9.4 and 1.8e-10 by 10.8.
+# - (kappa theta / A) |mu (E - 1)| at most _KUMMER_LOG_GAIN: Psi0's log form
+#   sums mu (E - 1) and log(v(E) / v(1)), which cancel to -A Psi0 / (kappa
+#   theta), so Psi0 carries their rounding times that gain; the error in
+#   Q_hat measured 2.6 eps |Q_hat| times the gain.
+_KUMMER_POLE_MARGIN = 0.05
+_KUMMER_Z_MAX = 8.0
+_KUMMER_LOG_GAIN = 1e3
+# Terms of the series: e |zeta| and _KUMMER_EXTRA_TERMS more, as for
+# |zeta| <= _KUMMER_Z_MAX the first term left out of zeta^j / j! is then
+# below 2e-16 of the largest.  (a)_j / (b)_j can hold the terms up longer, by
+# 1e-13 of the sum at b = -6.8 and |zeta| = 7.6, so while the last term is
+# above _KUMMER_TAIL of the sum the series takes _KUMMER_EXTRA_TERMS more, up
+# to _KUMMER_TRIES lengths, past which the batch is left to DOP853.
+_KUMMER_EXTRA_TERMS = 20
+_KUMMER_TAIL = 1e-16
+_KUMMER_TRIES = 4
 
 # Dormand-Prince 8(5,3), DOP853 (Prince & Dormand 1981; Hairer, Norsett &
 # Wanner, Solving ODEs I, sec. II.10): stage times, the stage matrix (row i
@@ -159,9 +192,13 @@ class RiccatiError(RuntimeError):
 class RiccatiCoefficients:
     """Time-dependent coefficients of one Riccati system (k = 1 or 2).
 
-    ``constant`` records that S, xi and theta do not move with time and
-    sigma_vv > 0, so that ``solve_riccati_closed_form`` applies; ``for_model``
-    derives it from the model.
+    ``lam`` is the decay rate of S and xi, which are S(T) and xi(T) times
+    e^{-lam (T - t)}: 0 for the flat shapes, Samuelson's lam for it.
+    ``closed_form`` records that such S and xi come with a constant theta and
+    sigma_vv > 0, and for lam > 0 with kappa / lam at least
+    ``_KUMMER_POLE_MARGIN`` from every integer, so that
+    ``solve_riccati_closed_form`` applies; ``for_model`` derives both from
+    the model.
     """
     k: int
     kappa: float
@@ -170,7 +207,8 @@ class RiccatiCoefficients:
     big_s: Callable
     xi: Callable
     theta: Callable
-    constant: bool = False
+    closed_form: bool = False
+    lam: float = 0.0
 
     @classmethod
     def for_model(cls, p: HestonParams, vol: VolStructure, w: WeightFunction,
@@ -178,11 +216,15 @@ class RiccatiCoefficients:
         if k not in (1, 2):
             raise ValueError(f"k must be 1 or 2, got {k}")
         dec = decompose(vol, w, dp)
-        # every built-in shape but Samuelson has lam = 0, so S and xi are flat
-        constant = (isinstance(vol, (TradingSeasonal, DeliverySeasonal))
-                    and not callable(p.theta) and p.sigma_vv > 0)
-        return cls(k=k, kappa=p.kappa, sigma_vv=p.sigma_vv, rho=p.rho,
-                   big_s=dec.big_s, xi=dec.xi, theta=p.theta_fn(), constant=constant)
+        lam = vol.lam if isinstance(vol, Samuelson) else 0.0
+        if lam > 0:
+            ratio = p.kappa / lam
+            shape = abs(ratio - round(ratio)) >= _KUMMER_POLE_MARGIN
+        else:
+            shape = isinstance(vol, (TradingSeasonal, DeliverySeasonal))
+        closed_form = shape and not callable(p.theta) and p.sigma_vv > 0
+        return cls(k=k, kappa=p.kappa, sigma_vv=p.sigma_vv, rho=p.rho, big_s=dec.big_s,
+                   xi=dec.xi, theta=p.theta_fn(), closed_form=closed_form, lam=lam)
 
     @property
     def alpha(self) -> float:
@@ -523,14 +565,15 @@ def riccati_path(rc: RiccatiCoefficients, t: float, T: float, phi, n_steps: int)
 
 def solve_riccati_closed_form(rc: RiccatiCoefficients, t: float, T: float,
                               phi) -> CharFnSolution:
-    """Psi0, Psi1 at time t in closed form, for a system with ``rc.constant``.
+    """Psi0, Psi1 at time t in closed form, for a system with ``rc.closed_form``.
 
-    With S, xi and theta constant the system is the classical square-root
-    one (Heston 1993), solved here in the form of Albrecher, Mayer, Schoutens
-    & Tistaert (2007), whose logarithm has no branch-cut jumps.  With
-    a = beta_k - i rho sigma S phi, p = (phi^2/2 - i alpha_k phi) S^2,
-    d = sqrt(a^2 + 2 sigma^2 p), r = (a - d) / sigma^2 = -2 p / (a + d),
-    E = 1 - e^{-d tau} and x = sigma^2 r E / (2 d), at tau = T - t:
+    With S, xi and theta constant (``rc.lam`` = 0) the system is the
+    classical square-root one (Heston 1993), solved here in the form of
+    Albrecher, Mayer, Schoutens & Tistaert (2007), whose logarithm has no
+    branch-cut jumps.  With a = beta_k - i rho sigma S phi, p = (phi^2/2 -
+    i alpha_k phi) S^2, d = sqrt(a^2 + 2 sigma^2 p), r = (a - d) / sigma^2 =
+    -2 p / (a + d), E = 1 - e^{-d tau} and x = sigma^2 r E / (2 d), at
+    tau = T - t:
 
         Psi1 = -p E / (d (1 + x)),
         Psi0 = kappa theta (r tau - (2 / sigma^2) log(1 + x)).
@@ -540,36 +583,72 @@ def solve_riccati_closed_form(rc: RiccatiCoefficients, t: float, T: float,
     from log1p of |1 + x|^2 - 1, so that nothing cancels as sigma_vv or tau
     becomes small.
 
+    For Samuelson (``rc.lam`` = lam > 0) S and xi are S(T) E and xi(T) E
+    with E = e^{-lam (T - t)}, and Psi1 = w' / (A w), A = sigma^2 / 2, turns
+    the Psi1 equation into E w_EE + (b - beta E) w_E + delta E w = 0 with
+    b = 1 - kappa / lam, beta = c1 / lam and delta = -A c2 / lam^2, where
+    c1 = beta_k(T) - kappa - i rho sigma S(T) phi and c2 = p above.  With mu
+    the root of mu^2 - beta mu + delta = 0 for which d = beta - 2 mu has
+    Re d >= 0, w = e^{mu E} v and zeta = d E give Kummer's equation (DLMF
+    13.2.1) with a = -b mu / d, solved by M(a, b, zeta) and E^{1 - b}
+    M(a - b + 1, 2 - b, zeta).  Their combination v with w'(T) = 0 gives
+
+        Psi1 = (lam E / A) (mu + v_E / v),
+        Psi0 = -(kappa theta / A) (mu (E - 1) + log(v(E) / v(1))),
+
+    at E = e^{-lam tau}.  v and E v_E of both solutions, at T and their
+    changes to t, are weighted sums of one stacked power series in zeta at
+    T; Psi0 and Psi1 are formed from the changes, so that log1p keeps its
+    digits as sigma_vv becomes small and Psi1 keeps its own as tau does.
+    The form is validated, to 1e-12 in Q_hat, only with kappa / lam at
+    least ``_KUMMER_POLE_MARGIN`` from every integer (M has poles at the
+    positive ones, and the two solutions coincide at 0), |zeta| at T up to
+    ``_KUMMER_Z_MAX`` (larger |zeta| asks for ratios of Gamma functions,
+    which numpy lacks) and (kappa theta / A) |mu (E - 1)| up to
+    ``_KUMMER_LOG_GAIN``, as mu (E - 1) and log(v(E) / v(1)) cancel in
+    Psi0.
+
     This entry checks its inputs and ``_closed_form`` does the arithmetic.
     phi must be finite with |Re phi| at most ``_PHI_HARD_CAP``, and lie in
     the strip where Q_hat_k is a characteristic function, -1 <= Im phi <= 0
     for k = 2 (the pricer's rows phi and phi - i) and 0 <= Im phi <= 1 for
     k = 1, else ValueError: past it the closed form runs through a
     moment-explosion pole that ``solve_riccati`` reports.  So does a system
-    without ``rc.constant``, a t outside [0, T] and a T past the delivery
-    start.  The pricer builds nodes that pass these checks and calls
-    ``_closed_form`` itself.  The values are not checked; the pricer solves a
-    node batch whose values are not all finite by ``solve_riccati`` instead.
-    ``n_steps`` and ``n_rhs`` are 0.
+    without ``rc.closed_form``, a t outside [0, T], a T past the delivery
+    start and Samuelson nodes outside the bounds on |zeta| and the gain.
+    The pricer builds nodes that pass the other checks, and calls
+    ``_closed_form`` itself, which returns None outside those bounds.  The
+    values are not checked; the pricer solves a node batch whose values are
+    not all finite by ``solve_riccati`` instead.  ``n_steps`` and ``n_rhs``
+    are 0.
     """
     phi_arr, scalar = _as_phi_array(phi)
     _check_phi(phi_arr)
-    if not rc.constant:
-        raise ValueError("the closed form needs constant S, xi and theta and sigma_vv > 0")
+    if not rc.closed_form:
+        raise ValueError("the closed form needs S and xi flat or of the Samuelson shape "
+                         "with kappa / lam off the integers, a constant theta "
+                         "and sigma_vv > 0")
     if not 0 <= t <= T:
         raise ValueError(f"need 0 <= t <= T, got t={t}, T={T}")
     low = -1.0 if rc.k == 2 else 0.0
     if np.any((phi_arr.imag < low) | (phi_arr.imag > low + 1.0)):
         raise ValueError(f"Im phi must lie in [{low:g}, {low + 1.0:g}] for k = {rc.k}")
     rc.big_s(T)   # ValueError past the delivery start
-    psi0, psi1 = _closed_form(rc, t, T, phi_arr)
-    return _solution(rc, t, T, phi_arr, scalar, psi0, psi1, 0, 0)
+    form = _closed_form(rc, t, T, phi_arr)
+    if form is None:
+        raise ValueError(f"phi lies outside the region where the Samuelson closed form "
+                         f"is validated: |zeta| <= {_KUMMER_Z_MAX:g} and a gain of at most "
+                         f"{_KUMMER_LOG_GAIN:g} in the log form of Psi0")
+    return _solution(rc, t, T, phi_arr, scalar, *form, 0, 0)
 
 
 def _closed_form(rc: RiccatiCoefficients, t: float, T: float,
-                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(Psi0, Psi1) of ``solve_riccati_closed_form`` on an array phi,
-    unchecked: the caller has made sure that every check there passes."""
+    unchecked: the caller has made sure that every check there passes but
+    Samuelson's bounds on |zeta| and the gain, for which this returns None."""
+    if rc.lam:
+        return _kummer_form(rc, t, T, phi)
     big_s = rc.big_s(T, check=False)
     beta = rc.beta_from(big_s, rc.xi(T, check=False))
     sig2 = rc.sigma_vv * rc.sigma_vv
@@ -585,6 +664,94 @@ def _closed_form(rc: RiccatiCoefficients, t: float, T: float,
         psi1 = -p * e / (d * (1.0 + x))
         psi0 = rc.kappa * rc.theta(T) * (r * (T - t) - 2.0 / sig2 * _log1p(x))
     return psi0, psi1
+
+
+def _kummer_form(rc: RiccatiCoefficients, t: float, T: float,
+                 phi: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Samuelson half of ``_closed_form``, or None where some |zeta| at T
+    passes ``_KUMMER_Z_MAX`` or the gain passes ``_KUMMER_LOG_GAIN``.
+
+    Each solution s of Kummer's equation is scaled to E^{p_s} times a series
+    sum_j c_j zeta^j, p_1 = 0 and p_2 = 1 - b, so that at T (E = 1) its
+    terms t_j = c_j d^j give v = sum t_j and E v_E = sum (j + p_s) t_j, and
+    at t, where E^{j + p_s} = e^{-(j + p_s) lam tau}, their changes from T
+    take the weights expm1(-(j + p_s) lam tau) and (j + p_s) expm1(-(j +
+    p_s) lam tau).  Psi0 and Psi1 are formed from those changes, so that
+    both vanish at t = T and keep their digits as tau becomes small.  The
+    terms of both solutions on every row are formed in one (2, terms, rows)
+    array by ``_kummer_terms``, and one real product over a float view
+    weights them.  A series that does not settle within its allowance of
+    terms leaves the batch to DOP853 (None).
+    """
+    shape, phi = phi.shape, phi.ravel()
+    big_s = rc.big_s(T, check=False)
+    lin = rc.beta_from(big_s, rc.xi(T, check=False)) - rc.kappa
+    half_sig2 = 0.5 * rc.sigma_vv * rc.sigma_vv
+    lam, lam_tau, power = rc.lam, rc.lam * (T - t), rc.kappa / rc.lam
+    gain = rc.kappa * rc.theta(T) / half_sig2
+    b = 1.0 - power
+    with np.errstate(all="ignore"):
+        beta = (lin - 1j * rc.rho * rc.sigma_vv * big_s * phi) / lam
+        delta = (0.5 * phi * phi - 1j * rc.alpha * phi) * (-half_sig2 * big_s * big_s
+                                                         / (lam * lam))
+        d = np.sqrt(beta * beta - 4.0 * delta)
+        z_max = np.max(np.abs(d))
+        if not z_max <= _KUMMER_Z_MAX:
+            return None
+        # mu = (beta - d) / 2, from the product of the roots where it would cancel
+        plus, minus = beta + d, beta - d
+        mu = np.where(np.abs(plus) < np.abs(minus), 0.5 * minus, 2.0 * delta / plus)
+        mu_drop = mu * np.expm1(-lam_tau)   # mu (E - 1)
+        if not gain * np.max(np.abs(mu_drop)) <= _KUMMER_LOG_GAIN:
+            return None
+        # a_1 d = -b mu, and a_2 = a_1 + 1 - b
+        a_d = np.stack([-b * mu, power * d - b * mu])
+        b_s = np.array([b, 2.0 - b])
+        terms = _kummer_terms(a_d, b_s, d, z_max)
+        if terms is None:
+            return None
+        exponent = np.arange(terms.shape[1]) + np.array([[0.0], [power]])   # j + p_s
+        drops = np.expm1(-lam_tau * exponent)   # E^{j + p_s} - 1 at t
+        weights = np.stack([np.ones_like(exponent), exponent, drops, exponent * drops],
+                           axis=1)
+        sums = np.matmul(weights, terms.view(float)).view(complex)
+        (v1, d1, dv1, dd1), (v2, d2, dv2, dd2) = sums
+        # w'(T) = 0: mu v(1) + v_E(1) = 0, so that mu E v + E v_E at t is
+        # mu (E - 1) v + mu (v - v(1)) + (E v_E - v_E(1)), free of cancellation
+        c1, c2 = mu * v2 + d2, -(mu * v1 + d1)
+        v_end, dv, dd = c1 * v1 + c2 * v2, c1 * dv1 + c2 * dv2, c1 * dd1 + c2 * dd2
+        psi1 = (lam / half_sig2) * (mu_drop + (mu * dv + dd) / (v_end + dv))
+        psi0 = -gain * (mu_drop + _log1p(dv / v_end))
+    return psi0.reshape(shape), psi1.reshape(shape)
+
+
+def _kummer_terms(a_d: np.ndarray, b: np.ndarray, d: np.ndarray,
+                  z_max: float) -> np.ndarray | None:
+    """Terms t_j = (a_s)_j / (b_s)_j d^j / j! of Kummer's series M(a_s, b_s,
+    d) = sum_j t_j, whose j t_j sum to d M'(a_s, b_s, d), or None.
+
+    Row s of ``a_d`` holds a_s d per element of the flat complex array d,
+    b_s is real and ``z_max`` is the largest |d|.  Returns a (series, terms,
+    elements) array of e z_max + ``_KUMMER_EXTRA_TERMS`` terms, or as many
+    more as it takes to bring the last term to ``_KUMMER_TAIL`` of the sum,
+    up to ``_KUMMER_TRIES`` lengths, past which it returns None.  Each term
+    is the one before times t_{j+1} / t_j = (a_s d + j d) / ((b_s + j)(j +
+    1)), and those ratios are formed by real operations over float views.
+    """
+    n_terms = int(np.ceil(np.e * z_max)) + _KUMMER_EXTRA_TERMS
+    for _ in range(_KUMMER_TRIES):
+        j = np.arange(n_terms - 1.0)
+        ratio = np.multiply.outer(j, d.view(float)) + a_d.view(float)[:, None]
+        ratio *= (1.0 / ((b[:, None] + j) * (j + 1.0)))[:, :, None]
+        ratio = ratio.view(complex)
+        terms = np.empty((b.size, n_terms, d.size), dtype=complex)
+        terms[:, 0] = 1.0
+        for i in range(n_terms - 1):
+            np.multiply(terms[:, i], ratio[:, i], out=terms[:, i + 1])
+        if np.all(np.abs(terms[:, -1]) <= _KUMMER_TAIL * np.abs(terms.sum(axis=1))):
+            return terms
+        n_terms += _KUMMER_EXTRA_TERMS
+    return None
 
 
 def _log1p(x: np.ndarray) -> np.ndarray:

@@ -11,17 +11,21 @@ Kahl 2007), with C read from the model before any solve.  All nodes of
 Fejer's second rule in u go into one stacked k = 2 Riccati solve on (phi,
 phi - i): the share-measure identity Q_hat_1(phi) = Q_hat_2(phi - i) / e^x
 (Carr & Madan 1999, Lewis 2001) gives both transforms from it.  Models
-with constant coefficients (``RiccatiCoefficients.constant``: no Samuelson
-decay, a constant theta and sigma_vv > 0) take the closed form on the same
-rows instead, and ``ode_tol`` binds nothing there; the pricer calls its
-unchecked core, ``charfn._closed_form``, since the nodes it builds pass
-every check of ``solve_riccati_closed_form`` by construction.  The rule
-is nested, so its every second node gives each price an error estimate,
-and the rule doubles, solving only its new nodes, until that is below
-1e-10.  Each strike is then one weighted sum over the nodes, all strikes
-in one ``einsum`` that sums each strike in an order the others do not
-change, so that on the same rule a strike prices bit for bit alike alone
-and in any ladder.  Puts follow from put-call parity.
+with a closed form (``RiccatiCoefficients.closed_form``: flat or Samuelson
+S and xi, a constant theta and sigma_vv > 0, and for Samuelson kappa / lam
+away from the integers) take it on the same rows instead, and ``ode_tol``
+binds nothing there; the pricer calls its unchecked core,
+``charfn._closed_form``, since the nodes it builds pass every check of
+``solve_riccati_closed_form`` by construction but Samuelson's bounds on
+the Kummer argument and on the cancellation in Psi0, which the core tests
+itself.  A chunk of nodes past them, or whose closed form is not all
+finite, is solved by DOP853.  The rule is nested, so its every second node
+gives each price an error estimate, and the rule doubles, solving only its
+new nodes, until that is below 1e-10.  Each strike is then one weighted
+sum over the nodes, all strikes in one ``einsum`` that sums each strike in
+an order the others do not change, so that on the same rule a strike
+prices bit for bit alike alone and in any ladder.  Puts follow from
+put-call parity.
 
 ``price_mc_many`` is conditional ("mixing") Monte-Carlo (Willard 1997,
 Romano & Touzi 1997) with control variates (Glasserman 2004, section 4.1):
@@ -229,18 +233,21 @@ def _solve_nodes(rc: RiccatiCoefficients, t: float, T: float, x: float, nu: floa
     """One stacked solve on (phi, phi - i) at the indices ``part``: writes
     Q_hat_1 and Q_hat_2 there into the rows of qhat, marks them solved and
     returns (1, accepted steps, rhs evaluations, DOP853 solves).  It is the
-    closed form where ``rc.constant`` holds and its values are all finite,
-    else one DOP853 solve.  The closed form is taken unchecked, as every
-    check of ``solve_riccati_closed_form`` holds by construction: the nodes
-    are finite with 0 < phi <= ``_PHI_HARD_CAP`` and Im phi in {0, -1}, 0 <=
-    t < T, and T before the delivery start."""
+    closed form where ``rc.closed_form`` holds, the core returns it (a
+    Samuelson chunk outside its bounds gets None) and its values are all
+    finite, else one DOP853 solve.  The closed form is taken unchecked, as
+    every other check of ``solve_riccati_closed_form`` holds by
+    construction: the nodes are finite with 0 < phi <= ``_PHI_HARD_CAP`` and
+    Im phi in {0, -1}, 0 <= t < T, and T before the delivery start."""
     nodes = np.concatenate([phi[part], phi[part] - 1j])
-    psi0, psi1 = _closed_form(rc, t, T, nodes) if rc.constant else (None, None)
-    dop853 = psi0 is None or not (np.isfinite(psi0).all() and np.isfinite(psi1).all())
+    form = _closed_form(rc, t, T, nodes) if rc.closed_form else None
+    dop853 = form is None or not (np.isfinite(form[0]).all() and np.isfinite(form[1]).all())
     steps = rhs = 0
     if dop853:
         sol = solve_riccati(rc, t, T, nodes, abs_tol=ode_tol, nu=nu)
         psi0, psi1, steps, rhs = sol.psi0, sol.psi1, sol.n_steps, sol.n_rhs
+    else:
+        psi0, psi1 = form
     # Q_hat_k = exp(Psi0 + nu Psi1 + i phi x), as charfn.char_fn forms it
     q2, q1 = np.exp(psi0 + nu * psi1 + 1j * nodes * x).reshape(2, -1)
     qhat[:, part] = q1 / np.exp(x), q2
@@ -299,16 +306,19 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     in Psi = (Psi0, Psi1) at the nodes where |Q_hat_k| at the state's nu is
     at least 1e-2; where the transform is smaller the bound is up to 1e6
     ode_tol (``charfn.solve_riccati`` with nu), as a price feels an error in
-    Psi there only in proportion to |Q_hat_k|.  ``TradingSeasonal`` and
-    ``DeliverySeasonal`` models with a constant theta and sigma_vv > 0 have
-    constant coefficients and take the closed-form transform, which
-    ode_tol does not bind; a chunk of nodes where it is not finite is
-    solved by DOP853.  An ode_tol that is not finite or below 100 ulp
-    raises RiccatiError before any work, for every model.  The diagnostics
-    add the ``nodes`` summed over, ``map_scale`` (C of phi = -ln(u) / C),
-    the price's nested ``quadrature_error`` (at most 1e-10), the largest
-    node as ``phi_used_k1`` and ``phi_used_k2``, the ``transform``
-    (``"closed_form"``, or ``"dop853"`` once any chunk was solved by it),
+    Psi there only in proportion to |Q_hat_k|.  Models with a constant theta
+    and sigma_vv > 0 take the closed-form transform, which ode_tol does not
+    bind, when their shape is ``TradingSeasonal`` or ``DeliverySeasonal``
+    (constant coefficients) or ``Samuelson`` with kappa / lam at least 0.05
+    from every integer (Kummer's functions, on a chunk of nodes inside the
+    bounds of ``charfn.solve_riccati_closed_form``).  A chunk of nodes
+    outside them, or where the closed form is not finite, is solved by
+    DOP853.  An ode_tol that is not finite or below 100 ulp raises
+    RiccatiError before any work, for every model.  The diagnostics add the
+    ``nodes`` summed over, ``map_scale`` (C of phi = -ln(u) / C), the price's
+    nested ``quadrature_error`` (at most 1e-10), the largest node as
+    ``phi_used_k1`` and ``phi_used_k2``, the ``transform`` (``"closed_form"``
+    for both closed forms, or ``"dop853"`` once any chunk was solved by it),
     and ``riccati_solves`` (one unless the rule doubles or passes 2048
     nodes; a closed-form evaluation counts as one), ``riccati_steps`` and
     ``riccati_rhs`` (accepted steps and right-hand-side evaluations, 0 in

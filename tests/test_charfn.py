@@ -5,11 +5,14 @@ established by (a) the constant-coefficient case where the classical
 square-root-model transform is available, (b) the integrator-free series
 solution for the Samuelson shape, (c) direct residual checks of the ODE
 system on the solver output, and (d) the observed convergence order of the
-DOP853 step on a fixed grid, the step the adaptive solver takes.
+DOP853 step on a fixed grid, the step the adaptive solver takes.  The
+closed forms, classical and Samuelson's from Kummer's equation, are checked
+against tight DOP853 solves, and the Kummer series against mpmath's hyp1f1.
 """
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -85,7 +88,8 @@ def test_constant_coefficients_match_closed_form(k, alpha, beta):
     np.testing.assert_allclose(sol.psi0, ref0, atol=1e-10)
     # the same system from a built-in shape, in closed form
     rc = RiccatiCoefficients.for_model(P, FLAT, UNI, DP, k=k)
-    assert rc.constant and not RiccatiCoefficients.for_model(P, CONST, UNI, DP, k=k).constant
+    assert rc.closed_form
+    assert not RiccatiCoefficients.for_model(P, CONST, UNI, DP, k=k).closed_form
     sol = solve_riccati_closed_form(rc, 0.0, 0.5, phi)
     assert (sol.n_steps, sol.n_rhs) == (0, 0)
     np.testing.assert_allclose(sol.psi1, ref1, rtol=0.0, atol=1e-12)
@@ -129,14 +133,82 @@ def test_closed_form_holds_where_a_plus_d_cancels(k):
     np.testing.assert_allclose(fast.psi1, ode.psi1, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sigma_vv,rho", [(0.4, -0.3), (0.05, -0.99), (1.5, 0.99)])
+@pytest.mark.parametrize("t", [0.0, 0.5 - 1e-4])
+def test_samuelson_closed_form_matches_a_tight_dop853_solve(k, sigma_vv, rho, t):
+    # Kummer's form across the strip the pricer reads, phi and phi -+ i,
+    # from phi = 1e-3 up to the bound on |zeta|, against the ODE
+    params = replace(P, sigma_vv=sigma_vv, rho=rho)
+    rc = RiccatiCoefficients.for_model(params, SAM, UNI, DP, k=k)
+    assert rc.closed_form and rc.lam == 3.5
+    phi = np.geomspace(1e-3, 1e3, 60)
+
+    def rows(n):
+        return np.concatenate([phi[:n], phi[:n] + (1j if k == 1 else -1j)])
+
+    # the largest batch of the ascending nodes that the form still takes
+    n = max(n for n in range(1, 61) if charfn._closed_form(rc, t, 0.5, rows(n)) is not None)
+    assert phi[n - 1] > 10.0
+    nodes = rows(n)
+    fast = solve_riccati_closed_form(rc, t, 0.5, nodes)
+    ode = solve_riccati(rc, t, 0.5, nodes, abs_tol=1e-13)
+    np.testing.assert_allclose(char_fn(fast, 0.0, 0.6), char_fn(ode, 0.0, 0.6),
+                               rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(fast.psi1 - ode.psi1) / (1.0 + np.abs(ode.psi1))) <= 1e-10
+    # no step is taken, and at t = T both vanish, as from solve_riccati
+    assert (fast.n_steps, fast.n_rhs) == (0, 0)
+    end = solve_riccati_closed_form(rc, 0.5, 0.5, nodes)
+    assert not np.any(end.psi0) and not np.any(end.psi1)
+
+
+def test_kummer_series_matches_mpmath():
+    # M(a, b, zeta) and zeta M'(a, b, zeta) from the stacked series, against
+    # mpmath's hyp1f1 at 30 digits, with complex a, real b and |zeta| up to
+    # the bound, Re zeta >= 0 as the closed form takes it.  Both are held to
+    # 1e-14 of the sum of the terms' sizes, where rounding sets the floor;
+    # the worst seen was 1.1e-15
+    rng = np.random.default_rng(11)
+    n = 24
+    zeta = charfn._KUMMER_Z_MAX * np.sqrt(rng.uniform(size=n)) * np.exp(
+        1j * rng.uniform(-0.5 * np.pi, 0.5 * np.pi, n))
+    zeta[:3] = charfn._KUMMER_Z_MAX * np.array([1.0, 1j, -1j])
+    mu = 3.0 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    # b = 1 - kappa / lam and 2 - b, kappa / lam from 0.06 to 30.5, off the
+    # integers; a = -b mu / zeta and a - b + 1, as the closed form pairs them
+    b = np.array([0.94, 0.3, -0.5, -2.7, -6.8, -29.5])
+    a_d = np.stack([(-bb * mu, (1.0 - bb) * zeta - bb * mu) for bb in b]).reshape(-1, n)
+    b_s = np.stack([b, 2.0 - b], axis=1).ravel()
+    terms = charfn._kummer_terms(a_d, b_s, zeta, np.max(np.abs(zeta)))
+    j = np.arange(terms.shape[1])[:, None]
+    value, derivative = terms.sum(axis=1), (j * terms).sum(axis=1)
+    size, derivative_size = np.abs(terms).sum(axis=1), (j * np.abs(terms)).sum(axis=1)
+    mpmath.mp.dps = 30
+    for s in range(b_s.size):
+        for i in range(n):
+            z = mpmath.mpc(zeta[i])
+            a = mpmath.mpc(a_d[s, i]) / z
+            ref = complex(mpmath.hyp1f1(a, b_s[s], z))
+            ref_derivative = complex(z * a / b_s[s] * mpmath.hyp1f1(a + 1, b_s[s] + 1, z))
+            assert abs(value[s, i] - ref) <= 1e-14 * size[s, i], (s, i)
+            assert abs(derivative[s, i] - ref_derivative) <= 1e-14 * derivative_size[s, i]
+
+
 def test_closed_form_refuses_what_it_cannot_price():
-    # a system that moves with time, and phi outside the strip where Q_hat_k
-    # is a characteristic function: at -40i, past a moment explosion, the
-    # ODE raises where the closed form would run straight through the pole
-    for rc in (RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2),
-               RiccatiCoefficients.for_model(replace(P, sigma_vv=0.0), FLAT, UNI, DP, k=2)):
-        with pytest.raises(ValueError, match="needs constant S, xi and theta"):
+    # a theta that moves with time, sigma_vv = 0, Samuelson with kappa / lam
+    # = 1, and phi outside the strip where Q_hat_k is a characteristic
+    # function: at -40i, past a moment explosion, the ODE raises where the
+    # closed form would run straight through the pole
+    for rc in (RiccatiCoefficients.for_model(replace(P, theta=FLAT.theta), FLAT, UNI, DP, k=2),
+               RiccatiCoefficients.for_model(replace(P, sigma_vv=0.0), FLAT, UNI, DP, k=2),
+               RiccatiCoefficients.for_model(P, Samuelson(3.0), UNI, DP, k=2)):
+        with pytest.raises(ValueError, match="needs S and xi flat or of the Samuelson shape"):
             solve_riccati_closed_form(rc, 0.0, 0.5, 1.0)
+    # Samuelson nodes past the Kummer argument's bound, about phi = 200 here
+    rc = RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=2)
+    assert solve_riccati_closed_form(rc, 0.0, 0.5, np.array([1.0, 100.0])).n_steps == 0
+    with pytest.raises(ValueError, match=r"\|zeta\| <= 8"):
+        solve_riccati_closed_form(rc, 0.0, 0.5, np.array([1.0, 300.0]))
     for k, phi in ((2, -40j), (2, 1.0 + 0.5j), (1, -0.5j), (1, 2.0 + 1.5j)):
         rc = RiccatiCoefficients.for_model(P, FLAT, UNI, DP, k=k)
         with pytest.raises(ValueError, match=f"Im phi must lie in .* for k = {k}"):

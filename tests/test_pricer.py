@@ -65,6 +65,13 @@ def _params(**over):
     return HestonParams(**base)
 
 
+def _ode_params(**over):
+    """``_params`` with theta = 0.6 given as a function of time: the same
+    system, which no closed form takes, so its Samuelson ladder keeps a
+    DOP853 solve."""
+    return _params(theta=lambda t: 0.6, **over)
+
+
 # ---------------------------------------------------------------------------
 # lognormal oracle
 
@@ -353,7 +360,8 @@ def test_unhashable_weight_callable_prices_uncached(cold_moments):
 
 
 def test_fourier_diagnostics_and_truncation(monkeypatch):
-    p = _params()
+    # the bench Samuelson system on its DOP853 solve
+    p = _ode_params()
     solves, work = [], []
 
     def counting_solve(*args, **kwargs):
@@ -405,16 +413,19 @@ def test_fourier_diagnostics_and_truncation(monkeypatch):
 
 
 def test_bench_ladders_take_one_solve():
-    # FSAL DOP853 costs 12 rhs per accepted step and 11 per rejected one;
-    # the Samuelson ladder's last step takes the rest of the span, where a
-    # sliver of 0.002 after a step of 0.058 would cost one more step.  The
-    # delivery-seasonal ladder has constant coefficients, and its one
-    # evaluation of the closed form takes no step at all
+    # both bench ladders take one evaluation of a closed form, which takes
+    # no step at all: Kummer's functions for Samuelson, the classical form
+    # for delivery-seasonal.  With theta as a function of time the
+    # Samuelson system keeps its DOP853 solve, where FSAL DOP853 costs 12
+    # rhs per accepted step and 11 per rejected one; its last step takes the
+    # rest of the span, where a sliver of 0.002 after a step of 0.058 would
+    # cost one more step
     strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
-    for vol, w, transform, steps, rejected in (
-            (SAM, UNI, "dop853", 13, 1),
-            (DS, EXP, "closed_form", 0, 0)):
-        diagnostics = price_fourier_many(_params(), vol, w, DP, strikes, T)[0].diagnostics
+    for p, vol, w, transform, steps, rejected in (
+            (_params(), SAM, UNI, "closed_form", 0, 0),
+            (_ode_params(), SAM, UNI, "dop853", 13, 1),
+            (_params(), DS, EXP, "closed_form", 0, 0)):
+        diagnostics = price_fourier_many(p, vol, w, DP, strikes, T)[0].diagnostics
         assert diagnostics["transform"] == transform
         assert diagnostics["riccati_solves"] == 1
         assert diagnostics["riccati_steps"] == steps
@@ -439,10 +450,12 @@ def test_decay_point_too_small_starts_the_map_again(monkeypatch):
 @pytest.mark.parametrize("lam", [3.5, 1.0])
 def test_samuelson_prices_match_series_oracle(monkeypatch, lam):
     # the pricer's own nodes and quadrature, with Q_hat from the series
-    # solution instead of a Riccati solve
+    # solution instead of the Kummer form (lam = 3.5, on all 1910 nodes) or
+    # a DOP853 solve (lam = 1, where kappa / lam = 3)
     p = _params()
     strikes = [3e-5, 24.0, 30.0, 36.0, 3e7]
     results = price_fourier_many(p, Samuelson(lam), UNI, DP, strikes, T)
+    assert results[0].diagnostics["transform"] == ("closed_form" if lam == 3.5 else "dop853")
     d1, d2 = samuelson_d1_d2(lam * (DP.tau2 - DP.tau1))
     decay = np.exp(-lam * (DP.tau1 - T))
 
@@ -452,6 +465,8 @@ def test_samuelson_prices_match_series_oracle(monkeypatch, lam):
         return charfn.CharFnSolution(k=2, t=t, T=exercise, phi=phi, psi0=psi0, psi1=psi1,
                                      n_steps=0, n_rhs=0)
 
+    # every chunk goes to the series, including those the Kummer form takes
+    _dop853_only(monkeypatch)
     monkeypatch.setattr(pricer, "solve_riccati", series_solve)
     oracle = price_fourier_many(p, Samuelson(lam), UNI, DP, strikes, T)
     assert results[-1].diagnostics["nodes"] == oracle[-1].diagnostics["nodes"] > 900
@@ -493,12 +508,14 @@ def test_both_transforms_share_one_truncation_point(vol):
 @pytest.mark.parametrize("ceiling", [1.0, 4.0, 40.0])
 def test_truncation_failure_is_raised_once_before_any_strike(monkeypatch, ceiling):
     # the map never reaches past the ceiling, so the first rule keeps nodes
-    # below even a ceiling of 1, and one solve reads the envelope there
+    # below even a ceiling of 1, and one solve (in closed form here) reads
+    # the envelope there
     priced, solves = [], []
     monkeypatch.setattr(pricer, "_finalize_prob",
                         lambda raw, k, diagnostics: priced.append(k) or raw)
-    monkeypatch.setattr(pricer, "solve_riccati",
-                        lambda *args, **kwargs: solves.append(1) or solve_riccati(*args, **kwargs))
+    solve_nodes = pricer._solve_nodes
+    monkeypatch.setattr(pricer, "_solve_nodes",
+                        lambda *args: solves.append(1) or solve_nodes(*args))
     monkeypatch.setattr(pricer, "_PHI_HARD_CAP", ceiling)
     with pytest.raises(TruncationError) as info:
         price_fourier_many(_params(), SAM, UNI, DP, [24.0, 30.0, 36.0], T)
@@ -713,18 +730,19 @@ def test_fourier_at_later_valuation_time(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form transform of constant-coefficient models
+# the closed-form transforms: constant coefficients, and Samuelson by Kummer
 
 
 def _dop853_only(monkeypatch):
-    """Price every model by DOP853 solves, as if none had constant coefficients."""
+    """Price every model by DOP853 solves, as if none had a closed form."""
     for_model = RiccatiCoefficients.for_model
     monkeypatch.setattr(RiccatiCoefficients, "for_model",
-                        lambda *args: replace(for_model(*args), constant=False))
+                        lambda *args: replace(for_model(*args), closed_form=False))
 
 
 def _outcome(case, **kwargs):
-    """(calls, transform) of one Fourier ladder, or the type of its failure."""
+    """(calls, transform, (q1, q2)) of one Fourier ladder, or the type of its
+    failure."""
     p, vol, w, dp, strikes, exercise, state = case
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
@@ -733,32 +751,58 @@ def _outcome(case, **kwargs):
                                          **kwargs)
         except (PricingError, RiccatiError) as exc:
             return type(exc)
-    return np.array([r.call for r in results]), results[0].diagnostics["transform"]
+    return (np.array([r.call for r in results]), results[0].diagnostics["transform"],
+            np.array([[r.q1, r.q2] for r in results]).T)
+
+
+def _assert_no_arbitrage(case, outcome):
+    """The Fourier no-arbitrage invariants on one priced ladder, its strikes
+    ascending: calls decreasing and convex in K, q1 >= q2, and
+    df (f0 - K)+ <= call <= df f0 as the pricer forms them.  Over the two
+    60-ladder sweeps below the worst margins were +6.6e-15 df f0 in the steps
+    of the calls, none in their slopes, and -2.8e-12 in q1 - q2 (a deep
+    in-the-money strike, both 1 to within it, solved by DOP853).  The slacks
+    are 1e-12 of df f0 and of df, and for q1 - q2 the 1e-10 to which the
+    quadrature holds each probability."""
+    p, vol, w, dp, strikes, exercise, state = case
+    calls, _, (q1, q2) = outcome
+    df = float(np.exp(-p.r * (exercise - state.get("t", 0.0))))
+    fwd = float(np.exp(np.log(p.f0)))
+    assert np.all(np.diff(calls) <= 1e-12 * df * fwd), case
+    assert np.all(np.diff(np.diff(calls) / np.diff(strikes)) >= -1e-12 * df), case
+    assert np.all(q1 >= q2 - 1e-10), case
+    assert np.all(calls >= np.maximum(df * (fwd - np.asarray(strikes)), 0.0)), case
+    assert np.all(calls <= df * fwd), case
 
 
 def _assert_both_paths_agree(monkeypatch, cases):
-    """Each case ends the same way by the closed form and by an ode_tol 1e-13
-    DOP853 solve, with calls within 1e-10; returns how many priced."""
+    """Each case ends the same way as by an ode_tol 1e-13 DOP853 solve, with
+    calls within 1e-10, and a priced ladder keeps the no-arbitrage
+    invariants; returns the transform that priced each priced case."""
     fast = [_outcome(case) for case in cases]
     with monkeypatch.context() as m:
         _dop853_only(m)
         slow = [_outcome(case, ode_tol=1e-13) for case in cases]
+    transforms = []
     for case, got, ref in zip(cases, fast, slow):
         if isinstance(ref, type):
             assert got is ref, case
         else:
             assert not isinstance(got, type), (case, got)
-            assert (got[1], ref[1]) == ("closed_form", "dop853")
+            assert ref[1] == "dop853"
             assert np.max(np.abs(got[0] - ref[0])) <= 1e-10, case
-    return sum(not isinstance(ref, type) for ref in slow)
+            _assert_no_arbitrage(case, got)
+            transforms.append(got[1])
+    return transforms
 
 
-def _sweep_cases(n, seed):
-    """n delivery-seasonal ladders over the regime-sweep ranges of ROADMAP.md:
-    log-uniform draws of the shape and Heston parameters, delivery start and
-    length, uniform or exponential weights with rates of either sign, exercise
-    in (0.05, 0.999) tau1, half of them valued at a t0 > 0, and four strikes
-    from 0.2 to 5 f0."""
+def _sweep_cases(n, seed, shape=DeliverySeasonal):
+    """n ladders over the regime-sweep ranges of ROADMAP.md: delivery-seasonal
+    or Samuelson shapes (lam from 0.01 to 30), log-uniform draws of the
+    shape and Heston parameters, delivery start and length, uniform or
+    exponential weights with rates of either sign, exercise in (0.05, 0.999)
+    tau1, half of them valued at a t0 > 0, and four strikes from 0.2 to 5
+    f0."""
     rng = np.random.default_rng(seed)
 
     def log_uniform(lo, hi):
@@ -766,8 +810,11 @@ def _sweep_cases(n, seed):
 
     cases = []
     for _ in range(n):
-        b = log_uniform(0.01, 3.0)
-        vol = DeliverySeasonal(a=b + log_uniform(0.01, 3.0), b=b, c=float(rng.uniform()))
+        if shape is Samuelson:
+            vol = Samuelson(log_uniform(0.01, 30.0))
+        else:
+            b = log_uniform(0.01, 3.0)
+            vol = DeliverySeasonal(a=b + log_uniform(0.01, 3.0), b=b, c=float(rng.uniform()))
         p = HestonParams(kappa=log_uniform(0.05, 30.0), theta=log_uniform(0.001, 3.0),
                          sigma_vv=log_uniform(0.01, 3.0), rho=float(rng.uniform(-0.99, 0.99)),
                          nu0=log_uniform(0.001, 4.0), f0=log_uniform(1.0, 300.0),
@@ -786,21 +833,50 @@ def _sweep_cases(n, seed):
 def test_closed_form_agrees_with_dop853_over_the_regime_sweep(monkeypatch):
     # the few that fail are ladders of tiny total variance, where both paths
     # raise TruncationError
-    assert _assert_both_paths_agree(monkeypatch, _sweep_cases(60, seed=2007)) >= 50
+    transforms = _assert_both_paths_agree(monkeypatch, _sweep_cases(60, seed=2007))
+    assert len(transforms) >= 50 and set(transforms) == {"closed_form"}
+
+
+# 60 Samuelson ladders of the sweep.  51 price: 7 in closed form on every
+# chunk and 3 on some; 30 take DOP853 as every chunk passes the bound on
+# |zeta|, 10 as kappa / lam lies within 0.05 of an integer and 1 on the gain
+# bound of Psi0's log form.  9 raise TruncationError both ways
+SAMUELSON_SWEEP = _sweep_cases(60, seed=2007, shape=Samuelson)
+
+
+def test_samuelson_closed_form_agrees_with_dop853_on_a_sweep_sample(monkeypatch):
+    # ten of the Samuelson sweep for the quick loop, three in closed form
+    transforms = _assert_both_paths_agree(monkeypatch, SAMUELSON_SWEEP[13:23])
+    assert len(transforms) == 9 and transforms.count("closed_form") == 3
+
+
+@pytest.mark.slow
+def test_samuelson_closed_form_agrees_with_dop853_over_the_regime_sweep(monkeypatch):
+    transforms = _assert_both_paths_agree(monkeypatch, SAMUELSON_SWEEP)
+    assert len(transforms) >= 50 and transforms.count("closed_form") >= 7
 
 
 def test_pricer_nodes_pass_the_closed_form_checks(monkeypatch):
     # the pricer calls the closed form's unchecked core; routed through the
-    # checked entry, every node batch it passes is accepted, and the prices
-    # are the same bits
+    # checked entry, every node batch it passes is accepted, or refused as
+    # outside the Samuelson form's bounds exactly where the core returns
+    # None, and the prices are the same bits
     cases = [(_params(), DS, EXP, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T, {}),
              (_params(), DS, EXP, DP, [3e-5, 30.0, 3e7], T, {}),
-             *_sweep_cases(60, seed=2007)]
+             *_sweep_cases(60, seed=2007),
+             (_params(), SAM, UNI, DP, [24.0, 27.0, 30.0, 33.0, 36.0], T, {}),
+             (_params(), SAM, UNI, DP, [3e-5, 30.0, 3e7], T, {}),
+             *SAMUELSON_SWEEP[13:23]]
     unchecked = [_outcome(case) for case in cases]
-    batches = []
+    batches, refused = [], []
 
     def checked(rc, t, T, phi):
-        sol = charfn.solve_riccati_closed_form(rc, t, T, phi)
+        try:
+            sol = charfn.solve_riccati_closed_form(rc, t, T, phi)
+        except ValueError as exc:
+            assert "outside the region" in str(exc) and rc.lam > 0
+            refused.append(phi.size)
+            return None
         batches.append(phi.size)
         return sol.psi0, sol.psi1
 
@@ -810,9 +886,11 @@ def test_pricer_nodes_pass_the_closed_form_checks(monkeypatch):
         if isinstance(before, type):
             assert after is before, case
         else:
-            assert after[1] == before[1] == "closed_form"
+            assert after[1] == before[1]
+            assert before[1] == "closed_form" or isinstance(case[1], Samuelson)
             assert np.array_equal(after[0], before[0]), case
-    assert len(batches) >= len(cases)
+            assert np.array_equal(after[2], before[2]), case
+    assert len(batches) >= len(cases) and refused
 
 
 @pytest.mark.parametrize("case", [
@@ -834,7 +912,58 @@ def test_pricer_nodes_pass_the_closed_form_checks(monkeypatch):
         "span-5-sigma-3-rho+0.99", "nu-above-theta", "nu-below-theta", "feller", "deep",
         "trading-seasonal"])
 def test_closed_form_agrees_with_dop853_at_the_edges(monkeypatch, case):
-    assert _assert_both_paths_agree(monkeypatch, [case]) == 1
+    assert _assert_both_paths_agree(monkeypatch, [case]) == ["closed_form"]
+
+
+def _samuelson_case(lam=3.5, strikes=(24.0, 30.0, 36.0), state=None, **over):
+    return (_params(**over), Samuelson(lam), UNI, DP, list(strikes), T, state or {})
+
+
+@pytest.mark.parametrize("case,transform", [
+    (_samuelson_case(kappa=3.5 * 0.97), "dop853"),
+    (_samuelson_case(kappa=3.5 * 1.03), "dop853"),
+    (_samuelson_case(kappa=3.5 * 1.96), "dop853"),
+    (_samuelson_case(kappa=3.5 * 2.04), "dop853"),
+    (_samuelson_case(kappa=3.5 * 2.06), "closed_form"),
+    (_samuelson_case(kappa=3.5 * 0.01), "dop853"),
+    (_samuelson_case(rho=0.99), "closed_form"),
+    (_samuelson_case(rho=-0.99), "closed_form"),
+    (_samuelson_case(sigma_vv=0.01), "dop853"),
+    (_samuelson_case(sigma_vv=3.0), "dop853"),
+    (_samuelson_case(strikes=(29.9, 30.0, 30.1), state={"t": T - 1e-4}), "dop853"),
+    (_samuelson_case(lam=1.44), "closed_form"),
+    (_samuelson_case(lam=1.38), "dop853"),
+], ids=["kappa-over-lam-0.97", "kappa-over-lam-1.03", "kappa-over-lam-1.96",
+        "kappa-over-lam-2.04", "kappa-over-lam-2.06", "kappa-over-lam-0.01", "rho+0.99",
+        "rho-0.99", "sigma-0.01", "sigma-3", "span-1e-4", "zeta-inside", "zeta-outside"])
+def test_samuelson_closed_form_agrees_with_dop853_at_the_edges(monkeypatch, case, transform):
+    # within 0.05 of an integer kappa / lam the model keeps DOP853, and so
+    # does a chunk past the Kummer form's bounds: |zeta| up to 236 at sigma_vv
+    # = 3 and 168 at a span of 1e-4, the gain in Psi0's log form at sigma_vv
+    # = 0.01.  lam = 1.44 and 1.38 put the largest |zeta| at 7.94 and 8.19,
+    # either side of _KUMMER_Z_MAX = 8
+    assert _assert_both_paths_agree(monkeypatch, [case]) == [transform]
+
+
+@pytest.mark.parametrize("lam,low,high", [(1.44, 7.5, 8.0), (1.38, 8.0, 8.5)])
+def test_the_zeta_edge_ladders_sit_either_side_of_the_bound(monkeypatch, lam, low, high):
+    # |zeta| at T of the bench model's one chunk, from the node batch the
+    # pricer hands the closed form: sqrt(c1^2 + 2 sigma^2 c2) / lam with
+    # c1 = sigma rho xi - i rho sigma S phi and c2 = (phi^2 / 2 + i phi / 2) S^2
+    assert charfn._KUMMER_Z_MAX == 8.0
+    seen = []
+    closed_form = pricer._closed_form
+
+    def spy(rc, t, T, phi):
+        s, xi, sigma = rc.big_s(T), rc.xi(T), rc.sigma_vv
+        c1 = sigma * rc.rho * (xi - 1j * s * phi)
+        c2 = (0.5 * phi * phi + 0.5j * phi) * s * s
+        seen.append(np.max(np.abs(np.sqrt(c1 * c1 + 2.0 * sigma * sigma * c2))) / rc.lam)
+        return closed_form(rc, t, T, phi)
+
+    monkeypatch.setattr(pricer, "_closed_form", spy)
+    _outcome(_samuelson_case(lam=lam))
+    assert len(seen) == 1 and low < seen[0] <= high
 
 
 @pytest.mark.parametrize("p,vol,w,transform", [
@@ -843,14 +972,18 @@ def test_closed_form_agrees_with_dop853_at_the_edges(monkeypatch, case):
     (_params(sigma_vv=0.0), DS, EXP, "dop853"),
     (_params(theta=TradingSeasonal(0.6, 0.7, 0.2).theta), TradingSeasonal(0.6, 0.7, 0.2),
      UNI, "dop853"),
-    (_params(), SAM, UNI, "dop853"),
+    (_params(), SAM, UNI, "closed_form"),
+    (_ode_params(), SAM, UNI, "dop853"),
+    (_params(), Samuelson(3.0), UNI, "dop853"),
     (_params(), GeneralSeparable(s=lambda t, u: np.exp(-3.5 * (np.asarray(u) - t)),
                                  bound_r=1.0), UNI, "dop853"),
 ], ids=["delivery-seasonal", "trading-seasonal", "sigma-0", "theta-of-t", "samuelson",
-        "general-separable"])
+        "samuelson-theta-of-t", "samuelson-kappa-equals-lam", "general-separable"])
 def test_only_constant_coefficients_take_the_closed_form(p, vol, w, transform):
-    # S, xi or theta that move with time, or sigma_vv = 0, keep DOP853
-    assert RiccatiCoefficients.for_model(p, vol, w, DP, 2).constant == (
+    # S and xi flat, or Samuelson with kappa / lam off the integers, with a
+    # constant theta and sigma_vv > 0 take a closed form; theta(t), sigma_vv
+    # = 0, kappa = lam and a general separable shape keep DOP853
+    assert RiccatiCoefficients.for_model(p, vol, w, DP, 2).closed_form == (
         transform == "closed_form")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConditionWarning)
@@ -926,14 +1059,15 @@ def test_mc_single_path_has_undefined_stderr():
 
 
 def test_bench_ladder_holds_its_prices_at_a_loose_tolerance():
-    # the benchmark's Samuelson ladder: at ode_tol 1e-6 the 8th-order step
-    # keeps every call within 1e-9 of an ode_tol 1e-12 solve (a
-    # Dormand-Prince 5(4) step lands 5.7e-9 off), and at the default
+    # the benchmark's Samuelson system on its DOP853 solve (the bench ladder
+    # itself takes the Kummer form, which ode_tol does not bind): at ode_tol
+    # 1e-6 the 8th-order step keeps every call within 1e-9 of an ode_tol
+    # 1e-12 solve (a Dormand-Prince 5(4) step lands 5.7e-9 off), and at the default
     # tolerance the whole pass, one solve on 119 nodes, costs at most 320
     # right-hand sides (179; 299 with two blocks of width-2 panels), a count
     # that repeats exactly from run to run
     strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
-    loose, default, tight = (price_fourier_many(_params(), SAM, UNI, DP, strikes, T,
+    loose, default, tight = (price_fourier_many(_ode_params(), SAM, UNI, DP, strikes, T,
                                                 **tol)
                              for tol in ({"ode_tol": 1e-6}, {}, {"ode_tol": 1e-12}))
     for a, b in zip(loose, tight):
@@ -1026,7 +1160,8 @@ def test_fourier_path_loads_no_scipy_until_mc():
 
 def test_no_module_of_powerswap_imports_scipy():
     # the static half of the tests above: no import statement in the package,
-    # at module level or in a function, names scipy
+    # at module level or in a function, names scipy, nor mpmath, which the
+    # tests use as a reference for the Kummer series
     for path in sorted(Path(pricer.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -1035,8 +1170,9 @@ def test_no_module_of_powerswap_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            assert not any(n == "scipy" or n.startswith("scipy.") for n in names), \
-                f"{path.name}:{node.lineno} imports scipy"
+            for banned in ("scipy", "mpmath"):
+                assert not any(n == banned or n.startswith(banned + ".") for n in names), \
+                    f"{path.name}:{node.lineno} imports {banned}"
 
 
 def test_mc_zero_strike_recovers_discounted_forward():
