@@ -8,16 +8,18 @@ xi(t) sqrt(nu(t)).
 
 Every built-in shape factors as s(t, u) = e^{-lam (tau1 - t)} h(u), with
 lam = 0 except for the Samuelson variant, so S(t) = S(tau1) e^{-lam (tau1 - t)}
-and xi(t) = xi(tau1) e^{-lam (tau1 - t)}.  The pair (S(tau1), xi(tau1)) is
-computed once per contract and kept in a bounded cache: it depends on the
-shape, the weight and the delivery period alone, never on the Heston
-parameters, the state or the strikes.  It comes from the paper's d1 and d2
-for Samuelson under the uniform weight, otherwise from one adaptive
-Gauss-Legendre quadrature of the weighted moments, exact where the shape is
-constant.  A callable inside a shape or weight is keyed by identity; a
-contract holding one that cannot be hashed is integrated uncached.  Only
-``GeneralSeparable`` has no such factoring; its moments are integrated once
-per distinct time and kept for the life of its decomposition.
+and xi(t) = xi(tau1) e^{-lam (tau1 - t)}.  Such a contract's decomposition,
+(S(tau1), xi(tau1)) and lam, is built once and kept whole in a bounded
+cache: it depends on the shape, the weight and the delivery period alone,
+never on the Heston parameters, the state or the strikes.  The pair comes
+from the paper's d1 and d2 for Samuelson under the uniform weight, otherwise
+from one adaptive Gauss-Legendre quadrature of the weighted moments, exact
+where the shape is constant.  A callable inside a shape or weight is keyed
+by identity; a contract holding one that cannot be hashed is decomposed
+uncached.  Only ``GeneralSeparable`` has no such factoring; each of its
+decompositions integrates the moments once per distinct time it is asked
+for, and is built anew on every call, so that what it keeps lives no longer
+than one price.
 
 ``decompose`` is the one implementation of S and xi: the pointwise factors
 below are single calls into it, and both pricing engines evaluate its curves.
@@ -56,7 +58,7 @@ __all__ = [
     "decompose",
 ]
 
-# contracts whose delivery moments are kept; the key is (shape, weight, period)
+# contracts whose decompositions are kept; the key is (shape, weight, period)
 _CONTRACT_CACHE_SIZE = 128
 
 # below this lam * x, d2 sums (n - 1) / (4 (n + 1)!) (-y)^n for n = 2..11,
@@ -123,16 +125,6 @@ def _weighted_factors(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
     return float(mean), float(0.5 * var / mean)
 
 
-@functools.lru_cache(maxsize=_CONTRACT_CACHE_SIZE)
-def _delivery_factors(vol: VolStructure, w: WeightFunction,
-                      dp: DeliveryPeriod) -> tuple[float, float]:
-    """(S(tau1), xi(tau1)) for every variant except ``GeneralSeparable``: d1 and
-    d2 for Samuelson under the uniform weight, else the weighted moments at tau1."""
-    if isinstance(vol, Samuelson) and isinstance(w, UniformWeight):
-        return d1_d2(vol.lam, dp.delta)
-    return _weighted_factors(vol, w, dp, dp.tau1, weight_normalizer(w, dp))
-
-
 def swap_vol_factor(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod,
                     t: float) -> float:
     """Averaged volatility factor S(t) = E[s(t, U)] for t <= tau1."""
@@ -176,10 +168,14 @@ class SwapVolDecomposition:
 
     Both callables accept scalars or arrays of times in [0, tau1] and raise
     ValueError for a time past tau1, unless called with ``check=False`` by a
-    caller that has checked its whole span of times once.
+    caller that has checked its whole span of times once.  ``lam`` is the
+    common decay rate of S and xi, which are S(tau1) and xi(tau1) times
+    e^{-lam (tau1 - t)}: 0 for the flat shapes, Samuelson's lam for it, and
+    None where they do not factor so (``GeneralSeparable``).
     """
     big_s: Callable
     xi: Callable
+    lam: float | None = None
 
 
 def _curve(dp: DeliveryPeriod, fn: Callable) -> Callable:
@@ -194,13 +190,33 @@ def _curve(dp: DeliveryPeriod, fn: Callable) -> Callable:
     return curve
 
 
-def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapVolDecomposition:
-    """Bundle S(t) and xi(t) as vectorized functions of time.
+@functools.lru_cache(maxsize=_CONTRACT_CACHE_SIZE)
+def _contract_decomposition(vol: VolStructure, w: WeightFunction,
+                            dp: DeliveryPeriod) -> SwapVolDecomposition:
+    """The decomposition of every variant except ``GeneralSeparable``: S(tau1)
+    and xi(tau1) from d1 and d2 for Samuelson under the uniform weight, else
+    from the weighted moments at tau1, each scaled by the Samuelson decay."""
+    if isinstance(vol, Samuelson) and isinstance(w, UniformWeight):
+        s1, xi1 = d1_d2(vol.lam, dp.delta)
+    else:
+        s1, xi1 = _weighted_factors(vol, w, dp, dp.tau1, weight_normalizer(w, dp))
+    lam = vol.lam if isinstance(vol, Samuelson) else 0.0
 
-    The pair (S(tau1), xi(tau1)) comes from the contract's cache and is
-    scaled by the Samuelson decay.  ``GeneralSeparable`` integrates both
-    moments once per distinct time, so a time the Riccati solver asks for
-    again (t = T in every block's solve) costs nothing.
+    def big_s(t):
+        return s1 * np.exp(-lam * (dp.tau1 - t))
+
+    def xi(t):
+        return xi1 * np.exp(-lam * (dp.tau1 - t))
+    return SwapVolDecomposition(big_s=_curve(dp, big_s), xi=_curve(dp, xi), lam=lam)
+
+
+def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapVolDecomposition:
+    """S(t) and xi(t) as vectorized functions of time, with their decay rate.
+
+    Every variant but ``GeneralSeparable`` returns the contract's one cached
+    decomposition.  ``GeneralSeparable`` gets a new one on each call, which
+    integrates both moments once per distinct time, so a time the Riccati
+    solver asks for again (t = T in every block's solve) costs nothing.
     """
     if isinstance(vol, GeneralSeparable):
         den = weight_normalizer(w, dp)
@@ -211,16 +227,8 @@ def decompose(vol: VolStructure, w: WeightFunction, dp: DeliveryPeriod) -> SwapV
 
         big_s = np.vectorize(lambda t: factors(float(t))[0], otypes=[float])
         xi = np.vectorize(lambda t: factors(float(t))[1], otypes=[float])
-    else:
-        try:
-            s1, xi1 = _delivery_factors(vol, w, dp)
-        except TypeError:  # an unhashable callable in the shape or weight cannot key the cache
-            s1, xi1 = _delivery_factors.__wrapped__(vol, w, dp)
-        lam = vol.lam if isinstance(vol, Samuelson) else 0.0
-
-        def big_s(t):
-            return s1 * np.exp(-lam * (dp.tau1 - t))
-
-        def xi(t):
-            return xi1 * np.exp(-lam * (dp.tau1 - t))
-    return SwapVolDecomposition(big_s=_curve(dp, big_s), xi=_curve(dp, xi))
+        return SwapVolDecomposition(big_s=_curve(dp, big_s), xi=_curve(dp, xi))
+    try:
+        return _contract_decomposition(vol, w, dp)
+    except TypeError:  # an unhashable callable in the shape or weight cannot key the cache
+        return _contract_decomposition.__wrapped__(vol, w, dp)

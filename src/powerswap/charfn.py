@@ -31,12 +31,12 @@ one system for both transforms.  |Re phi| may not pass one fixed ceiling,
 1e4, which also bounds the pricer's integral.  A solve checks once that
 T lies before the delivery start and then reads S and xi unchecked.
 
-Every built-in shape but ``GeneralSeparable`` has S and xi equal to S(T),
-xi(T) times e^{-lam (T - t)}, with lam = 0 but for Samuelson.  With a
-constant theta and sigma_vv > 0 (``RiccatiCoefficients.closed_form``) the
-system then has a closed form, ``solve_riccati_closed_form``: the classical
-one for flat S and xi, and Kummer's confluent hypergeometric functions for
-Samuelson, whose Psi1 equation linearises to Kummer's equation.  The Samuelson form is taken only
+Where S and xi are S(T), xi(T) times e^{-lam (T - t)}, which
+``SwapVolDecomposition.lam`` records (None where they are not), a constant
+theta and sigma_vv > 0 (``RiccatiCoefficients.closed_form``) give the
+system a closed form, ``solve_riccati_closed_form``: the classical one for
+lam = 0, and Kummer's confluent hypergeometric functions for lam > 0, where
+the Psi1 equation linearises to Kummer's equation.  The latter is taken only
 where it is validated: kappa / lam away from the integers, the Kummer
 argument small, and little cancellation in the log form of Psi0
 (``_KUMMER_POLE_MARGIN``, ``_KUMMER_Z_MAX``, ``_KUMMER_LOG_GAIN``).  The
@@ -66,10 +66,7 @@ import numpy as np
 from .averaging import decompose
 from .models import (
     DeliveryPeriod,
-    DeliverySeasonal,
     HestonParams,
-    Samuelson,
-    TradingSeasonal,
     VolStructure,
     WeightFunction,
     _require_positive_int,
@@ -193,12 +190,12 @@ class RiccatiCoefficients:
     """Time-dependent coefficients of one Riccati system (k = 1 or 2).
 
     ``lam`` is the decay rate of S and xi, which are S(T) and xi(T) times
-    e^{-lam (T - t)}: 0 for the flat shapes, Samuelson's lam for it.
-    ``closed_form`` records that such S and xi come with a constant theta and
-    sigma_vv > 0, and for lam > 0 with kappa / lam at least
-    ``_KUMMER_POLE_MARGIN`` from every integer, so that
-    ``solve_riccati_closed_form`` applies; ``for_model`` derives both from
-    the model.
+    e^{-lam (T - t)}, as ``SwapVolDecomposition.lam`` gives it: None where
+    they do not factor so.  ``closed_form`` records that lam is not None and
+    comes with a constant theta and sigma_vv > 0, and for lam > 0 with
+    kappa / lam at least ``_KUMMER_POLE_MARGIN`` from every integer, so that
+    ``solve_riccati_closed_form`` applies; ``for_model`` reads both from the
+    contract's decomposition.
     """
     k: int
     kappa: float
@@ -208,7 +205,7 @@ class RiccatiCoefficients:
     xi: Callable
     theta: Callable
     closed_form: bool = False
-    lam: float = 0.0
+    lam: float | None = 0.0
 
     @classmethod
     def for_model(cls, p: HestonParams, vol: VolStructure, w: WeightFunction,
@@ -216,13 +213,10 @@ class RiccatiCoefficients:
         if k not in (1, 2):
             raise ValueError(f"k must be 1 or 2, got {k}")
         dec = decompose(vol, w, dp)
-        lam = vol.lam if isinstance(vol, Samuelson) else 0.0
-        if lam > 0:
-            ratio = p.kappa / lam
-            shape = abs(ratio - round(ratio)) >= _KUMMER_POLE_MARGIN
-        else:
-            shape = isinstance(vol, (TradingSeasonal, DeliverySeasonal))
-        closed_form = shape and not callable(p.theta) and p.sigma_vv > 0
+        lam = dec.lam
+        closed_form = (lam is not None and not callable(p.theta) and p.sigma_vv > 0
+                       and (lam == 0 or abs(p.kappa / lam - round(p.kappa / lam))
+                            >= _KUMMER_POLE_MARGIN))
         return cls(k=k, kappa=p.kappa, sigma_vv=p.sigma_vv, rho=p.rho, big_s=dec.big_s,
                    xi=dec.xi, theta=p.theta_fn(), closed_form=closed_form, lam=lam)
 

@@ -212,10 +212,11 @@ class CustomWeight:
 
     ``knots`` lists points where w_hat is not smooth (table breakpoints);
     integration routines split panels there so piecewise-polynomial weights
-    integrate exactly.  The weight keys a cache of delivery moments, with
-    ``w_hat`` by identity, so ``w_hat`` must not change once the weight is
-    built.  A ``w_hat`` that cannot be hashed (numpy's ``Polynomial``) works
-    too; its moments are then integrated again on every price.
+    integrate exactly.  The weight keys the cache of contract
+    decompositions, with ``w_hat`` by identity, so ``w_hat`` must not change
+    once the weight is built.  A ``w_hat`` that cannot be hashed (numpy's
+    ``Polynomial``) works too; its moments are then integrated again on
+    every price.
     """
     w_hat: Callable[[np.ndarray], np.ndarray]
     knots: tuple[float, ...] | None = None

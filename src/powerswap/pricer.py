@@ -11,14 +11,14 @@ Kahl 2007), with C read from the model before any solve.  All nodes of
 Fejer's second rule in u go into one stacked k = 2 Riccati solve on (phi,
 phi - i): the share-measure identity Q_hat_1(phi) = Q_hat_2(phi - i) / e^x
 (Carr & Madan 1999, Lewis 2001) gives both transforms from it.  Models
-with a closed form (``RiccatiCoefficients.closed_form``: flat or Samuelson
-S and xi, a constant theta and sigma_vv > 0, and for Samuelson kappa / lam
-away from the integers) take it on the same rows instead, and ``ode_tol``
-binds nothing there; the pricer calls its unchecked core,
-``charfn._closed_form``, since the nodes it builds pass every check of
-``solve_riccati_closed_form`` by construction but Samuelson's bounds on
-the Kummer argument and on the cancellation in Psi0, which the core tests
-itself.  A chunk of nodes past them, or whose closed form is not all
+with a closed form (``RiccatiCoefficients.closed_form``: S and xi with a
+decay rate, ``SwapVolDecomposition.lam``, a constant theta and
+sigma_vv > 0, and for lam > 0 kappa / lam away from the integers) take it
+on the same rows instead, and ``ode_tol`` binds nothing there; the pricer
+calls its unchecked core, ``charfn._closed_form``, since the nodes it
+builds pass every check of ``solve_riccati_closed_form`` by construction
+but Samuelson's bounds on the Kummer argument and on the cancellation in
+Psi0, which the core tests itself.  A chunk of nodes past them, or whose closed form is not all
 finite, is solved by DOP853.  The rule is nested, so its every second node
 gives each price an error estimate, and the rule doubles, solving only its
 new nodes, until that is below 1e-10.  Each strike is then one weighted
@@ -103,8 +103,7 @@ class PriceResult:
     ``diagnostics["raw_stderr"]`` always holds that uncontrolled figure.  It
     is None for Fourier prices and for a single MC path, where it is
     undefined.  A Fourier price's diagnostics repeat its largest node as
-    phi_used_k1 == phi_used_k2, because perfbench/worker.py reads each; the
-    keys merge with its next change."""
+    phi_used_k1 == phi_used_k2, because perfbench/worker.py reads each."""
     call: float
     put: float
     q1: float
@@ -308,10 +307,10 @@ def price_fourier_many(p: HestonParams, vol: VolStructure, w: WeightFunction,
     ode_tol (``charfn.solve_riccati`` with nu), as a price feels an error in
     Psi there only in proportion to |Q_hat_k|.  Models with a constant theta
     and sigma_vv > 0 take the closed-form transform, which ode_tol does not
-    bind, when their shape is ``TradingSeasonal`` or ``DeliverySeasonal``
-    (constant coefficients) or ``Samuelson`` with kappa / lam at least 0.05
-    from every integer (Kummer's functions, on a chunk of nodes inside the
-    bounds of ``charfn.solve_riccati_closed_form``).  A chunk of nodes
+    bind, when the contract's ``SwapVolDecomposition.lam`` is not None:
+    lam = 0 gives constant coefficients, and lam > 0 with kappa / lam at
+    least 0.05 from every integer Kummer's functions, on a chunk of nodes inside
+    the bounds of ``charfn.solve_riccati_closed_form``.  A chunk of nodes
     outside them, or where the closed form is not finite, is solved by
     DOP853.  An ode_tol that is not finite or below 100 ulp raises
     RiccatiError before any work, for every model.  The diagnostics add the

@@ -6,6 +6,8 @@ Simpson integration of the weighted moments, and the internal identity
 d2 = Var / (2 E) that ties the spread factor to the moments.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,3 +365,40 @@ def test_decompose_quadrature_work_independent_of_time_grid(monkeypatch, cold_mo
     # and none once the contract's moments are cached
     assert counts[0] == counts[1] <= 2
     assert counts[2] == 0
+
+
+@pytest.mark.parametrize("vol", [vol for vol, _ in VOLS])
+@pytest.mark.parametrize("w", [w for w, _ in WEIGHTS])
+def test_contract_is_decomposed_once(vol, w):
+    # the whole decomposition, curves and decay rate, is the contract's one
+    # cached object
+    dec = decompose(vol, w, DP)
+    assert decompose(vol, w, DP) is dec
+    assert dec.lam == (3.5 if isinstance(vol, Samuelson) else 0.0)
+    t = np.linspace(0.0, DP.tau1, 5)
+    decay = np.exp(-dec.lam * (DP.tau1 - t))
+    np.testing.assert_array_equal(dec.big_s(t), dec.big_s(DP.tau1) * decay)
+    np.testing.assert_array_equal(dec.xi(t), dec.xi(DP.tau1) * decay)
+
+
+def test_general_separable_is_decomposed_anew_on_each_call():
+    # its per-time moment cache lives no longer than the decomposition
+    vol = GeneralSeparable(lambda t, u: np.exp(-3.5 * (np.asarray(u, float) - t)), bound_r=1.0)
+    first, second = decompose(vol, UNI, DP), decompose(vol, UNI, DP)
+    assert first is not second
+    assert first.lam is None and second.lam is None
+    assert first.big_s(0.3) == second.big_s(0.3)
+    assert first.big_s(0.3) == pytest.approx(decompose(Samuelson(3.5), UNI, DP).big_s(0.3),
+                                              rel=1e-12)
+
+
+@pytest.mark.parametrize("lam, x, message", [
+    (0.0, 1.0 / 12.0, "lam must be > 0, got 0.0"),
+    (-1.0, 1.0 / 12.0, "lam must be > 0, got -1.0"),
+    (np.nan, 1.0 / 12.0, "lam must be > 0, got nan"),
+    (3.5, 0.0, "period length must be > 0, got 0.0"),
+    (3.5, -0.1, "period length must be > 0, got -0.1"),
+], ids=["lam-zero", "lam-negative", "lam-nan", "length-zero", "length-negative"])
+def test_averaging_refusals(lam, x, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        d1_d2(lam, x)

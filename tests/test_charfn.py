@@ -10,6 +10,7 @@ closed forms, classical and Samuelson's from Kummer's equation, are checked
 against tight DOP853 solves, and the Kummer series against mpmath's hyp1f1.
 """
 
+import re
 from dataclasses import replace
 
 import mpmath
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from powerswap import charfn
+from powerswap.averaging import decompose
 from powerswap.charfn import (
     CharFnSolution,
     RiccatiCoefficients,
@@ -61,6 +63,20 @@ def test_coefficients_for_model():
     assert rc1.beta(t) == pytest.approx(rc2.beta(t) - 0.4 * (-0.3) * s_t, rel=1e-14)
     with pytest.raises(ValueError):
         RiccatiCoefficients.for_model(P, SAM, UNI, DP, k=3)
+
+
+@pytest.mark.parametrize("vol, lam", [(SAM, 3.5), (FLAT, 0.0),
+                                      (DeliverySeasonal(1.0, 0.4, 0.0), 0.0), (CONST, None)],
+                         ids=["samuelson", "trading-seasonal", "delivery-seasonal",
+                              "general-separable"])
+def test_coefficients_read_the_contract_decomposition(vol, lam):
+    # S, xi and their decay rate come from decompose; the closed form follows
+    # the rate, which GeneralSeparable lacks
+    rc = RiccatiCoefficients.for_model(P, vol, UNI, DP, k=2)
+    assert rc.lam == lam and rc.closed_form == (lam is not None)
+    if lam is not None:
+        dec = decompose(vol, UNI, DP)
+        assert rc.big_s is dec.big_s and rc.xi is dec.xi
 
 
 def test_phi_zero_is_exactly_zero():
@@ -608,3 +624,24 @@ def test_char_fn_assembles_exponential():
     # at phi=0 the transform is the total mass
     sol0 = solve_riccati(rc, 0.0, 0.5, np.array([0.0]))
     assert char_fn(sol0, x, 0.6)[0] == 1.0 + 0.0j
+
+
+_RC = RiccatiCoefficients.for_model(P, FLAT, UNI, DP, k=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: solve_riccati_fixed(_RC, 0.5, 0.5, 1.0, 4), "need 0 <= t < T, got t=0.5, T=0.5"),
+    (lambda: riccati_path(_RC, -0.1, 0.5, 1.0, 4), "need 0 <= t < T, got t=-0.1, T=0.5"),
+    (lambda: solve_riccati(_RC, 0.6, 0.5, 1.0), "need 0 <= t <= T, got t=0.6, T=0.5"),
+    (lambda: solve_riccati(_RC, -0.1, 0.5, 1.0), "need 0 <= t <= T, got t=-0.1, T=0.5"),
+    (lambda: solve_riccati_closed_form(_RC, 0.6, 0.5, 1.0),
+     "need 0 <= t <= T, got t=0.6, T=0.5"),
+    (lambda: solve_riccati_closed_form(_RC, -0.1, 0.5, 1.0),
+     "need 0 <= t <= T, got t=-0.1, T=0.5"),
+    (lambda: char_fn(solve_riccati(_RC, 0.0, 0.5, 1.0), 0.0, -0.1),
+     "nu must be non-negative, got -0.1"),
+], ids=["fixed-t-equals-T", "path-t-negative", "adaptive-t-past-T", "adaptive-t-negative",
+        "closed-form-t-past-T", "closed-form-t-negative", "char-fn-negative-nu"])
+def test_charfn_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -226,6 +226,23 @@ def test_check_unconditional_is_json_safe(capsys, tmp_path):
     assert payload["novikov"]["lhs"] == "unconditional"
 
 
+def test_check_csv_matches_json(capsys):
+    _, out_json, _ = run_cli(capsys, ["check"])
+    code, out, _ = run_cli(capsys, ["check", "--format", "csv"])
+    assert code == 0
+    header, row, *rest = out.splitlines()
+    assert rest == []
+    assert header == ("model,feller_ok,feller_lhs,feller_rhs,"
+                      "novikov_ok,novikov_lhs,novikov_rhs")
+    payload = json.loads(out_json)
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["model"] == payload["model"] == "samuelson"
+    for name in ("feller", "novikov"):
+        assert cells[f"{name}_ok"] == str(payload[name]["ok"])
+        assert float(cells[f"{name}_lhs"]) == payload[name]["lhs"]
+        assert float(cells[f"{name}_rhs"]) == payload[name]["rhs"]
+
+
 def test_decompose_default_grid(capsys):
     code, out, _ = run_cli(capsys, ["decompose"])
     assert code == 0
@@ -309,12 +326,47 @@ def test_price_both(capsys):
     assert abs(payload["fourier"]["call"] - payload["mc"]["call"]) < 10 * payload["mc"]["stderr"]
 
 
+def test_price_csv_leaves_the_fourier_stderr_empty(capsys):
+    _, out_json, _ = run_cli(capsys, ["price"])
+    code, out, _ = run_cli(capsys, ["price", "--format", "csv"])
+    assert code == 0
+    header, row, *rest = out.splitlines()
+    assert rest == []
+    assert header == "method,call,put,q1,q2,stderr"
+    method, *numbers, stderr = row.split(",")
+    payload = json.loads(out_json)
+    assert method == "fourier" and stderr == ""
+    assert [float(v) for v in numbers] == [payload[k] for k in ("call", "put", "q1", "q2")]
+
+
+def test_mc_step_count_defaults_to_the_horizon(capsys):
+    # no grid.n_steps: STEPS_PER_YEAR steps a year up to the exercise at 0.5
+    code, out, _ = run_cli(capsys, ["price", "--method", "mc", "--paths", "8"])
+    assert code == 0
+    assert json.loads(out)["diagnostics"]["n_steps"] == round(0.5 * cli.STEPS_PER_YEAR) == 1000
+
+
 def test_simulate_csv_shape(capsys):
     code, out, _ = run_cli(capsys, ["simulate", "--paths", "3", "--steps", "4", "--seed", "1"])
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "path_id,t,X,nu,F"
     assert len(lines) == 1 + 3 * 5
+
+
+def test_simulate_json_shape(capsys):
+    argv = ["simulate", "--paths", "3", "--steps", "4", "--seed", "1"]
+    _, out_csv, _ = run_cli(capsys, argv)
+    code, out, _ = run_cli(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {"t", "X", "nu", "F"}
+    assert len(payload["t"]) == 5
+    for key in ("X", "nu", "F"):
+        assert [len(row) for row in payload[key]] == [5, 5, 5]
+    # the same paths as the CSV artifact, row by row
+    rows = [line.split(",") for line in out_csv.splitlines()[1:]]
+    assert [float(r[4]) for r in rows] == [v for path in payload["F"] for v in path]
 
 
 def test_simulate_summary(capsys):
@@ -509,6 +561,36 @@ def test_error_paths(capsys, tmp_path):
         payload = json.loads(err)
         assert payload["error"]["code"] == 1
         assert payload["error"]["type"] == error_type
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"output": {"format": 3}}, "output.format: expected csv or json, got 3"),
+    ({"output": {"format": ["csv"]}}, "output.format: expected csv or json, got ['csv']"),
+    ({"output": {"path": 3}}, "output.path: expected a string, got 3"),
+    ([{"heston": {}}], "<config>: top level must be a JSON object"),
+    ({"model": {"variant": 3}}, "model.variant: expected a string, got 3"),
+    ({"model": {"variant": ["samuelson"]}},
+     "model.variant: expected a string, got ['samuelson']"),
+], ids=["format-number", "format-list", "path-number", "top-level-list", "variant-number",
+        "variant-list"])
+def test_config_type_errors_name_the_field(capsys, tmp_path, config, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, ["check", "--config", str(path)])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {"code": 1, "type": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--paths", "3", "--steps", "4"],
+                                  ["price", "--method", "mc", "--paths", "8", "--steps", "4"]],
+                         ids=["simulate", "price-mc"])
+def test_zero_workers_is_refused(capsys, argv):
+    code, out, err = run_cli(capsys, [*argv, "--workers", "0"])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == {"code": 1, "type": "ConfigError",
+                                        "message": "workers: must be at least 1"}
 
 
 def test_grid_end_past_delivery_start_rejected(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -119,3 +120,16 @@ def test_full_report_notes_mention_formulas():
 
 def test_condition_warning_is_user_warning():
     assert issubclass(ConditionWarning, UserWarning)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: check_feller(_params(), Samuelson(3.5), 0.0), ValueError,
+     "horizon must be > 0, got 0.0"),
+    (lambda: check_feller(_params(), Samuelson(3.5), -0.5), ValueError,
+     "horizon must be > 0, got -0.5"),
+    (lambda: check_novikov(_params(), object(), DP), TypeError,
+     "unsupported volatility structure object"),
+], ids=["feller-horizon-zero", "feller-horizon-negative", "novikov-type"])
+def test_conditions_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

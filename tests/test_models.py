@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -230,7 +232,7 @@ def test_exponential_weight_zero_rate_is_uniform():
 
 
 def test_from_table_keeps_its_own_tables(cold_moments):
-    # a weight keys the moment cache, so a change to the caller's arrays
+    # a weight keys the decomposition cache, so a change to the caller's arrays
     # after the build must reach neither it nor a tabulated shape
     u_grid, levels = np.array([0.75, 0.8, 5.0 / 6.0]), np.array([1.0, 2.0, 0.5])
     w = CustomWeight.from_table(u_grid, levels)
@@ -314,3 +316,29 @@ def test_theta_min_on_grid():
     assert theta_min_on_grid(0.6, 0.75) == 0.6
     val = theta_min_on_grid(lambda t: 0.5 + np.square(t - 0.3), 0.75, resolution=1e-4)
     assert val == pytest.approx(0.5, abs=1e-7)
+
+
+_TABLE_WEIGHT = CustomWeight.from_table([0.7, 0.8, 0.9], [1.0, 2.0, 1.0])
+_NOT_POSITIVE = GeneralSeparable(lambda t, u: np.zeros_like(np.asarray(u, float)), bound_r=1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: theta_min_on_grid(0.6, 0.0), ValueError, "horizon must be > 0"),
+    (lambda: theta_min_on_grid(0.6, -1.0), ValueError, "horizon must be > 0"),
+    (lambda: CustomWeight.from_table([0.7, 0.8, 0.9], [1.0, 2.0]), ValueError,
+     "weight table needs matching 1-d u_grid and values with >= 2 points"),
+    (lambda: _TABLE_WEIGHT.w_hat(np.array([0.8, 0.95])), ValueError,
+     "weight table does not cover the requested u"),
+    (lambda: GeneralSeparable(s=2.0, bound_r=1.0), ValueError,
+     "s must be callable as s(t, u)"),
+    (lambda: eval_s(_NOT_POSITIVE, 0.0, np.array([0.8])), ValueError,
+     "general separable factor must satisfy s(t, u) > 0"),
+    (lambda: eval_s(object(), 0.0, 0.8), TypeError, "unsupported volatility structure object"),
+    (lambda: weight_hat(object(), 0.8), TypeError, "unsupported weight function object"),
+    (lambda: variant_tag(object()), TypeError, "unsupported volatility structure object"),
+], ids=["theta-horizon-zero", "theta-horizon-negative", "weight-table-mismatch",
+        "weight-table-off-grid", "general-not-callable", "general-not-positive",
+        "eval-s-type", "weight-hat-type", "variant-tag-type"])
+def test_models_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 import warnings
@@ -74,6 +75,18 @@ def _ode_params(**over):
 
 # ---------------------------------------------------------------------------
 # lognormal oracle
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0.0, 30.0, 0.1), "f and k must be > 0, got f=0.0, k=30.0"),
+    ((30.0, -1.0, 0.1), "f and k must be > 0, got f=30.0, k=-1.0"),
+    ((30.0, 30.0, -0.1), "total_var must be >= 0, got -0.1"),
+    ((30.0, 30.0, 0.1, 0.0), "df must lie in (0, 1], got 0.0"),
+    ((30.0, 30.0, 0.1, 1.5), "df must lie in (0, 1], got 1.5"),
+], ids=["f-zero", "k-negative", "variance-negative", "df-zero", "df-above-one"])
+def test_black76_refusals(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        black76_oracle(*args)
 
 
 def test_black76_against_reference():
@@ -344,7 +357,8 @@ def test_repeat_contract_integrates_no_delivery_moments(monkeypatch, cold_moment
 
 def test_unhashable_weight_callable_prices_uncached(cold_moments):
     # numpy's Polynomial defines no hash, so a weight holding one cannot key
-    # the moment cache; it still prices, as the same polynomial in a lambda
+    # the decomposition cache; it still prices, as the same polynomial in a
+    # lambda
     poly = CustomWeight(np.polynomial.Polynomial([1.0, 0.5]))
     plain = CustomWeight(lambda u: 1.0 + 0.5 * u)
     u = np.linspace(DP.tau1, DP.tau2, 5)
@@ -355,8 +369,8 @@ def test_unhashable_weight_callable_prices_uncached(cold_moments):
         got = price_fourier_many(_params(), DS, poly, DP, strikes, T)
         want = price_fourier_many(_params(), DS, plain, DP, strikes, T)
         assert [r.call for r in got] == pytest.approx([r.call for r in want], rel=1e-12)
-    # only the lambda weight's moments were kept
-    assert averaging._delivery_factors.cache_info().currsize == 1
+    # only the lambda weight's decomposition was kept
+    assert averaging._contract_decomposition.cache_info().currsize == 1
 
 
 def test_fourier_diagnostics_and_truncation(monkeypatch):
@@ -964,6 +978,26 @@ def test_the_zeta_edge_ladders_sit_either_side_of_the_bound(monkeypatch, lam, lo
     monkeypatch.setattr(pricer, "_closed_form", spy)
     _outcome(_samuelson_case(lam=lam))
     assert len(seen) == 1 and low < seen[0] <= high
+
+
+def test_an_unsettled_kummer_series_leaves_the_chunk_to_dop853(monkeypatch):
+    # with no tail small enough, no series length settles: the bench Samuelson
+    # ladder's chunk is then solved by DOP853, as if it had no closed form
+    strikes = [24.0, 27.0, 30.0, 33.0, 36.0]
+    with monkeypatch.context() as m:
+        _dop853_only(m)
+        want = price_fourier_many(_params(), SAM, UNI, DP, strikes, T)
+    terms = []
+    kummer_terms = charfn._kummer_terms
+    monkeypatch.setattr(charfn, "_KUMMER_TAIL", 0.0)
+    monkeypatch.setattr(charfn, "_kummer_terms",
+                        lambda *args: terms.append(kummer_terms(*args)) or terms[-1])
+    got = price_fourier_many(_params(), SAM, UNI, DP, strikes, T)
+    assert terms == [None]
+    assert got[0].diagnostics["transform"] == "dop853"
+    for res, ref in zip(got, want):
+        assert (res.call, res.put, res.q1, res.q2) == (ref.call, ref.put, ref.q1, ref.q2)
+        assert res.diagnostics == ref.diagnostics
 
 
 @pytest.mark.parametrize("p,vol,w,transform", [
