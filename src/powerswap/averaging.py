@@ -81,10 +81,10 @@ def d1_d2(lam: float, x: float) -> tuple[float, float]:
     numbers near 1 when lam * x is small, so below 0.1 d2 is taken from its
     Taylor series instead.
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-    if not x > 0:
-        raise ValueError(f"period length must be > 0, got {x}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lam must be finite and > 0, got {lam}")
+    if not 0 < x < math.inf:
+        raise ValueError(f"period length must be finite and > 0, got {x}")
     y = lam * x
     d1 = _g(y)
     if y < _D2_SERIES_CUTOFF:
@@ -154,11 +154,11 @@ def swap_spread(f_arith: float, variance_integral: float) -> float:
     variance integral of sigma(s, U) up to t, returns
     F^a * (e^{integral / 2} - 1) >= 0.
     """
-    if not f_arith > 0:
-        raise ValueError(f"f_arith must be > 0, got {f_arith}")
-    if variance_integral < 0:
+    if not 0 < f_arith < math.inf:
+        raise ValueError(f"f_arith must be finite and > 0, got {f_arith}")
+    if not 0 <= variance_integral < math.inf:
         raise ValueError(
-            f"variance integral must be non-negative, got {variance_integral}")
+            f"variance_integral must be finite and >= 0, got {variance_integral}")
     return float(f_arith * np.expm1(0.5 * variance_integral))
 
 
@@ -167,11 +167,12 @@ class SwapVolDecomposition:
     """Deterministic curves t -> S(t) and t -> xi(t) for one delivery period.
 
     Both callables accept scalars or arrays of times in [0, tau1] and raise
-    ValueError for a time past tau1, unless called with ``check=False`` by a
-    caller that has checked its whole span of times once.  ``lam`` is the
-    common decay rate of S and xi, which are S(tau1) and xi(tau1) times
-    e^{-lam (tau1 - t)}: 0 for the flat shapes, Samuelson's lam for it, and
-    None where they do not factor so (``GeneralSeparable``).
+    ValueError for a time past tau1 or not finite, unless called with
+    ``check=False`` by a caller that has checked its whole span of times
+    once.  ``lam`` is the common decay rate of S and xi, which are S(tau1)
+    and xi(tau1) times e^{-lam (tau1 - t)}: 0 for the flat shapes,
+    Samuelson's lam for it, and None where they do not factor so
+    (``GeneralSeparable``).
     """
     big_s: Callable
     xi: Callable
@@ -182,9 +183,11 @@ def _curve(dp: DeliveryPeriod, fn: Callable) -> Callable:
     """fn(t_array) as a curve on [0, tau1]: a float for a scalar t, else an array."""
     def curve(t, check=True):
         t_arr = np.asarray(t, dtype=float)
-        if check and np.any(t_arr > dp.tau1):
-            raise ValueError(
-                f"t must not exceed the delivery start {dp.tau1}, got {np.max(t_arr)}")
+        if check:
+            ok = (t_arr <= dp.tau1) & (t_arr > -np.inf)
+            if not ok.all():
+                raise ValueError("t must be finite and must not exceed the delivery start "
+                                 f"{dp.tau1}, got {t_arr[~ok].flat[0]}")
         out = fn(t_arr)
         return float(out) if t_arr.ndim == 0 else out
     return curve

@@ -16,10 +16,12 @@ setup (swap delivering on [0.75, 5/6], Samuelson decay 3.5, strike 30,
 exercise 0.5, one hundred thousand paths at two thousand steps per year).
 Unknown fields and out-of-range values are rejected with the offending
 dotted path in the message, e.g. ``heston.rho: must lie in (-1, 1), got 1.0``.
-The valid ranges belong to the library's dataclasses in ``models``: the CLI
-checks JSON types and unknown keys, builds each dataclass from a table of
-fields and defaults, and reports its ValueError under the field that the
-message names.  It adds only the rules that span sections: the
+The valid ranges belong to the library's dataclasses in ``models``.  Every
+section is read through one field table, ``_read`` with the field parsers of
+``_PARSERS`` (a custom weight's two lists aside): it refuses unknown keys and
+checks JSON types, an explicit ``null`` included.  The CLI builds each
+dataclass from what it read and reports its ValueError under the field that
+the message names.  It adds only the rules that span sections: the
 trading-seasonal variant owns theta, a custom weight table covers the
 delivery period, the exercise precedes ``delivery.tau1``, and the grid starts
 before and ends by ``delivery.tau1``.
@@ -132,6 +134,27 @@ def _parse_tau(field: str, value: Any) -> float:
     return _require_number(field, value)
 
 
+def _require_str(field: str, value: Any) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(field, f"expected a string, got {value!r}")
+    return value
+
+
+def _parse_format(field: str, value: Any) -> str:
+    if value not in ("csv", "json"):
+        raise ConfigError(field, f"expected csv or json, got {value!r}")
+    return value
+
+
+# the parser of each field that is not a plain number, by dotted path; every
+# other field is read by _require_number
+_PARSERS: dict[str, Callable[[str, Any], Any]] = {
+    "delivery.tau1": _parse_tau, "delivery.tau2": _parse_tau,
+    "grid.n_steps": _require_int, "grid.n_paths": _require_int, "grid.seed": _require_int,
+    "output.format": _parse_format, "output.path": _require_str,
+}
+
+
 def _check_keys(section: str, given: dict, allowed: tuple[str, ...]) -> None:
     for key in given:
         if key not in allowed:
@@ -211,11 +234,20 @@ def _build(section: str, cls: Callable, **fields: Any) -> Any:
         raise ConfigError(section, str(exc)) from None
 
 
-def _read(section: str, sec: dict, defaults: dict, parse: Callable = _require_number) -> dict:
-    """The fields of ``defaults`` from ``sec`` or their defaults, type-checked."""
+def _read(section: str, sec: dict, defaults: dict) -> dict:
+    """The fields of ``defaults`` from ``sec``, each read by its parser in ``_PARSERS``.
+
+    A key that is present is parsed whatever its value, so an explicit null
+    is refused; an absent key takes its default, and a default of None is
+    left None for the subcommand to resolve.
+    """
     _check_keys(section, sec, tuple(defaults))
-    return {key: parse(f"{section}.{key}", sec.get(key, default))
-            for key, default in defaults.items()}
+    values = dict.fromkeys(defaults)
+    for key, default in defaults.items():
+        if key in sec or default is not None:
+            field = f"{section}.{key}"
+            values[key] = _PARSERS.get(field, _require_number)(field, sec.get(key, default))
+    return values
 
 
 def _parse_variant(raw: dict, section: str, table: dict) -> tuple[Any, dict]:
@@ -285,7 +317,7 @@ def _parse_heston(raw: dict, vol: Any) -> tuple[HestonParams, dict]:
 def _parse_delivery(raw: dict) -> tuple[DeliveryPeriod, dict]:
     sec = _section(raw, "delivery")
     defaults = {"tau1": 0.75, "tau2": "5/6"}
-    dp = _build("delivery", DeliveryPeriod, **_read("delivery", sec, defaults, _parse_tau))
+    dp = _build("delivery", DeliveryPeriod, **_read("delivery", sec, defaults))
     # fraction strings are kept as given so that they round-trip exactly
     return dp, {key: sec.get(key, default) for key, default in defaults.items()}
 
@@ -299,48 +331,22 @@ def _parse_option(raw: dict, dp: DeliveryPeriod) -> tuple[OptionSpec, dict]:
 
 
 def _parse_grid(raw: dict, dp: DeliveryPeriod) -> tuple[GridSettings, dict]:
-    sec = _section(raw, "grid")
-    _check_keys("grid", sec, ("t0", "t_end", "n_steps", "n_paths", "seed"))
-    t0 = _require_number("grid.t0", sec.get("t0", 0.0))
-    if not t0 < dp.tau1:
+    values = _read("grid", _section(raw, "grid"),
+                   {"t0": 0.0, "t_end": None, "n_steps": None, "n_paths": 100_000, "seed": 42})
+    t_end, n_steps = values["t_end"], values["n_steps"]
+    if not values["t0"] < dp.tau1:
         raise ConfigError("grid.t0", "must precede delivery.tau1")
-    t_end = None
-    if "t_end" in sec:
-        t_end = _require_number("grid.t_end", sec["t_end"])
-        if t_end > dp.tau1:
-            raise ConfigError("grid.t_end", "must not exceed delivery.tau1")
-    n_steps = None
-    if "n_steps" in sec:
-        n_steps = _require_int("grid.n_steps", sec["n_steps"])
-    n_paths = _require_int("grid.n_paths", sec.get("n_paths", 100_000))
-    seed = _require_int("grid.seed", sec.get("seed", 42))
+    if t_end is not None and t_end > dp.tau1:
+        raise ConfigError("grid.t_end", "must not exceed delivery.tau1")
     # GridSpec owns the ranges; an omitted t_end or n_steps is checked as tau1 or 1
-    _build("grid", GridSpec, t0=t0, t_end=dp.tau1 if t_end is None else t_end,
-           n_steps=1 if n_steps is None else n_steps, n_paths=n_paths, seed=seed)
-    settings = GridSettings(t0=t0, t_end=t_end, n_steps=n_steps, n_paths=n_paths, seed=seed)
-    normalized = {"t0": t0, "n_paths": n_paths, "seed": seed}
-    if t_end is not None:
-        normalized["t_end"] = t_end
-    if n_steps is not None:
-        normalized["n_steps"] = n_steps
-    return settings, normalized
+    _build("grid", GridSpec, **{**values, "t_end": dp.tau1 if t_end is None else t_end,
+                                "n_steps": 1 if n_steps is None else n_steps})
+    return GridSettings(**values), _given(values)
 
 
-def _parse_output(raw: dict) -> tuple[str | None, str | None, dict]:
-    sec = _section(raw, "output")
-    _check_keys("output", sec, ("format", "path"))
-    fmt = sec.get("format")
-    if fmt is not None and fmt not in ("csv", "json"):
-        raise ConfigError("output.format", f"expected csv or json, got {fmt!r}")
-    path = sec.get("path")
-    if path is not None and not isinstance(path, str):
-        raise ConfigError("output.path", f"expected a string, got {path!r}")
-    normalized = {}
-    if fmt is not None:
-        normalized["format"] = fmt
-    if path is not None:
-        normalized["path"] = path
-    return fmt, path, normalized
+def _given(values: dict) -> dict:
+    """The normalized form of a section: its fields that are not None."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _read_config_file(path: Any) -> dict:
@@ -392,7 +398,8 @@ def load_config(source: Any = None) -> RunConfig:
                               f"got [{u_grid[0]}, {u_grid[-1]}]")
     option, option_norm = _parse_option(raw, dp)
     grid, grid_norm = _parse_grid(raw, dp)
-    fmt, path, output_norm = _parse_output(raw)
+    output = _read("output", _section(raw, "output"), {"format": None, "path": None})
+    output_norm = _given(output)
 
     normalized = {
         "model": model_norm,
@@ -411,8 +418,8 @@ def load_config(source: Any = None) -> RunConfig:
         delivery=dp,
         option=option,
         grid=grid,
-        out_format=fmt,
-        out_path=path,
+        out_format=output["format"],
+        out_path=output["path"],
         normalized=normalized,
     )
 
@@ -456,8 +463,9 @@ def _render_columns(fmt: str, columns: dict, **meta: Any) -> str:
     """Equal-length float columns: CSV one row per index, or JSON {**meta, name: list}.
 
     A None column is undefined throughout: JSON null, and empty CSV cells.
+    A 2-D column, one row per path, is JSON only: a list of rows.
     """
-    columns = {name: None if col is None else [float(v) for v in col]
+    columns = {name: None if col is None else np.asarray(col, dtype=float).tolist()
                for name, col in columns.items()}
     if fmt == "csv":
         n_rows = max(len(col) for col in columns.values() if col is not None)
@@ -550,20 +558,14 @@ def _cmd_simulate(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[s
                    "mean_nu": stats.mean_nu}
         return _render_columns(fmt, columns), 0
     paths = simulate_paths(cfg.params, cfg.vol, cfg.weight, cfg.delivery, g, workers=workers)
-    f = paths.f_paths
     if fmt == "csv":
         columns = {"path_id": np.repeat(np.arange(g.n_paths), paths.times.size),
                    "t": np.tile(paths.times, g.n_paths), "X": paths.x_paths.ravel(),
-                   "nu": paths.nu_paths.ravel(), "F": f.ravel()}
-        return _render_columns(fmt, columns), 0
-    return _render_json(
-        {
-            "t": list(map(float, paths.times)),
-            "X": [list(map(float, row)) for row in paths.x_paths],
-            "nu": [list(map(float, row)) for row in paths.nu_paths],
-            "F": [list(map(float, row)) for row in f],
-        }
-    ), 0
+                   "nu": paths.nu_paths.ravel(), "F": paths.f_paths.ravel()}
+    else:
+        columns = {"t": paths.times, "X": paths.x_paths, "nu": paths.nu_paths,
+                   "F": paths.f_paths}
+    return _render_columns(fmt, columns), 0
 
 
 def _cmd_price(cfg: RunConfig, args: argparse.Namespace, fmt: str) -> tuple[str, int]:

@@ -80,8 +80,8 @@ def check_feller(p: HestonParams, vol: VolStructure, horizon: float) -> Conditio
     trading-seasonal variant equal to vol, and a 1e-4-resolution grid minimum of
     p.theta otherwise: the engines use p.theta, whatever the variant.
     """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     # bound methods compare equal only when bound to the same instance, so an
     # equal but distinct TradingSeasonal is matched through its owner
     owner = getattr(p.theta, "__self__", None)

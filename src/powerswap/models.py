@@ -38,7 +38,7 @@ __all__ = [
     "eval_s",
     "weight_hat",
     "weight_density",
-    "as_time_function",
+    "integrate_over_delivery",
     "variant_tag",
     "theta_min_on_grid",
 ]
@@ -315,7 +315,7 @@ def weight_density(w: WeightFunction, dp: DeliveryPeriod, u) -> np.ndarray | flo
     the continuous extension of the density.
     """
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < dp.tau1) or np.any(u_arr > dp.tau2):
+    if not np.all((u_arr >= dp.tau1) & (u_arr <= dp.tau2)):
         raise ValueError(
             f"u must lie in the delivery period [{dp.tau1}, {dp.tau2}]")
     vals = np.asarray(_period_weight(w, dp, u_arr), dtype=float) / weight_normalizer(w, dp)
@@ -459,14 +459,14 @@ def _general_values(vol: GeneralSeparable, t: float, u_arr: np.ndarray) -> np.nd
 
 
 def eval_s(vol: VolStructure, t: float, u) -> np.ndarray | float:
-    """Deterministic volatility factor s(t, u); requires t <= u.
+    """Deterministic volatility factor s(t, u); requires finite t <= u.
 
     u may be a scalar or an array of delivery times.
     """
     t = float(t)
     u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < t):
-        raise ValueError("eval_s requires t <= u")
+    if not (math.isfinite(t) and np.all((u_arr >= t) & (u_arr < math.inf))):
+        raise ValueError(f"t and u must be finite with t <= u, got t={t}")
     if isinstance(vol, TradingSeasonal):
         vals = np.ones(u_arr.shape)
     elif isinstance(vol, Samuelson):
@@ -490,8 +490,8 @@ def theta_min_on_grid(theta: float | Callable, horizon: float,
     ``HestonParams.theta_fn``, so that the Feller check built on this
     minimum reports that fault, not a failed condition.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be > 0")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     n = max(2, int(np.ceil(horizon / resolution)) + 1)
     ts = np.linspace(0.0, horizon, n)
     vals = np.asarray(as_time_function(theta)(ts), dtype=float)

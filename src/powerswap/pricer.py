@@ -502,10 +502,10 @@ def black76_oracle(f: float, k: float, total_var: float,
     total_var = 0 the price is the discounted intrinsic value; f = k with zero
     variance returns call = put = 0 (measure-zero boundary tie-break).
     """
-    if not (f > 0 and k > 0):
-        raise ValueError(f"f and k must be > 0, got f={f}, k={k}")
-    if total_var < 0:
-        raise ValueError(f"total_var must be >= 0, got {total_var}")
+    if not (0 < f < math.inf and 0 < k < math.inf):
+        raise ValueError(f"f and k must be finite and > 0, got f={f}, k={k}")
+    if not 0 <= total_var < math.inf:
+        raise ValueError(f"total_var must be finite and >= 0, got {total_var}")
     if not 0 < df <= 1:
         raise ValueError(f"df must lie in (0, 1], got {df}")
     call, put, _, _ = _black76(f, k, np.sqrt(total_var))

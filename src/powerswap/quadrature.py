@@ -45,8 +45,9 @@ def adaptive_gauss_legendre(f, a: float, b: float, abs_tol: float = 1e-10) -> fl
     needed instead of exhausting a uniform per-panel allowance.  Bisection
     stops at ``_MAX_LEVELS`` halvings of the original interval.
     """
-    if not b > a:
-        raise ValueError("integration interval must satisfy a < b")
+    if not -np.inf < a < b < np.inf:
+        raise ValueError("integration interval must satisfy a < b, both finite, "
+                         f"got [{a}, {b}]")
 
     value, err = _refine(f, a, b)
     # heap entries: (-err, insertion counter, lo, hi, value, level)

@@ -392,13 +392,30 @@ def test_general_separable_is_decomposed_anew_on_each_call():
                                               rel=1e-12)
 
 
-@pytest.mark.parametrize("lam, x, message", [
-    (0.0, 1.0 / 12.0, "lam must be > 0, got 0.0"),
-    (-1.0, 1.0 / 12.0, "lam must be > 0, got -1.0"),
-    (np.nan, 1.0 / 12.0, "lam must be > 0, got nan"),
-    (3.5, 0.0, "period length must be > 0, got 0.0"),
-    (3.5, -0.1, "period length must be > 0, got -0.1"),
-], ids=["lam-zero", "lam-negative", "lam-nan", "length-zero", "length-negative"])
-def test_averaging_refusals(lam, x, message):
+_PAST_TAU1 = "t must be finite and must not exceed the delivery start 0.75, got "
+_SAM = Samuelson(3.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: d1_d2(0.0, 1.0 / 12.0), "lam must be finite and > 0, got 0.0"),
+    (lambda: d1_d2(-1.0, 1.0 / 12.0), "lam must be finite and > 0, got -1.0"),
+    (lambda: d1_d2(np.nan, 1.0 / 12.0), "lam must be finite and > 0, got nan"),
+    (lambda: d1_d2(3.5, 0.0), "period length must be finite and > 0, got 0.0"),
+    (lambda: d1_d2(3.5, -0.1), "period length must be finite and > 0, got -0.1"),
+    (lambda: d1_d2(np.inf, 0.1), "lam must be finite and > 0, got inf"),
+    (lambda: d1_d2(3.5, np.inf), "period length must be finite and > 0, got inf"),
+    (lambda: swap_spread(30.0, np.nan), "variance_integral must be finite and >= 0, got nan"),
+    (lambda: swap_spread(30.0, np.inf), "variance_integral must be finite and >= 0, got inf"),
+    (lambda: swap_spread(np.inf, 0.1), "f_arith must be finite and > 0, got inf"),
+    (lambda: swap_vol_factor(_SAM, UNI, DP, np.nan), _PAST_TAU1 + "nan"),
+    (lambda: market_price_factor(_SAM, UNI, DP, np.nan), _PAST_TAU1 + "nan"),
+    (lambda: variance_factor(_SAM, UNI, DP, np.nan), _PAST_TAU1 + "nan"),
+    (lambda: decompose(_SAM, UNI, DP).xi(np.array([0.1, -np.inf])), _PAST_TAU1 + "-inf"),
+    (lambda: decompose(_SAM, UNI, DP).big_s(np.array([0.1, 0.8])), _PAST_TAU1 + "0.8"),
+], ids=["lam-zero", "lam-negative", "lam-nan", "length-zero", "length-negative",
+        "lam-inf", "length-inf", "spread-variance-nan", "spread-variance-inf",
+        "spread-forward-inf", "swap-vol-t-nan", "market-price-t-nan", "variance-t-nan",
+        "curve-t-minus-inf", "curve-t-past-tau1"])
+def test_averaging_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        d1_d2(lam, x)
+        call()

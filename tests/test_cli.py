@@ -571,8 +571,16 @@ def test_error_paths(capsys, tmp_path):
     ({"model": {"variant": 3}}, "model.variant: expected a string, got 3"),
     ({"model": {"variant": ["samuelson"]}},
      "model.variant: expected a string, got ['samuelson']"),
+    # a key that is present is parsed, so an explicit null is refused in every section
+    ({"output": {"format": None}}, "output.format: expected csv or json, got None"),
+    ({"output": {"path": None}}, "output.path: expected a string, got None"),
+    ({"grid": {"t0": None}}, "grid.t0: expected a number, got None"),
+    ({"grid": {"t_end": None}}, "grid.t_end: expected a number, got None"),
+    ({"grid": {"n_steps": None}}, "grid.n_steps: expected an integer, got None"),
+    ({"heston": {"rho": None}}, "heston.rho: expected a number, got None"),
 ], ids=["format-number", "format-list", "path-number", "top-level-list", "variant-number",
-        "variant-list"])
+        "variant-list", "format-null", "path-null", "t0-null", "t-end-null", "n-steps-null",
+        "rho-null"])
 def test_config_type_errors_name_the_field(capsys, tmp_path, config, message):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))

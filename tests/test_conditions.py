@@ -124,12 +124,17 @@ def test_condition_warning_is_user_warning():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: check_feller(_params(), Samuelson(3.5), 0.0), ValueError,
-     "horizon must be > 0, got 0.0"),
+     "horizon must be finite and > 0, got 0.0"),
     (lambda: check_feller(_params(), Samuelson(3.5), -0.5), ValueError,
-     "horizon must be > 0, got -0.5"),
+     "horizon must be finite and > 0, got -0.5"),
     (lambda: check_novikov(_params(), object(), DP), TypeError,
      "unsupported volatility structure object"),
-], ids=["feller-horizon-zero", "feller-horizon-negative", "novikov-type"])
+    (lambda: check_feller(_params(), Samuelson(3.5), np.inf), ValueError,
+     "horizon must be finite and > 0, got inf"),
+    (lambda: check_feller(_params(), Samuelson(3.5), np.nan), ValueError,
+     "horizon must be finite and > 0, got nan"),
+], ids=["feller-horizon-zero", "feller-horizon-negative", "novikov-type", "feller-horizon-inf",
+        "feller-horizon-nan"])
 def test_conditions_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -323,8 +323,11 @@ _NOT_POSITIVE = GeneralSeparable(lambda t, u: np.zeros_like(np.asarray(u, float)
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: theta_min_on_grid(0.6, 0.0), ValueError, "horizon must be > 0"),
-    (lambda: theta_min_on_grid(0.6, -1.0), ValueError, "horizon must be > 0"),
+    (lambda: theta_min_on_grid(0.6, 0.0), ValueError, "horizon must be finite and > 0, got 0.0"),
+    (lambda: theta_min_on_grid(0.6, -1.0), ValueError,
+     "horizon must be finite and > 0, got -1.0"),
+    (lambda: theta_min_on_grid(0.6, np.inf), ValueError,
+     "horizon must be finite and > 0, got inf"),
     (lambda: CustomWeight.from_table([0.7, 0.8, 0.9], [1.0, 2.0]), ValueError,
      "weight table needs matching 1-d u_grid and values with >= 2 points"),
     (lambda: _TABLE_WEIGHT.w_hat(np.array([0.8, 0.95])), ValueError,
@@ -336,9 +339,18 @@ _NOT_POSITIVE = GeneralSeparable(lambda t, u: np.zeros_like(np.asarray(u, float)
     (lambda: eval_s(object(), 0.0, 0.8), TypeError, "unsupported volatility structure object"),
     (lambda: weight_hat(object(), 0.8), TypeError, "unsupported weight function object"),
     (lambda: variant_tag(object()), TypeError, "unsupported volatility structure object"),
-], ids=["theta-horizon-zero", "theta-horizon-negative", "weight-table-mismatch",
-        "weight-table-off-grid", "general-not-callable", "general-not-positive",
-        "eval-s-type", "weight-hat-type", "variant-tag-type"])
+    (lambda: weight_density(UniformWeight(), DP, np.nan), ValueError,
+     "u must lie in the delivery period [0.75, 0.8333333333333334]"),
+    (lambda: eval_s(Samuelson(3.5), np.nan, 0.8), ValueError,
+     "t and u must be finite with t <= u, got t=nan"),
+    (lambda: eval_s(Samuelson(3.5), 0.1, np.nan), ValueError,
+     "t and u must be finite with t <= u, got t=0.1"),
+    (lambda: eval_s(Samuelson(3.5), 0.1, np.inf), ValueError,
+     "t and u must be finite with t <= u, got t=0.1"),
+], ids=["theta-horizon-zero", "theta-horizon-negative", "theta-horizon-inf",
+        "weight-table-mismatch", "weight-table-off-grid", "general-not-callable",
+        "general-not-positive", "eval-s-type", "weight-hat-type", "variant-tag-type",
+        "weight-density-u-nan", "eval-s-t-nan", "eval-s-u-nan", "eval-s-u-inf"])
 def test_models_refusals(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

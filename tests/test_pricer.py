@@ -78,12 +78,18 @@ def _ode_params(**over):
 
 
 @pytest.mark.parametrize("args, message", [
-    ((0.0, 30.0, 0.1), "f and k must be > 0, got f=0.0, k=30.0"),
-    ((30.0, -1.0, 0.1), "f and k must be > 0, got f=30.0, k=-1.0"),
-    ((30.0, 30.0, -0.1), "total_var must be >= 0, got -0.1"),
+    ((0.0, 30.0, 0.1), "f and k must be finite and > 0, got f=0.0, k=30.0"),
+    ((30.0, -1.0, 0.1), "f and k must be finite and > 0, got f=30.0, k=-1.0"),
+    ((30.0, 30.0, -0.1), "total_var must be finite and >= 0, got -0.1"),
     ((30.0, 30.0, 0.1, 0.0), "df must lie in (0, 1], got 0.0"),
     ((30.0, 30.0, 0.1, 1.5), "df must lie in (0, 1], got 1.5"),
-], ids=["f-zero", "k-negative", "variance-negative", "df-zero", "df-above-one"])
+    ((30.0, 30.0, np.inf), "total_var must be finite and >= 0, got inf"),
+    ((30.0, 30.0, np.nan), "total_var must be finite and >= 0, got nan"),
+    ((np.inf, 30.0, 0.1), "f and k must be finite and > 0, got f=inf, k=30.0"),
+    ((30.0, np.nan, 0.1), "f and k must be finite and > 0, got f=30.0, k=nan"),
+    ((30.0, 30.0, 0.1, np.nan), "df must lie in (0, 1], got nan"),
+], ids=["f-zero", "k-negative", "variance-negative", "df-zero", "df-above-one",
+        "variance-inf", "variance-nan", "f-inf", "k-nan", "df-nan"])
 def test_black76_refusals(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         black76_oracle(*args)
@@ -811,12 +817,13 @@ def _assert_both_paths_agree(monkeypatch, cases):
 
 
 def _sweep_cases(n, seed, shape=DeliverySeasonal):
-    """n ladders over the regime-sweep ranges of ROADMAP.md: delivery-seasonal
-    or Samuelson shapes (lam from 0.01 to 30), log-uniform draws of the
-    shape and Heston parameters, delivery start and length, uniform or
-    exponential weights with rates of either sign, exercise in (0.05, 0.999)
-    tau1, half of them valued at a t0 > 0, and four strikes from 0.2 to 5
-    f0."""
+    """n ladders over the regime-sweep ranges of ROADMAP.md: delivery-seasonal,
+    Samuelson (lam from 0.01 to 30) or trading-seasonal shapes, the last with
+    theta(t) = vol.theta (alpha from 0.001 to 3, beta from 0.01 to 2, gamma
+    uniform), log-uniform draws of the shape and Heston parameters, delivery
+    start and length, uniform or exponential weights with rates of either
+    sign, exercise in (0.05, 0.999) tau1, half of them valued at a t0 > 0,
+    and four strikes from 0.2 to 5 f0."""
     rng = np.random.default_rng(seed)
 
     def log_uniform(lo, hi):
@@ -826,10 +833,14 @@ def _sweep_cases(n, seed, shape=DeliverySeasonal):
     for _ in range(n):
         if shape is Samuelson:
             vol = Samuelson(log_uniform(0.01, 30.0))
+        elif shape is TradingSeasonal:
+            vol = TradingSeasonal(log_uniform(0.001, 3.0), log_uniform(0.01, 2.0),
+                                  float(rng.uniform()))
         else:
             b = log_uniform(0.01, 3.0)
             vol = DeliverySeasonal(a=b + log_uniform(0.01, 3.0), b=b, c=float(rng.uniform()))
-        p = HestonParams(kappa=log_uniform(0.05, 30.0), theta=log_uniform(0.001, 3.0),
+        p = HestonParams(kappa=log_uniform(0.05, 30.0),
+                         theta=vol.theta if shape is TradingSeasonal else log_uniform(0.001, 3.0),
                          sigma_vv=log_uniform(0.01, 3.0), rho=float(rng.uniform(-0.99, 0.99)),
                          nu0=log_uniform(0.001, 4.0), f0=log_uniform(1.0, 300.0),
                          r=float(rng.uniform(0.0, 0.1)))
@@ -868,6 +879,49 @@ def test_samuelson_closed_form_agrees_with_dop853_on_a_sweep_sample(monkeypatch)
 def test_samuelson_closed_form_agrees_with_dop853_over_the_regime_sweep(monkeypatch):
     transforms = _assert_both_paths_agree(monkeypatch, SAMUELSON_SWEEP)
     assert len(transforms) >= 50 and transforms.count("closed_form") >= 7
+
+
+# 60 trading-seasonal ladders of the sweep, with theta(t) = vol.theta, which
+# no closed form takes: both sides are DOP853 solves, at the default ode_tol
+# and at 1e-13.  59 price, with a worst call gap of 8.6e-11; one raises
+# TruncationError both ways
+THETA_SWEEP = _sweep_cases(60, seed=2007, shape=TradingSeasonal)
+
+
+def test_theta_of_t_prices_agree_with_a_tight_solve_on_a_sweep_sample(monkeypatch):
+    transforms = _assert_both_paths_agree(monkeypatch, THETA_SWEEP[:10])
+    assert transforms == ["dop853"] * 10
+
+
+@pytest.mark.slow
+def test_theta_of_t_prices_agree_with_a_tight_solve_over_the_regime_sweep(monkeypatch):
+    transforms = _assert_both_paths_agree(monkeypatch, THETA_SWEEP)
+    assert transforms == ["dop853"] * 59
+
+
+def test_richardson_strike_derivative_is_the_exercise_probability_over_the_sweeps():
+    # dC/dK = -df q2.  Strikes f0 + j h, j = -2..2, h = 1e-5 f0, priced as one
+    # ladder; Richardson's (4 D(h) - D(2h)) / 3 of the central differences
+    # D cancels their h^2 term, which on sharp densities alone misses by up to
+    # 5.1e-7.  The worst errors were 9.3e-11 (delivery-seasonal), 8.7e-11
+    # (Samuelson) and 2.4e-11 (theta(t)); the other ladders raise
+    # TruncationError, the tiny-variance ones of ROADMAP item 5
+    priced = []
+    for cases in (_sweep_cases(60, seed=2007), SAMUELSON_SWEEP, THETA_SWEEP):
+        priced.append(0)
+        for p, vol, w, dp, _, exercise, state in cases:
+            h = 1e-5 * p.f0
+            case = (p, vol, w, dp, p.f0 + h * np.arange(-2.0, 3.0), exercise, state)
+            outcome = _outcome(case)
+            if outcome is TruncationError:
+                continue
+            calls, _, (_, q2) = outcome
+            df = float(np.exp(-p.r * (exercise - state.get("t", 0.0))))
+            d_h = (calls[3] - calls[1]) / (2.0 * h)
+            d_2h = (calls[4] - calls[0]) / (4.0 * h)
+            assert abs((4.0 * d_h - d_2h) / 3.0 + df * q2[2]) <= 5e-10, case
+            priced[-1] += 1
+    assert priced == [56, 51, 59]
 
 
 def test_pricer_nodes_pass_the_closed_form_checks(monkeypatch):
